@@ -104,7 +104,7 @@ def collect(rounds: int = 3) -> dict:
         lambda: batched.schedule_model(resnet, config_128), rounds
     )
     cycle = CycleAccurateBackend()
-    cycle.schedule_model(resnet, config_16)  # memoised steady state
+    cycle.schedule_model(resnet, config_16)  # calibrated steady state
     timings_ms["schedule_resnet34_cycle_16x16"] = 1e3 * _best_of(
         lambda: cycle.schedule_model(resnet, config_16), rounds
     )
@@ -179,9 +179,7 @@ def collect(rounds: int = 3) -> dict:
 
     # Sampled vs exact cycle backend on the batched CNN suite (the
     # test_bench_sampled.py scenario): cold runs, fresh backends per
-    # round.  The timed rounds double as the accuracy inputs — the cycle
-    # scenario is the slowest path of the whole bench job, so it runs
-    # exactly the timed rounds and nothing more.
+    # round.  The timed rounds double as the accuracy inputs.
     cycle_runs: list = []
     sampled_runs: list = []
     timings_ms["cnn_suite_bs4_cycle"] = 1e3 * _best_of(

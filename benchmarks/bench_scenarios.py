@@ -39,8 +39,8 @@ TRANSFORMER_SIZES = (128, 256)
 #: ``BENCH_<sha>.json`` artifact): the ``cnn`` registry suite under
 #: batched inference, scheduled per layer on one mid-size geometry.  The
 #: batch scaling puts the streamed dimension T squarely in the big-model
-#: regime the sampled backend exists for (the cycle backend's cost grows
-#: with T; the sampled backend's calibrated probes do not).
+#: regime the sampled backend was built for (both backends now calibrate
+#: along T instead of simulating it).
 CNN_SAMPLED_SUITE = "cnn"
 CNN_SAMPLED_BATCH = 4
 CNN_SAMPLED_SIZE = 64

@@ -1,30 +1,30 @@
 """Benchmark: the sampled-simulation backend against the exact cycle backend.
 
-Not a paper figure: this pins the accuracy-for-cost trade of
+Not a paper figure: this pins the accuracy of
 :class:`~repro.backends.SampledSimBackend` on the CNN suite under batched
-inference (``bench_scenarios.schedule_cnn_suite`` — the big-model regime
-the backend exists for, where the cycle backend's full-T tile
-simulations dominate).
+inference (``bench_scenarios.schedule_cnn_suite``, the big-T regime the
+backend was built for) and records its cost against the cycle backend.
 
 Pinned conclusions:
 
-* a cold sampled run of the scenario is at least 10x faster than a cold
-  cycle-accurate run (both backends start with empty measurement memos —
-  what a fresh process, CI job or pool worker sees), even though the
-  cycle backend itself now rides the batched ``simulate_tiles`` engine;
 * every per-layer cycle estimate is within its self-reported
   ``error_bound`` of the exact cycle result, and within 10% absolutely;
 * the whole-suite totals agree with the exact backend within the worst
   per-layer bound.
+
+No speedup is pinned: the cycle backend calibrates each (geometry, mode)
+pair once on three short register-stepped probes, so it no longer pays
+for T and a cold run is about as cheap as a cold sampled one.  The ratio
+is printed for the record.
 """
 
-from bench_scenarios import best_of as _best_of, schedule_cnn_suite, speedup_floor
+from bench_scenarios import best_of as _best_of, schedule_cnn_suite
 
 from repro.backends import CycleAccurateBackend, SampledSimBackend
 
 
 def test_sampled_backend_speeds_up_cnn_suite_within_error_bounds(benchmark):
-    """>=10x over the cycle backend; every layer inside its error bound."""
+    """Every layer inside its error bound; the cold-run ratio is printed."""
     exact_schedules = schedule_cnn_suite(CycleAccurateBackend())
     sampled_schedules = schedule_cnn_suite(SampledSimBackend())
 
@@ -48,17 +48,14 @@ def test_sampled_backend_speeds_up_cnn_suite_within_error_bounds(benchmark):
     assert checked > 100  # the whole suite, not a truncated run
 
     # Cold-vs-cold timing: fresh backends each round, so the cycle
-    # backend's per-(T, k) memo and the sampled backend's measurement
+    # backend's calibration table and the sampled backend's measurement
     # memo both start empty — the fresh-process regime.
     cycle_s = _best_of(lambda: schedule_cnn_suite(CycleAccurateBackend()), rounds=2)
     sampled_s = _best_of(lambda: schedule_cnn_suite(SampledSimBackend()), rounds=2)
-    speedup = cycle_s / sampled_s
     print(
         f"\ncycle {cycle_s * 1e3:.0f} ms  sampled {sampled_s * 1e3:.0f} ms  "
-        f"speedup {speedup:.1f}x"
+        f"ratio {cycle_s / sampled_s:.2f}x"
     )
-    floor = speedup_floor(10.0)
-    assert speedup >= floor, f"expected >= {floor:.1f}x, measured {speedup:.2f}x"
 
     # Track the sampled path in the perf trajectory.
     benchmark(lambda: schedule_cnn_suite(SampledSimBackend()))

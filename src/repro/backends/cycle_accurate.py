@@ -1,13 +1,21 @@
 """Cycle-accurate (measured) backend.
 
 Instead of trusting Eq. (3), this backend *measures* the per-tile cycle
-count by running one representative tile of each layer through the
-cycle-accurate weight-stationary simulator
-(:class:`repro.sim.systolic_sim.CycleAccurateSystolicArray`), checking
-bit-exactness against NumPy along the way, and scales the measurement by
-the Eq. (4) tile count (every tile of a layer takes the same number of
-cycles — the per-tile latency depends only on the array geometry, the
-streamed dimension T and the collapse depth).
+count on the register-stepping simulator
+(:meth:`repro.sim.systolic_sim.CycleAccurateSystolicArray.simulate_tile`)
+and scales it by the Eq. (4) tile count (every tile of a layer takes the
+same number of cycles — the per-tile latency depends only on the array
+geometry, the streamed dimension T and the collapse depth).
+
+A tile's latency is affine in T (Eqs. (1)/(3)), so each (geometry, mode)
+pair is calibrated once: the backend steps three short full-array probe
+tiles (:attr:`CycleAccurateBackend.PROBE_DEPTHS`), checks each probe's
+product against NumPy, and requires the three cycle counts to be exactly
+collinear with an integer slope (:func:`affine_fit`).  Every layer then
+reads its per-tile cycles off that line — no operands, no matmul.  The
+calibration table lives on the backend instance (and pickles with it),
+so a whole CNN suite costs three short simulations per mode and
+geometry.
 
 Mode selection still uses the Eq. (6) discrete search — that is the
 policy a deployment would programme — but the cycles, and therefore the
@@ -16,20 +24,11 @@ cycle-exact with respect to Eq. (3) (property-tested in
 ``tests/test_sim_systolic.py``), the schedules agree with the analytical
 backend; the value of this path is that the agreement is *established by
 measurement*, and that it keeps holding if either side changes.
-
-Measurements run through the batched
-:meth:`~repro.sim.systolic_sim.CycleAccurateSystolicArray.simulate_tiles`
-path (bit-identical to the scalar register-stepping reference,
-property-tested in ``tests/test_sim_batched.py``) and are memoised per
-``(rows, cols, T, k)``, so a whole CNN costs one simulation per distinct
-(T, mode) pair rather than one per layer.  Still the slowest backend —
-use it for validation, not for sweeps.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 
 import numpy as np
 
@@ -42,22 +41,48 @@ from repro.obs.trace import get_tracer
 from repro.sim.systolic_sim import CycleAccurateSystolicArray
 
 
+def affine_fit(
+    depths: tuple[int, int, int], cycles: tuple[int, int, int], tile: str
+) -> tuple[int, int]:
+    """``(intercept, slope)`` of three probe cycle counts along T.
+
+    The tile latency must be affine in the streamed depth T (Eqs.
+    (1)/(3)), so the probes have to be exactly collinear with an integer
+    slope — otherwise the extrapolation model is wrong and this refuses
+    to extrapolate.  ``tile`` describes the probed tile in the error.
+    """
+    (low, mid, high), (cycles_low, cycles_mid, cycles_high) = depths, cycles
+    collinear = (cycles_mid - cycles_low) * (high - low) == (
+        cycles_high - cycles_low
+    ) * (mid - low)
+    if not collinear or (cycles_high - cycles_low) % (high - low) != 0:
+        raise RuntimeError(
+            f"streaming-probe calibration failed: tile cycles are not "
+            f"affine in T at probes {depths} for tile ({tile}); refusing "
+            f"to extrapolate"
+        )
+    slope = (cycles_high - cycles_low) // (high - low)
+    return cycles_low - slope * low, slope
+
+
 class CycleAccurateBackend(ExecutionBackend):
-    """Schedules layers from measured (simulated) tile cycle counts."""
+    """Schedules layers from measured (register-stepped) tile cycle counts."""
 
     name = "cycle"
 
-    #: Bound on memoised tile measurements (LRU-evicted beyond this).
-    MAX_TILE_MEASUREMENTS = 4096
+    #: Streamed depths of the three calibration probes.  Short, because
+    #: stepping costs one update of every group-boundary register per cycle.
+    PROBE_DEPTHS = (4, 6, 8)
 
     def __init__(self, measurement_seed: int = 0) -> None:
         super().__init__()
         self.measurement_seed = measurement_seed
-        self._tile_cycles: OrderedDict[tuple[int, int, int, int], int] = OrderedDict()
-        self._measure_lock = threading.RLock()
+        #: (rows, cols, k) -> (intercept, slope) of the measured tile latency.
+        self._calibration: dict[tuple[int, int, int], tuple[int, int]] = {}
+        self._measure_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
-    # Pickling (the memo lock cannot cross process boundaries)
+    # Pickling (the calibration lock cannot cross process boundaries)
     # ------------------------------------------------------------------ #
     def __getstate__(self) -> dict:
         state = super().__getstate__()
@@ -66,7 +91,7 @@ class CycleAccurateBackend(ExecutionBackend):
 
     def __setstate__(self, state: dict) -> None:
         super().__setstate__(state)
-        self._measure_lock = threading.RLock()
+        self._measure_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     def schedule_layer(
@@ -101,46 +126,46 @@ class CycleAccurateBackend(ExecutionBackend):
     ) -> int:
         """Measured cycles of one full (R x C) tile streaming T rows.
 
-        Runs the simulator once per distinct ``(rows, cols, T, k)`` and
-        verifies the functional output against NumPy before trusting the
-        cycle count.
+        Read off the calibrated line of this (geometry, mode) pair; the
+        first call for the pair calibrates it.
         """
-        key = (config.rows, config.cols, t_rows, collapse_depth)
-        # Backends are shared across service threads: the memo's
-        # get/move-to-end/evict sequence is lock-serialised, while the
-        # simulation itself runs unlocked (a race costs one duplicated
-        # measurement of the same deterministic number, nothing more).
-        with self._measure_lock:
-            cached = self._tile_cycles.get(key)
-            if cached is not None:
-                self._tile_cycles.move_to_end(key)
-                return cached
+        key = (config.rows, config.cols, collapse_depth)
+        line = self._calibration.get(key)
+        if line is None:
+            # Backends are shared across service threads: calibrations are
+            # lock-serialised, so no pair is ever stepped twice.
+            with self._measure_lock:
+                line = self._calibration.get(key)
+                if line is None:
+                    line = self._calibration[key] = self._calibrate(*key)
+        intercept, slope = line
+        return intercept + slope * t_rows
+
+    def _calibrate(
+        self, rows: int, cols: int, collapse_depth: int
+    ) -> tuple[int, int]:
+        """Step the probe tiles; ``(intercept, slope)`` of their cycles in T."""
         array = CycleAccurateSystolicArray(
-            rows=config.rows,
-            cols=config.cols,
-            collapse_depth=collapse_depth,
-            configurable=True,
+            rows=rows, cols=cols, collapse_depth=collapse_depth, configurable=True
         )
-        a_tile, b_tile = random_int_matrices(
-            t_rows, config.rows, config.cols, seed=self.measurement_seed
-        )
+        tile = f"rows={rows}, cols={cols}, k={collapse_depth}"
+        cycles = []
         with get_tracer().span(
-            "engine.measure_tile",
+            "engine.calibrate",
             backend=self.name,
-            rows=config.rows,
-            cols=config.cols,
-            t=t_rows,
+            rows=rows,
+            cols=cols,
             depth=collapse_depth,
         ):
-            result = array.simulate_tiles([a_tile], [b_tile])[0]
-        if not np.array_equal(result.output, a_tile @ b_tile):
-            raise RuntimeError(
-                f"cycle-accurate simulation produced a wrong product for "
-                f"tile (rows={config.rows}, cols={config.cols}, T={t_rows}, "
-                f"k={collapse_depth})"
-            )
-        with self._measure_lock:
-            self._tile_cycles[key] = result.total_cycles
-            while len(self._tile_cycles) > self.MAX_TILE_MEASUREMENTS:
-                self._tile_cycles.popitem(last=False)
-        return result.total_cycles
+            for t_rows in self.PROBE_DEPTHS:
+                a_tile, b_tile = random_int_matrices(
+                    t_rows, rows, cols, seed=self.measurement_seed
+                )
+                result = array.simulate_tile(a_tile, b_tile)
+                if not np.array_equal(result.output, a_tile @ b_tile):
+                    raise RuntimeError(
+                        f"cycle-accurate simulation produced a wrong product "
+                        f"for probe tile ({tile}, T={t_rows})"
+                    )
+                cycles.append(result.total_cycles)
+        return affine_fit(self.PROBE_DEPTHS, tuple(cycles), tile)

@@ -1,13 +1,11 @@
 """Calibrated sampled-simulation backend.
 
-:class:`~repro.backends.cycle_accurate.CycleAccurateBackend` buys its
-confidence by simulating tiles in full, which is far too slow for the
-transformer suites and 64+-point design-space sweeps the rest of the
-system treats as routine.  :class:`SampledSimBackend` sits between the
-``batched`` and ``cycle`` fidelities: it *measures* cycles on the same
-cycle-accurate engine, but only for a small, deterministic, seeded sample
-of each layer's tile population, and extrapolates to the full layer with
-an explicit statistical error bound.
+:class:`~repro.backends.cycle_accurate.CycleAccurateBackend` measures
+one full-array tile per mode and scales it by the tile count.
+:class:`SampledSimBackend` instead *measures* cycles on the
+cycle-accurate engine for a small, deterministic, seeded sample of each
+layer's whole tile population, edge tiles included, and extrapolates to
+the full layer with an explicit statistical error bound.
 
 How one layer is estimated
 --------------------------
@@ -93,6 +91,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.backends.base import ExecutionBackend, LayerResult, ModelTotals
+from repro.backends.cycle_accurate import affine_fit
 from repro.backends.decisions import (
     Decision,
     decision_from_row,
@@ -664,12 +663,10 @@ class SampledSimBackend(ExecutionBackend):
 
         Three probe simulations per stratum, batched *across strata* per
         probe depth (all strata's low probes run in one engine call, then
-        all mid probes, then all high).  The tile latency must be affine
-        in T (Eqs. (1)/(3)), so each stratum's probes have to be exactly
-        collinear with an integer slope — otherwise the extrapolation
-        model is wrong and we refuse to use it.  Probe measurements share
-        the memo, so re-calibrating a shape another layer already probed
-        costs three memo lookups.
+        all mid probes, then all high), each stratum's line checked by
+        :func:`~repro.backends.cycle_accurate.affine_fit`.  Probe
+        measurements share the memo, so re-calibrating a shape another
+        layer already probed costs three memo lookups.
         """
         cap = self.max_probe_t
         low, mid, high = cap, cap + (cap + 1) // 2, 2 * cap
@@ -690,20 +687,12 @@ class SampledSimBackend(ExecutionBackend):
             }
         slopes: dict[tuple[int, int], int] = {}
         for position, (n_size, m_size) in enumerate(shapes):
-            cycles_low = probes[low][position]
-            cycles_mid = probes[mid][position]
-            cycles_high = probes[high][position]
-            collinear = (cycles_mid - cycles_low) * (high - low) == (
-                cycles_high - cycles_low
-            ) * (mid - low)
-            if not collinear or (cycles_high - cycles_low) % (high - low) != 0:
-                raise RuntimeError(
-                    f"streaming-probe calibration failed: tile cycles are not "
-                    f"affine in T at probes {(low, mid, high)} for tile "
-                    f"(rows={config.rows}, cols={config.cols}, N'={n_size}, "
-                    f"M'={m_size}, k={collapse_depth}); refusing to extrapolate"
-                )
-            slopes[(n_size, m_size)] = (cycles_high - cycles_low) // (high - low)
+            _, slopes[(n_size, m_size)] = affine_fit(
+                (low, mid, high),
+                tuple(probes[t][position] for t in (low, mid, high)),
+                f"rows={config.rows}, cols={config.cols}, N'={n_size}, "
+                f"M'={m_size}, k={collapse_depth}",
+            )
         return slopes
 
     def _simulate_batch(
@@ -727,7 +716,7 @@ class SampledSimBackend(ExecutionBackend):
         measurement is a pure function of the geometry, mode, streamed
         depth, tile shape and seeded sample index, so layers whose strata
         coincide (ubiquitous in CNN suites) share measurements — the same
-        economics that make the cycle backend's per-(T, k) memo work.
+        economics that make the cycle backend's per-mode calibration work.
         """
         keys = [
             (

@@ -65,7 +65,8 @@ inference (T scaled by the batch)::
 The global ``--backend {analytical,batched,cycle,sampled}`` flag (before
 the command) selects the execution backend: the closed-form reference,
 the vectorised/cached fast path (same numbers), the cycle-accurate
-measured path (slow; for validation), or the calibrated
+measured path (register-stepped probes once per array mode; for
+validation), or the calibrated
 sampled-simulation path (measured cycle-level estimates with per-layer
 statistical error bounds, tuned by ``--sample-fraction``,
 ``--sample-seed``, ``--min-tiles-per-shape`` and — for auto mode, which
@@ -200,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
             "vectorised+cached fast path (identical numbers), 'sampled' "
             "calibrated sampled simulation (measured estimates with error "
             "bounds; see --sample-fraction/--sample-seed), 'cycle' "
-            "cycle-accurate measurement (slow)"
+            "cycle-accurate measurement (calibrated once per array mode)"
         ),
     )
     parser.add_argument(

@@ -256,7 +256,9 @@ def _sampled_section() -> list[str]:
         "engine's tile latency is content-independent, so the stratified "
         "estimates are exact in practice while sampling ~5% of the tile "
         "population); `benchmarks/test_bench_sampled.py` additionally pins "
-        "the >=5x speedup over the cycle backend on the batched CNN suite.",
+        "the same bounds on the batched CNN suite and prints the cold-run "
+        "time against the cycle backend, which no longer pays for T: it "
+        "calibrates each (geometry, mode) once on three short probes.",
         "",
     ]
     return lines

@@ -307,6 +307,9 @@ class _Handler(BaseHTTPRequestHandler):
     daemon: SchedulerDaemon  # bound by SchedulerDaemon via a subclass
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve"
+    #: TCP_NODELAY: otherwise Nagle holds the last segment of a reply
+    #: larger than one segment until the client's delayed ACK.
+    disable_nagle_algorithm = True
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002 - stdlib name
         """Structured access log (DEBUG on ``repro.serve.access``).
@@ -519,8 +522,14 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header("X-Request-Id", request_id)
         for name, value in (headers or {}).items():
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        # Status line, headers and body in one write (what end_headers()
+        # would flush, plus the body): on a keep-alive connection a
+        # separate body write waits for the client's delayed ACK.
+        head = getattr(self, "_headers_buffer", [])  # none on HTTP/0.9
+        if head:
+            head.append(b"\r\n")
+        self.wfile.write(b"".join(head) + body)
+        self._headers_buffer = []
 
     def _send_serve_error(self, exc: ServeError) -> None:
         headers = {}

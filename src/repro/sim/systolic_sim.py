@@ -160,10 +160,12 @@ class CycleAccurateSystolicArray:
         n_row_groups = self.rows // k
         n_col_groups = self.cols // k
         col_group_of = np.arange(self.cols) // k
-        row_group_starts = np.arange(0, self.rows, k)
 
         weights = np.zeros((self.rows, self.cols), dtype=np.int64)
         weights[:rows_used, :cols_used] = b_tile
+        # Indexed (row, column group, column within the group), so that
+        # broadcasting an activation across its group is a NumPy broadcast.
+        group_weights = weights.reshape(self.rows, n_col_groups, k)
 
         stats = SimulationStats()
         stats.tiles_executed = 1
@@ -173,9 +175,12 @@ class CycleAccurateSystolicArray:
         if trace is not None:
             trace.record(0, CycleTrace.PHASE, weight_load_cycles=stats.weight_load_cycles)
 
+        # The west edge is driven for the closed-form number of cycles,
+        # but the compute phase reported is the one observed: it ends with
+        # the last south-edge capture.
         stream = self.dataflow.build_skewed_stream(a_tile)
         tag_schedule = self.dataflow.west_edge_schedule(t_rows)
-        compute_cycles = self.dataflow.compute_cycles(t_rows)
+        last_capture = -1
 
         # Group-boundary pipeline registers (the only stateful elements).
         h_regs = np.zeros((self.rows, n_col_groups), dtype=np.int64)
@@ -193,7 +198,7 @@ class CycleAccurateSystolicArray:
         if not self.configurable:
             clocked_regs = total_regs
 
-        for cycle in range(compute_cycles):
+        for cycle in range(len(stream)):
             west_vals = stream[cycle]
             west_tags = tag_schedule[cycle]
 
@@ -209,33 +214,25 @@ class CycleAccurateSystolicArray:
                 vis_tags[:, 1:] = h_tag_regs[:, :-1]
 
             # Broadcast across the k columns of each group and multiply by
-            # the stationary weights.
-            expanded_vals = vis_vals[:, col_group_of]
-            expanded_tags = vis_tags[:, col_group_of]
-            products = expanded_vals * weights
-
-            # Vertical reduction: each row group adds its k products to the
-            # partial sum registered below the group above.
-            group_sums = np.add.reduceat(products, row_group_starts, axis=0)
-            psum_in = np.zeros_like(v_regs)
-            if n_row_groups > 1:
-                psum_in[1:] = v_regs[:-1]
-            new_v = psum_in + group_sums
+            # the stationary weights; then the vertical reduction: each row
+            # group adds its k products to the partial sum registered below
+            # the group above.
+            products = vis_vals[:, :, None] * group_weights
+            new_v = products.reshape(n_row_groups, k, self.cols).sum(axis=1)
+            new_v[1:] += v_regs[:-1]
 
             # South-edge capture: the bottom group's register is written
             # this cycle with the finished column sum for the activation
             # tag visible at the bottom row.
-            bottom_tags = expanded_tags[self.rows - 1]
+            bottom_tags = vis_tags[-1, col_group_of]
             valid = (bottom_tags >= 0) & (bottom_tags < t_rows)
             if np.any(valid):
+                last_capture = cycle
                 output[bottom_tags[valid], col_indices[valid]] = new_v[-1][valid]
-                stats.accumulator_updates += int(np.count_nonzero(valid[:cols_used]))
+                captured = int(np.count_nonzero(valid[:cols_used]))
+                stats.accumulator_updates += captured
                 if trace is not None:
-                    trace.record(
-                        cycle,
-                        CycleTrace.OUTPUT_CAPTURED,
-                        outputs=int(np.count_nonzero(valid[:cols_used])),
-                    )
+                    trace.record(cycle, CycleTrace.OUTPUT_CAPTURED, outputs=captured)
             if trace is not None and np.any(west_tags >= 0):
                 trace.record(
                     cycle,
@@ -243,20 +240,27 @@ class CycleAccurateSystolicArray:
                     words=int(np.count_nonzero(west_tags >= 0)),
                 )
 
-            # Activity accounting.
-            active_pes = int(np.count_nonzero(expanded_tags >= 0))
+            # Activity accounting: a live tag drives the k PEs of its group.
+            active_pes = k * int(np.count_nonzero(vis_tags >= 0))
             stats.active_pe_cycles += active_pes
-            stats.total_pe_cycles += self.rows * self.cols
             stats.mac_operations += active_pes
-            stats.clocked_register_cycles += clocked_regs
-            stats.gated_register_cycles += total_regs - clocked_regs
 
             # Clock edge: capture group-boundary registers.
             h_regs = vis_vals
             h_tag_regs = vis_tags
             v_regs = new_v
 
+        if stats.accumulator_updates < t_rows * cols_used:
+            raise RuntimeError(
+                f"simulation captured {stats.accumulator_updates} of the "
+                f"{t_rows * cols_used} outputs of a T={t_rows} tile on the "
+                f"{self.rows}x{self.cols} array (k={k})"
+            )
+        compute_cycles = last_capture + 1
         stats.compute_cycles = compute_cycles
+        stats.total_pe_cycles = compute_cycles * self.rows * self.cols
+        stats.clocked_register_cycles = compute_cycles * clocked_regs
+        stats.gated_register_cycles = compute_cycles * (total_regs - clocked_regs)
         stats.sram_writes += int(t_rows * cols_used)  # results written back
         return TileSimResult(
             output=output[:, :cols_used],

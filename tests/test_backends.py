@@ -40,6 +40,7 @@ from repro.core.latency import arrayflex_total_cycles
 from repro.core.scheduler import Scheduler
 from repro.nn.gemm_mapping import GemmShape
 from repro.nn.models import convnext_tiny, mobilenet_v1, resnet34
+from repro.sim.systolic_sim import CycleAccurateSystolicArray
 
 
 @pytest.fixture(scope="module")
@@ -249,7 +250,7 @@ class TestBatchedCache:
 
 class TestCycleAccurateParity:
     """Cycle-backend specifics beyond the shared matrix: random-GEMM
-    property parity and measurement memoisation."""
+    property parity and the once-per-(geometry, mode) calibration."""
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -269,14 +270,51 @@ class TestCycleAccurateParity:
             gemm, config.rows, config.cols, measured.collapse_depth
         )
 
-    def test_measurements_are_memoised(self):
-        config = ArrayFlexConfig(rows=8, cols=8)
+    def test_measurements_are_memoised(self, monkeypatch):
+        stepped = []
+        step = CycleAccurateSystolicArray.simulate_tile
+
+        def counting_step(self, a_tile, b_tile, trace=None):
+            stepped.append(a_tile.shape[0])
+            return step(self, a_tile, b_tile, trace)
+
+        monkeypatch.setattr(CycleAccurateSystolicArray, "simulate_tile", counting_step)
+        config = ArrayFlexConfig(rows=8, cols=8, supported_depths=(1,))
         backend = CycleAccurateBackend()
-        gemms = [GemmShape(m=9, n=9, t=5, name=f"g{i}") for i in range(4)]
+        gemms = [GemmShape(m=9, n=9, t=t, name=f"g{t}") for t in (5, 5, 17, 300, 2)]
         schedule = backend.schedule_model(gemms, config, model_name="repeat")
-        assert len(schedule.layers) == 4
-        # All four layers share (rows, cols, T, k): one simulation total.
-        assert len(backend._tile_cycles) == 1
+        assert schedule.layers == AnalyticalBackend().schedule_model(
+            gemms, config, model_name="repeat"
+        ).layers
+        # Four distinct T at one mode: one calibration of three probes.
+        assert list(backend._calibration) == [(8, 8, 1)]
+        assert stepped == list(CycleAccurateBackend.PROBE_DEPTHS)
+
+    def test_schedules_never_run_the_batched_engine(self, config, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the cycle backend must step registers")
+
+        monkeypatch.setattr(CycleAccurateSystolicArray, "simulate_tiles", refuse)
+        backend = CycleAccurateBackend()
+        for model in ("resnet34", "bert_base"):
+            assert (
+                backend.schedule_model(model, config).layers
+                == AnalyticalBackend().schedule_model(model, config).layers
+            )
+
+    def test_non_affine_probe_cycles_are_refused(self, monkeypatch):
+        step = CycleAccurateSystolicArray.simulate_tile
+
+        def quadratic_step(self, a_tile, b_tile, trace=None):
+            result = step(self, a_tile, b_tile, trace)
+            result.stats.compute_cycles += a_tile.shape[0] ** 2
+            return result
+
+        monkeypatch.setattr(CycleAccurateSystolicArray, "simulate_tile", quadratic_step)
+        backend = CycleAccurateBackend()
+        with pytest.raises(RuntimeError, match=r"not affine.*rows=16, cols=8, k=2"):
+            backend.measure_tile_cycles(ArrayFlexConfig(rows=16, cols=8), 100, 2)
+        assert not backend._calibration
 
 
 class TestFacadeIntegration:

@@ -10,6 +10,7 @@ updates), graceful drain — including a real SIGTERM against a
 import json
 import os
 import signal
+import statistics
 import subprocess
 import sys
 import threading
@@ -93,6 +94,41 @@ class TestHealthz:
         assert body["inflight"] == 0
         assert body["max_inflight"] == 32
         assert body["uptime_s"] >= 0.0
+
+
+class TestKeepAlive:
+    def test_reused_connection_does_not_stall_replies(self, daemon):
+        """Replies on one HTTP/1.1 connection never wait for a delayed ACK
+        (~40 ms per reply when headers and body go out as two writes)."""
+        # A long model_name pads each response to ~4.6 KB, so 16 of them
+        # make a batch reply well over 64 KB at negligible compute cost.
+        batch = {
+            "v": PROTOCOL_VERSION,
+            "requests": [
+                wire_request(GEMMS_A, model_name=f"{i}-" + "x" * 2048)
+                for i in range(16)
+            ],
+        }
+        connection = HTTPConnection("127.0.0.1", daemon.address[1], timeout=10)
+
+        def timed_ms(method, path, body=None):
+            payload = None if body is None else json.dumps(body).encode("utf-8")
+            started = time.perf_counter()
+            connection.request(method, path, body=payload)
+            response = connection.getresponse()
+            reply = response.read()
+            assert response.status == 200
+            return 1e3 * (time.perf_counter() - started), len(reply)
+
+        try:
+            timed_ms("POST", "/v1/batch", batch)  # compute the decisions once
+            health = [timed_ms("GET", "/healthz")[0] for _ in range(10)]
+            batches = [timed_ms("POST", "/v1/batch", batch) for _ in range(3)]
+        finally:
+            connection.close()
+        assert all(size > 64 * 1024 for _, size in batches)
+        assert statistics.median(health) < 20.0
+        assert statistics.median(ms for ms, _ in batches) < 20.0
 
 
 class TestScheduleParity:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.arch.dataflow import WeightStationaryDataflow
 from repro.core.latency import arrayflex_tile_cycles
 from repro.nn.workloads import random_int_matrices
 from repro.sim.systolic_sim import CycleAccurateSystolicArray
@@ -78,6 +79,37 @@ class TestCyclesAndStats:
         result = array.simulate_tile(a_tile, b_tile)
         assert result.total_cycles == array.expected_tile_cycles(9)
         assert result.total_cycles == arrayflex_tile_cycles(16, 16, 9, k)
+
+    def test_cycles_are_observed_not_copied_from_the_closed_form(self, monkeypatch):
+        """A wrong closed form only lengthens the stream; the count comes
+        from the last south-edge capture."""
+        closed_form = WeightStationaryDataflow.compute_cycles
+        monkeypatch.setattr(
+            WeightStationaryDataflow,
+            "compute_cycles",
+            lambda self, t_rows: closed_form(self, t_rows) + 7,
+        )
+        array = CycleAccurateSystolicArray(16, 16, collapse_depth=1)
+        a_tile, b_tile = random_int_matrices(9, 16, 16, seed=1)
+        result = array.simulate_tile(a_tile, b_tile)
+        assert result.total_cycles == 55  # Eq. (1): 2R + C + T - 2
+        assert np.array_equal(result.output, a_tile @ b_tile)
+
+    def test_missing_captures_raise(self, monkeypatch):
+        schedule = WeightStationaryDataflow.west_edge_schedule
+
+        def lose_last_activation(self, t_rows):
+            tags = schedule(self, t_rows)
+            tags[tags == t_rows - 1] = -1
+            return tags
+
+        monkeypatch.setattr(
+            WeightStationaryDataflow, "west_edge_schedule", lose_last_activation
+        )
+        array = CycleAccurateSystolicArray(8, 8, collapse_depth=2)
+        a_tile, b_tile = random_int_matrices(5, 8, 8, seed=0)
+        with pytest.raises(RuntimeError, match="captured 32 of the 40 outputs"):
+            array.simulate_tile(a_tile, b_tile)
 
     def test_mac_count_equals_dense_work(self):
         """Every (t, row, col-group broadcast) multiplication is counted once;
