@@ -49,7 +49,6 @@ from bench_scenarios import (  # noqa: E402
     run_direct_schedules,
     run_http_schedules,
     run_scalar_tiles,
-    schedule_cnn_suite,
     schedule_transformer_suite,
     sweep_under_tracer,
     write_json_v1_shard,
@@ -61,7 +60,6 @@ from repro.backends import (  # noqa: E402
     BatchedCachedBackend,
     CycleAccurateBackend,
     DecisionStore,
-    SampledSimBackend,
 )
 from repro.core.config import ArrayFlexConfig  # noqa: E402
 from repro.core.design_space import DesignSpaceExplorer  # noqa: E402
@@ -177,25 +175,6 @@ def collect(rounds: int = 3) -> dict:
         lambda: sweep_under_tracer(Tracer(enabled=True)), rounds
     )
 
-    # Sampled vs exact cycle backend on the batched CNN suite (the
-    # test_bench_sampled.py scenario): cold runs, fresh backends per
-    # round.  The timed rounds double as the accuracy inputs.
-    cycle_runs: list = []
-    sampled_runs: list = []
-    timings_ms["cnn_suite_bs4_cycle"] = 1e3 * _best_of(
-        lambda: cycle_runs.append(schedule_cnn_suite(CycleAccurateBackend())),
-        rounds=min(rounds, 2),
-    )
-    timings_ms["cnn_suite_bs4_sampled"] = 1e3 * _best_of(
-        lambda: sampled_runs.append(schedule_cnn_suite(SampledSimBackend())),
-        rounds=min(rounds, 2),
-    )
-    for sampled_schedule, exact_schedule in zip(sampled_runs[0], cycle_runs[0]):
-        drift = abs(sampled_schedule.total_cycles - exact_schedule.total_cycles)
-        assert drift <= (
-            sampled_schedule.max_error_bound() * exact_schedule.total_cycles + 1e-9
-        ), "sampled estimate outside its error bound"
-
     # Ablation importance sweep: the default three-component study fanned
     # out through one SchedulingService.submit_many batch (the
     # test_bench_ablations.py ablation_sweep scenario).
@@ -268,9 +247,6 @@ def collect(rounds: int = 3) -> dict:
         "store_warm_vs_json_v1": (
             timings_ms["store_warm_load_json_v1"]
             / timings_ms["store_warm_load_columnar"]
-        ),
-        "sampled_vs_cycle": (
-            timings_ms["cnn_suite_bs4_cycle"] / timings_ms["cnn_suite_bs4_sampled"]
         ),
         "engine_batched_speedup": (
             timings_ms["engine_tiles_scalar"] / timings_ms["engine_tiles_batched"]

@@ -35,34 +35,6 @@ TRANSFORMER_SUITE = "transformers"
 TRANSFORMER_SIZES = (128, 256)
 
 
-#: The sampled-vs-cycle scenario (``test_bench_sampled.py`` and the
-#: ``BENCH_<sha>.json`` artifact): the ``cnn`` registry suite under
-#: batched inference, scheduled per layer on one mid-size geometry.  The
-#: batch scaling puts the streamed dimension T squarely in the big-model
-#: regime the sampled backend was built for (both backends now calibrate
-#: along T instead of simulating it).
-CNN_SAMPLED_SUITE = "cnn"
-CNN_SAMPLED_BATCH = 4
-CNN_SAMPLED_SIZE = 64
-
-
-def schedule_cnn_suite(backend, batch: int = CNN_SAMPLED_BATCH):
-    """Run the sampled-vs-cycle scenario once on ``backend``.
-
-    Returns the per-workload :class:`~repro.core.metrics.ModelSchedule`
-    objects (the accuracy assertions need per-layer cycles and error
-    bounds, not just totals), in the suite's sorted-key order.
-    """
-    from repro.core.config import ArrayFlexConfig
-    from repro.workloads import get_suite
-
-    config = ArrayFlexConfig(rows=CNN_SAMPLED_SIZE, cols=CNN_SAMPLED_SIZE)
-    return [
-        backend.schedule_model(workload, config)
-        for workload in get_suite(CNN_SAMPLED_SUITE, batch=batch)
-    ]
-
-
 #: The batched-engine scenario (``test_bench_engine.py`` and the
 #: ``BENCH_<sha>.json`` artifact): one batch of same-depth tiles through
 #: ``CycleAccurateSystolicArray.simulate_tiles`` vs the same tiles
@@ -253,13 +225,12 @@ STORE_WARM_PROBES = 64
 def store_warm_rows(count: int = STORE_WARM_ROWS):
     """``count`` synthetic decision rows keyed by distinct (m, n, t).
 
-    Full-width rows (every power column populated, half the rows with a
-    finite ``error_bound``) so the scenario pays the real per-row cost.
+    Full-width rows (every power column populated) so the scenario pays
+    the real per-row cost.
     """
     rows = {}
     for i in range(count):
         key = (i + 1, (i % 97) + 1, (i % 89) + 1)
-        bound = None if i % 2 else 1e-3 + i * 1e-9
         rows[key] = [
             1 + i % 4,
             1_000 + i,
@@ -269,7 +240,6 @@ def store_warm_rows(count: int = STORE_WARM_ROWS):
             0.5,
             0.9,
             *[float(i % 7) + j * 0.125 for j in range(8)],
-            bound,
         ]
     return rows
 

@@ -14,8 +14,8 @@ Three ablations:
   three-component study (activity model, geometry, collapse-depth menu)
   fanned out through one ``SchedulingService.submit_many`` batch.  The
   qualitative assertions pin the facts the harness exists to surface:
-  every run schedules, the ranking covers every component, and with an
-  exact backend every nonzero delta is significant (zero-width bounds).
+  every run schedules and the ranking covers every component, ordered by
+  importance.
 """
 
 from bench_scenarios import ablation_study
@@ -78,9 +78,3 @@ def test_ablation_sweep(benchmark):
     assert [entry.rank for entry in result.ranking] == [1, 2, 3]
     scores = [entry.score for entry in result.ranking]
     assert scores == sorted(scores, reverse=True)
-
-    # Exact backend: every delta carries a zero-width bound, so any
-    # component that moved the metric at all must rank as significant.
-    for entry in result.ranking:
-        if entry.score > 0.0:
-            assert entry.significant(study.metric)

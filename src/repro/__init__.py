@@ -24,11 +24,9 @@ Architecture with Configurable Transparent Pipelining* (DATE 2023):
   batch-scaling adapter for batched inference.
 * :mod:`repro.baselines` -- the conventional fixed-pipeline baseline.
 * :mod:`repro.backends` -- pluggable execution backends: the analytical
-  reference, the batched/cached fast path (identical numbers), the
-  calibrated sampled-simulation path (measured estimates with per-layer
-  statistical error bounds) and the cycle-accurate measured path, all
-  behind one protocol; plus the disk-persistent decision cache
-  (:mod:`repro.backends.store`).
+  reference, the batched/cached fast path (identical numbers) and the
+  cycle-accurate measured path, all behind one protocol; plus the
+  disk-persistent decision cache (:mod:`repro.backends.store`).
 * :mod:`repro.serve` -- the serving layer: the versioned
   :class:`~repro.serve.protocol.Request`/``Response`` protocol, the
   deduplicating ``submit()`` service over thread/process executors, and
@@ -52,7 +50,6 @@ from repro.backends import (
     CycleAccurateBackend,
     DecisionStore,
     ExecutionBackend,
-    SampledSimBackend,
     create_backend,
     default_cache_dir,
 )
@@ -94,7 +91,6 @@ __all__ = [
     "ExecutionBackend",
     "GemmShape",
     "LayerMetrics",
-    "SampledSimBackend",
     "UtilizationActivity",
     "create_activity_model",
     "Request",

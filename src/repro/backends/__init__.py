@@ -1,6 +1,6 @@
 """Pluggable execution backends.
 
-One protocol, four fidelities:
+One protocol, three fidelities:
 
 ========================  =====================================================
 backend                   what it does
@@ -8,11 +8,8 @@ backend                   what it does
 ``analytical``            reference closed forms (Eqs. 1–7), per layer
 ``batched``               same numbers from one vectorised NumPy pass per
                           model, memoised across repeated shapes and sweeps
-``sampled``               cycle counts extrapolated from a seeded stratified
-                          sample of tiles simulated on the cycle engine, with
-                          per-layer statistical error bounds
 ``cycle``                 cycle counts measured on the cycle-accurate tile
-                          simulator (slow; for validation)
+                          simulator (calibrated once per array mode)
 ========================  =====================================================
 
 Pick one by instance (``ArrayFlexAccelerator(backend=BatchedCachedBackend())``),
@@ -34,7 +31,6 @@ from repro.backends.base import (
 )
 from repro.backends.batched import BatchedCachedBackend
 from repro.backends.cycle_accurate import CycleAccurateBackend
-from repro.backends.sampled import SampledSimBackend
 from repro.backends.store import (
     CACHE_VERSION,
     DecisionStore,
@@ -46,7 +42,6 @@ from repro.backends.store import (
 BACKENDS: dict[str, type[ExecutionBackend]] = {
     AnalyticalBackend.name: AnalyticalBackend,
     BatchedCachedBackend.name: BatchedCachedBackend,
-    SampledSimBackend.name: SampledSimBackend,
     CycleAccurateBackend.name: CycleAccurateBackend,
 }
 
@@ -59,12 +54,10 @@ def attach_store(
 
     The one place every ``cache_dir=`` entry point (accelerator facade,
     serving front-end, design-space explorer, size sweep) funnels
-    through, so they all validate identically: ``cache_dir`` requires a
-    decision-cache-owning backend — ``batched`` (the default it implies)
-    or ``sampled``, whose store shards are additionally keyed by its
-    sampling parameters — and refuses to clobber a store the caller
-    already configured.  With ``cache_dir=None`` the backend argument
-    passes through untouched.
+    through, so they all validate identically: ``cache_dir`` requires the
+    decision-cache-owning ``batched`` backend (the default it implies)
+    and refuses to clobber a store the caller already configured.  With
+    ``cache_dir=None`` the backend argument passes through untouched.
 
     A caller-provided backend *instance* is never mutated: the store is
     attached to a deep copy (which routes through the backends'
@@ -75,10 +68,10 @@ def attach_store(
     if cache_dir is None:
         return backend
     backend = create_backend(backend, default="batched")
-    if not isinstance(backend, (BatchedCachedBackend, SampledSimBackend)):
+    if not isinstance(backend, BatchedCachedBackend):
         raise ValueError(
-            "cache_dir requires a decision-cache-owning backend — batched "
-            "(the default) or sampled"
+            "cache_dir requires the decision-cache-owning batched backend "
+            "(the default)"
         )
     if backend.store is not None:
         raise ValueError("backend already has a store; drop cache_dir")
@@ -138,7 +131,6 @@ __all__ = [
     "AnalyticalBackend",
     "BatchedCachedBackend",
     "CycleAccurateBackend",
-    "SampledSimBackend",
     "DecisionStore",
     "ShardView",
     "CACHE_VERSION",

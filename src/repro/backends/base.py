@@ -67,15 +67,10 @@ class ModelTotals:
     materialising per-layer :class:`LayerResult` objects.  Totals are
     bit-identical to summing the corresponding :class:`ModelSchedule`
     properties: same values, same left-to-right summation order.
-
-    ``error_bound`` is the combined model-level relative error bound of
-    an *estimating* backend (the sampled backend's time-weighted
-    per-layer bound); exact backends leave it ``None``.
     """
 
     time_ns: float
     energy_nj: float
-    error_bound: float | None = None
 
     @property
     def average_power_mw(self) -> float:
@@ -171,22 +166,6 @@ class ExecutionBackend(abc.ABC):
         if store is not None:
             store.flush()
 
-    def decision_identity(self) -> tuple:
-        """Backend parameters that change the *numbers* it produces.
-
-        The exact backends (analytical / batched / cycle) are numerically
-        interchangeable, so their identity is empty: results cached or
-        deduplicated under one of them are valid under any other.
-        Estimating backends whose output depends on their own knobs — the
-        sampled backend's seed and sample sizes — override this; the
-        tuple is folded into :class:`~repro.serve.SchedulingService`
-        dedup keys and into the backend's
-        :class:`~repro.backends.store.DecisionStore` shard keys, so a
-        result computed under one seed/fraction can never be served for
-        another.
-        """
-        return ()
-
     @abc.abstractmethod
     def schedule_layer(
         self, gemm: GemmShape, config: ArrayFlexConfig, index: int = 1
@@ -227,19 +206,12 @@ class ExecutionBackend(abc.ABC):
         it; backends that can produce totals without building per-layer
         objects (the batched backend) override this.  Either way the
         numbers equal the :class:`~repro.core.scheduler.ModelSchedule`
-        property sums bit-for-bit, and ``error_bound`` is the schedule's
-        :meth:`~repro.core.metrics.ModelSchedule.combined_error_bound`
-        (``None`` for exact backends), so the generic path and the
-        estimating backends' fast paths report the same bound for the
-        same run — including runs mixing exhaustively-sampled (zero
-        bound) and sampled (nonzero bound) strata.
+        property sums bit-for-bit.
         """
         scheduler = self.schedule_model_conventional if conventional else self.schedule_model
         schedule = scheduler(model, config, model_name=model_name)
         return ModelTotals(
-            time_ns=schedule.total_time_ns,
-            energy_nj=schedule.total_energy_nj,
-            error_bound=schedule.combined_error_bound(),
+            time_ns=schedule.total_time_ns, energy_nj=schedule.total_energy_nj
         )
 
     # ------------------------------------------------------------------ #

@@ -70,13 +70,6 @@ from repro.timing.power_model import ArrayPowerBreakdown, PowerModel
 #: :meth:`PipelineOptimizer.best_depth`).
 _TIE_EPS = 1e-12
 
-#: Back-compat aliases: the decision record and its store-row codec moved
-#: to :mod:`repro.backends.decisions` when the sampled backend started
-#: sharing them.  Same objects — old imports keep working.
-_Decision = Decision
-_decision_to_row = decision_to_row
-_decision_from_row = decision_from_row
-
 
 def _ceil_div(a: np.ndarray | int, b: np.ndarray | int) -> np.ndarray | int:
     return -(-a // b)
@@ -241,7 +234,7 @@ class BatchedCachedBackend(ExecutionBackend):
         self.cache_size = cache_size
         #: Optional disk persistence layer; see :mod:`repro.backends.store`.
         self.store = store
-        self._cache: OrderedDict[tuple, _Decision] = OrderedDict()
+        self._cache: OrderedDict[tuple, Decision] = OrderedDict()
         #: The cache counters live as instruments on this registry (the
         #: serving layer attaches it to its own, so ``/metrics`` reads
         #: them merged); ``cache_info()`` keeps the historical dict shape.
@@ -467,7 +460,7 @@ class BatchedCachedBackend(ExecutionBackend):
     # ------------------------------------------------------------------ #
     def _decide_batch(
         self, gemms: list[GemmShape], config: ArrayFlexConfig
-    ) -> list[_Decision]:
+    ) -> list[Decision]:
         """Decisions for a batch of GEMMs: cache/store lookups + one NumPy pass.
 
         The lock guards only the cache bookkeeping; the NumPy solve and
@@ -479,7 +472,7 @@ class BatchedCachedBackend(ExecutionBackend):
         # Disk I/O before taking the backend lock (the store has its own).
         stored = self.store.load(config_key) if self.store is not None else None
         keys = [(gemm.m, gemm.n, gemm.t, config_key) for gemm in gemms]
-        decisions: list[_Decision | None] = [None] * len(gemms)
+        decisions: list[Decision | None] = [None] * len(gemms)
         missing: list[int] = []
         unique_keys: dict[tuple, int] = {}
         unique_gemms: list[GemmShape] = []
@@ -494,7 +487,7 @@ class BatchedCachedBackend(ExecutionBackend):
                 if stored is not None:
                     row = stored.get(DecisionStore.gemm_key(gemm.m, gemm.n, gemm.t))
                     if row is not None:
-                        cached = _decision_from_row(row)
+                        cached = decision_from_row(row)
                         self._cache[key] = cached
                         self._store_hits.inc()
                         decisions[i] = cached
@@ -517,7 +510,7 @@ class BatchedCachedBackend(ExecutionBackend):
                 self.store.put_many(
                     config_key,
                     {
-                        DecisionStore.gemm_key(g.m, g.n, g.t): _decision_to_row(d)
+                        DecisionStore.gemm_key(g.m, g.n, g.t): decision_to_row(d)
                         for g, d in zip(unique_gemms, fresh)
                     },
                 )
@@ -534,7 +527,7 @@ class BatchedCachedBackend(ExecutionBackend):
 
     def _solve_vectorised(
         self, gemms: list[GemmShape], config: ArrayFlexConfig
-    ) -> list[_Decision]:
+    ) -> list[Decision]:
         """One NumPy pass of the Eq. (6) mode search over many layers.
 
         Shapes: ``times`` is (layers, depths); the column scan below is

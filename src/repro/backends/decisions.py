@@ -1,35 +1,24 @@
-"""The shared per-(GEMM, configuration) decision record and its store codec.
+"""The per-(GEMM, configuration) decision record and its store codec.
 
-Both decision-caching backends — :class:`~repro.backends.batched.
-BatchedCachedBackend` and :class:`~repro.backends.sampled.
-SampledSimBackend` — memoise the outcome of one mode decision as a
-:class:`Decision` and spill it to the :class:`~repro.backends.store.
-DecisionStore` as one row.  Keeping the record and the row codec in
-one module guarantees the two backends can never drift apart on the
-on-disk layout: a row written by either is readable by the other's codec
-(though never *looked up* by the other — the sampled backend's store
-shards are keyed by its sampling parameters on top of the configuration
-key, see :meth:`SampledSimBackend.store_config_key`).
+The decision-caching :class:`~repro.backends.batched.BatchedCachedBackend`
+memoises the outcome of one mode decision as a :class:`Decision` and
+spills it to the :class:`~repro.backends.store.DecisionStore` as one row.
 
 On disk a shard is one NumPy structured array (:data:`DECISION_DTYPE`):
-the three GEMM dimensions followed by the sixteen columns of
+the three GEMM dimensions followed by the fifteen columns of
 :func:`decision_to_row`.  Every column is an ``int64`` or ``float64``, so
-values round-trip bit-exactly, and the nullable ``error_bound`` column
-encodes ``None`` as ``NaN`` (the sampled backend never reports a NaN
-bound — its estimator computes finite ratios — so the encoding is
-unambiguous).  The array form is what makes the store's zero-copy read
-path possible: shards are memory-mapped read-only and rows are
-materialised one at a time through :func:`record_to_row`, only when a
+values round-trip bit-exactly.  The array form is what makes the store's
+zero-copy read path possible: shards are memory-mapped read-only and rows
+are materialised one at a time through :func:`record_to_row`, only when a
 backend actually misses its in-memory LRU.
 
 The row layout is versioned through :data:`repro.backends.store.
-DECISION_MODEL_VERSION`; widening it (as the ``error_bound`` column did)
-bumps that version and purges every stale shard on the next write.
+DECISION_MODEL_VERSION`; changing it bumps that version and purges every
+stale shard on the next write.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,9 +28,8 @@ from repro.nn.gemm_mapping import GemmShape
 from repro.timing.power_model import ArrayPowerBreakdown
 
 #: Columns of one store row (see :func:`decision_to_row`): seven decision
-#: scalars, the eight :class:`ArrayPowerBreakdown` components, and the
-#: nullable ``error_bound``.
-DECISION_ROW_WIDTH = 16
+#: scalars and the eight :class:`ArrayPowerBreakdown` components.
+DECISION_ROW_WIDTH = 15
 
 #: The columnar on-disk layout of one decision: the within-shard GEMM key
 #: (m, n, t) followed by the :func:`decision_to_row` columns, in order.
@@ -65,20 +53,13 @@ DECISION_DTYPE = np.dtype(
         ("power_register_clock", np.float64),
         ("power_leakage", np.float64),
         ("power_total_mw", np.float64),
-        ("error_bound", np.float64),
     ]
 )
 
 
 @dataclass(frozen=True)
 class Decision:
-    """Cached outcome of one (GEMM, configuration) mode decision.
-
-    ``error_bound`` is the relative statistical uncertainty of ``cycles``
-    reported by estimating backends (the sampled-simulation backend);
-    exact backends leave it ``None``.  See
-    :attr:`repro.core.metrics.LayerMetrics.error_bound`.
-    """
+    """Cached outcome of one (GEMM, configuration) mode decision."""
 
     collapse_depth: int
     cycles: int
@@ -88,7 +69,6 @@ class Decision:
     activity: float
     array_utilization: float
     power: ArrayPowerBreakdown
-    error_bound: float | None = None
 
     @property
     def power_mw(self) -> float:
@@ -96,14 +76,13 @@ class Decision:
 
 
 def decision_to_row(decision: Decision) -> list:
-    """The JSON-serialisable store row of one decision.
+    """The store row of one decision.
 
-    Floats round-trip bit-exactly through JSON (repr-based encoding), so a
+    Every column round-trips bit-exactly through the columnar codec, so a
     decision read back from disk equals the freshly solved one.  The row
     layout is versioned through :data:`repro.backends.store.
-    DECISION_MODEL_VERSION` — widening it (as the activity-aware refactor
-    and the ``error_bound`` column did) bumps that version and purges
-    every stale shard.
+    DECISION_MODEL_VERSION` — changing it (as the activity-aware refactor
+    did) bumps that version and purges every stale shard.
     """
     power = decision.power
     return [
@@ -122,7 +101,6 @@ def decision_to_row(decision: Decision) -> list:
         power.register_clock,
         power.leakage,
         power.total_mw,
-        decision.error_bound,
     ]
 
 
@@ -145,7 +123,6 @@ def decision_from_row(row: list) -> Decision:
             leakage=float(row[13]),
             total_mw=float(row[14]),
         ),
-        error_bound=None if row[15] is None else float(row[15]),
     )
 
 
@@ -154,7 +131,7 @@ def rows_to_records(decisions: dict[tuple, list]) -> np.ndarray:
 
     The inverse of :func:`record_to_row` per entry; malformed keys or rows
     are rejected loudly (a store must never persist a shard it cannot read
-    back).  ``error_bound`` ``None`` is encoded as ``NaN``.
+    back).
     """
     records = np.empty(len(decisions), dtype=DECISION_DTYPE)
     for position, (key, row) in enumerate(decisions.items()):
@@ -164,14 +141,7 @@ def rows_to_records(decisions: dict[tuple, list]) -> np.ndarray:
             raise ValueError(
                 f"decision row must have {DECISION_ROW_WIDTH} columns, got {len(row)}"
             )
-        error_bound = row[DECISION_ROW_WIDTH - 1]
-        records[position] = (
-            int(key[0]),
-            int(key[1]),
-            int(key[2]),
-            *row[: DECISION_ROW_WIDTH - 1],
-            math.nan if error_bound is None else float(error_bound),
-        )
+        records[position] = (int(key[0]), int(key[1]), int(key[2]), *row)
     return records
 
 
@@ -179,18 +149,13 @@ def record_to_row(record: np.void) -> list:
     """Decode one structured-array record back into the canonical row.
 
     Bit-exact: every column is an ``int64``/``float64``, so the list this
-    returns equals the one :func:`rows_to_records` encoded, with the
-    ``NaN`` sentinel of the ``error_bound`` column mapped back to ``None``
-    — ready for :func:`decision_from_row`.
+    returns equals the one :func:`rows_to_records` encoded — ready for
+    :func:`decision_from_row`.
     """
     # .item() already yields native Python ints/floats per the dtype, so
     # slicing the tuple is the whole decode (this runs once per LRU miss
     # on the warm path — keep it lean).
-    values = record.item()
-    error_bound = values[18]
-    row = list(values[3:18])
-    row.append(None if math.isnan(error_bound) else error_bound)
-    return row
+    return list(record.item()[3:])
 
 
 def records_index(array: np.ndarray) -> dict[tuple[int, int, int], int]:
@@ -221,5 +186,4 @@ def decision_to_layer(index: int, gemm: GemmShape, decision: Decision) -> LayerM
         array_utilization=decision.array_utilization,
         power=decision.power,
         analytical_depth=decision.analytical_depth,
-        error_bound=decision.error_bound,
     )

@@ -1,26 +1,21 @@
 """Disk-persistent decision cache (v2: columnar, memory-mapped shards).
 
-:class:`DecisionStore` spills the decision-caching backends' LRU caches
-(batched and sampled) to an on-disk store so repeated CLI / CI
-invocations skip re-deriving mode decisions entirely.  One *shard* holds
-every cached decision of one accelerator configuration; shards are named
-by a digest of ``(store version, config key)``, so decisions computed
-under a different array geometry, mode set, activity factor, activity
-model or technology model can never be confused — the technology model's
-full parameter set is part of
-:meth:`~repro.core.config.ArrayFlexConfig.cache_key`, and the sampled
-backend widens its config key with its sampling parameters
-(:meth:`~repro.backends.sampled.SampledSimBackend.store_config_key`), so
-rows estimated under one seed/fraction can never answer a lookup made
-under another.
+:class:`DecisionStore` spills the batched backend's LRU decision cache
+to an on-disk store so repeated CLI / CI invocations skip re-deriving
+mode decisions entirely.  One *shard* holds every cached decision of one
+accelerator configuration; shards are named by a digest of ``(store
+version, config key)``, so decisions computed under a different array
+geometry, mode set, activity factor, activity model or technology model
+can never be confused — the technology model's full parameter set is
+part of :meth:`~repro.core.config.ArrayFlexConfig.cache_key`.
 
 The v2 on-disk format is columnar:
 
 * ``decisions-<digest>.npy`` — one NumPy structured array
   (:data:`~repro.backends.decisions.DECISION_DTYPE`: the (m, n, t) GEMM
-  key plus the sixteen decision columns, ``error_bound`` nullable as
-  ``NaN``).  Shards are opened with ``np.load(..., mmap_mode="r")``, so
-  N processes of a pool sweep share one page-cache copy of the payload
+  key plus the fifteen decision columns).  Shards are memory-mapped
+  read-only through one open file handle (:func:`_map_shard`), so N
+  processes of a pool sweep share one page-cache copy of the payload
   instead of N parsed heaps, and a warm load costs an mmap plus one
   key-index build instead of a JSON parse.  Rows are materialised into
   Python lists one at a time (:class:`ShardView.get`), only when a
@@ -43,7 +38,7 @@ Versioning and invalidation are explicit:
   (v2: the JSON-to-columnar rewrite);
 * :data:`DECISION_MODEL_VERSION` changes when the latency / clock / energy
   closed forms change (anything that would alter a cached number) or when
-  the row layout changes (v4: the columnar encoding of the v3 row);
+  the row layout changes (v5: the fifteen-column row);
 * the combined :data:`CACHE_VERSION` is baked into every shard digest and
   recorded both in a ``VERSION`` marker file and inside each sidecar, so a
   version bump atomically orphans every stale entry — including the whole
@@ -93,12 +88,12 @@ STORE_FORMAT_VERSION = 2
 #: change in a way that alters cached decisions — or when the decision
 #: row layout changes.  v2: the activity-aware LayerMetrics refactor (rows
 #: carry per-layer activity, array utilization and the full per-component
-#: power breakdown).  v3: rows widened with the sampled-simulation
-#: backend's relative ``error_bound`` column (null for the exact
-#: backends).  v4: the same sixteen columns re-encoded as one structured-
-#: array record per row (``error_bound`` ``None`` as ``NaN``), so every
-#: JSON-era shard purges cleanly on first use.
-DECISION_MODEL_VERSION = 4
+#: power breakdown).  v3: rows widened with a nullable per-layer
+#: estimate-uncertainty column.  v4: the same sixteen columns re-encoded
+#: as one structured-array record per row, so every JSON-era shard purges
+#: cleanly on first use.  v5: the uncertainty column dropped again
+#: (fifteen columns).
+DECISION_MODEL_VERSION = 5
 #: The combined version every shard is keyed and stamped with.
 CACHE_VERSION = f"{STORE_FORMAT_VERSION}.{DECISION_MODEL_VERSION}"
 
@@ -151,6 +146,31 @@ def _view_cache_put(
 def _view_cache_discard(path: Path) -> None:
     with _VIEW_CACHE_LOCK:
         _VIEW_CACHE.pop(str(path), None)
+
+
+def _map_shard(path: Path) -> np.ndarray:
+    """Memory-map one shard payload read-only, through one open file.
+
+    ``np.load(path, mmap_mode="r")`` reads the header through one
+    ``open()`` and maps through a second one, so a concurrent merge's
+    :func:`os.replace` between the two pairs one file's header with
+    another file's bytes.  Reading the header from the handle that is
+    then mapped pins both to the same inode.  Raises :class:`ValueError`
+    for anything that is not a one-dimensional
+    :data:`~repro.backends.decisions.DECISION_DTYPE` array.
+    """
+    with open(path, "rb") as handle:
+        version = np.lib.format.read_magic(handle)
+        if version == (1, 0):
+            header = np.lib.format.read_array_header_1_0(handle)
+        elif version == (2, 0):
+            header = np.lib.format.read_array_header_2_0(handle)
+        else:
+            raise ValueError(f"unsupported .npy format version {version}")
+        shape, _, dtype = header
+        if dtype != DECISION_DTYPE or len(shape) != 1:
+            raise ValueError(f"unexpected shard layout {dtype}/{len(shape)}d")
+        return np.memmap(handle, dtype=dtype, mode="r", shape=shape, offset=handle.tell())
 
 
 def default_cache_dir() -> Path:
@@ -214,10 +234,9 @@ class DecisionStore:
     """On-disk, versioned store of ``(GEMM, configuration) -> decision``.
 
     Decisions are the per-layer metrics rows cached by
-    :class:`~repro.backends.batched.BatchedCachedBackend` and
-    :class:`~repro.backends.sampled.SampledSimBackend` (mode, cycles,
-    operating point, activity, utilization, the per-component power
-    breakdown and the nullable error bound); they are stored as one
+    :class:`~repro.backends.batched.BatchedCachedBackend` (mode, cycles,
+    operating point, activity, utilization and the per-component power
+    breakdown); they are stored as one
     columnar structured array per configuration (int64/float64 columns
     round-trip bit-exactly) and read back through memory-mapped
     :class:`ShardView` objects.  The store is safe for concurrent use from
@@ -393,9 +412,7 @@ class DecisionStore:
             # treat as empty; the next write overwrites the pair.
             return _empty_view()
         try:
-            array = np.load(path, mmap_mode="r", allow_pickle=False)
-            if array.dtype != DECISION_DTYPE or array.ndim != 1:
-                raise ValueError(f"unexpected shard layout {array.dtype}/{array.ndim}d")
+            array = _map_shard(path)
         except (OSError, ValueError, EOFError) as error:
             self._note_corrupt(path, error)
             return _empty_view()
@@ -456,10 +473,10 @@ class DecisionStore:
     def put(self, config_key: tuple, gemm_key: tuple, row: list) -> None:
         """Buffer one decision row; flushed as a single batched merge.
 
-        The single-row writer's path (the sampled backend persists one
-        decision per layer): rows accumulate in memory and become one
-        atomic shard merge per :attr:`flush_rows` appends, instead of one
-        read-merge-replace cycle per row.  :meth:`get` sees buffered rows
+        The path for writers that persist one decision at a time: rows
+        accumulate in memory and become one atomic shard merge per
+        :attr:`flush_rows` appends, instead of one read-merge-replace
+        cycle per row.  :meth:`get` sees buffered rows
         immediately; other store instances see them after :meth:`flush`
         (called automatically on overflow, pickling, stats and pruning).
         """
@@ -752,9 +769,7 @@ class DecisionStore:
                     corrupt += 1
                     continue
                 try:
-                    array = np.load(path, mmap_mode="r", allow_pickle=False)
-                    if array.dtype != DECISION_DTYPE or array.ndim != 1:
-                        raise ValueError("unexpected shard layout")
+                    array = _map_shard(path)
                 except (OSError, ValueError, EOFError):
                     corrupt += 1
                     continue

@@ -33,13 +33,12 @@ Commands
 ``experiment``  Run one of the paper experiments (fig5, fig6, fig7, fig8,
                 fig9, eq7, clock, abl_csa, abl_dirs) or the beyond-paper
                 ``transformers`` suite / ``activity`` sensitivity /
-                ``sampled`` backend-accuracy tables and print it.
+                ``ablation`` importance tables and print it.
 ``ablate``      Run a declarative ablation study over the design-space
                 knobs (activity model, geometry, depths, backend,
-                sampling parameters, workloads, batch): baseline plus
-                one-off runs fan out through the batch front-end and a
-                per-component importance ranking is printed (or emitted
-                as ``--json``).
+                workloads, batch): baseline plus one-off runs fan out
+                through the batch front-end and a per-component
+                importance ranking is printed (or emitted as ``--json``).
 ``report``      Regenerate the EXPERIMENTS.md measured-vs-paper report.
 ``trace``       Hierarchical tracing (:mod:`repro.obs`): ``trace
                 schedule`` runs one workload comparison with tracing
@@ -62,20 +61,14 @@ inference (T scaled by the batch)::
     python -m repro batch --suite transformers
     python -m repro compare --model bert_base
 
-The global ``--backend {analytical,batched,cycle,sampled}`` flag (before
-the command) selects the execution backend: the closed-form reference,
-the vectorised/cached fast path (same numbers), the cycle-accurate
+The global ``--backend {analytical,batched,cycle}`` flag (before the
+command) selects the execution backend: the closed-form reference, the
+vectorised/cached fast path (same numbers), or the cycle-accurate
 measured path (register-stepped probes once per array mode; for
-validation), or the calibrated
-sampled-simulation path (measured cycle-level estimates with per-layer
-statistical error bounds, tuned by ``--sample-fraction``,
-``--sample-seed``, ``--min-tiles-per-shape`` and — for auto mode, which
-extends each layer's sample until its bound meets the target —
-``--error-target``)::
+validation)::
 
     python -m repro --backend batched compare --model resnet34
-    python -m repro --backend sampled --sample-fraction 0.1 compare --model resnet34
-    python -m repro --backend sampled --error-target 0.02 compare --model resnet34
+    python -m repro --backend cycle compare --model resnet34
 
 The global ``--cache-dir`` flag points the batched backend's decision
 cache at a persistent directory (default for ``batch``: the user cache
@@ -120,7 +113,6 @@ from repro.eval.experiments import (
     Fig7Experiment,
     Fig8Experiment,
     Fig9Experiment,
-    SampledAccuracyExperiment,
     TransformerSuiteExperiment,
 )
 from repro.eval.report import format_percent, format_ratio
@@ -141,7 +133,6 @@ EXPERIMENT_FACTORIES = {
     "abl_dirs": lambda backend=None: [DirectionAblationExperiment()],
     "transformers": lambda backend=None: [TransformerSuiteExperiment(backend=backend)],
     "activity": lambda backend=None: [ActivitySensitivityExperiment(backend=backend)],
-    "sampled": lambda backend=None: [SampledAccuracyExperiment(backend=backend)],
     "ablation": lambda backend=None: [AblationExperiment(backend=backend)],
 }
 
@@ -198,9 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "execution backend: 'analytical' closed forms (default), 'batched' "
-            "vectorised+cached fast path (identical numbers), 'sampled' "
-            "calibrated sampled simulation (measured estimates with error "
-            "bounds; see --sample-fraction/--sample-seed), 'cycle' "
+            "vectorised+cached fast path (identical numbers), 'cycle' "
             "cycle-accurate measurement (calibrated once per array mode)"
         ),
     )
@@ -208,51 +197,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir",
         default=None,
         help=(
-            "directory for the disk-persistent decision cache (batched or "
-            "sampled backend); default: no persistence, except for 'batch' "
-            "which uses the user cache directory (XDG_CACHE_HOME aware)"
-        ),
-    )
-    parser.add_argument(
-        "--sample-fraction",
-        type=float,
-        default=None,
-        help=(
-            "sampled backend only: fraction of each layer's tiles (per "
-            "distinct tile shape) simulated through the cycle engine "
-            "(default: 0.05)"
-        ),
-    )
-    parser.add_argument(
-        "--sample-seed",
-        type=int,
-        default=None,
-        help=(
-            "sampled backend only: seed of the deterministic stratified "
-            "tile sample (default: 0); the same seed reproduces bit-"
-            "identical estimates"
-        ),
-    )
-    parser.add_argument(
-        "--error-target",
-        type=float,
-        default=None,
-        help=(
-            "sampled backend only: auto mode — keep extending each "
-            "layer's seeded sample (doubling partial strata, new indices "
-            "only) until the self-reported relative error bound drops to "
-            "this value or the sample is exhaustive (default: off; the "
-            "fixed --sample-fraction budget decides)"
-        ),
-    )
-    parser.add_argument(
-        "--min-tiles-per-shape",
-        type=int,
-        default=None,
-        help=(
-            "sampled backend only: minimum simulated tiles per distinct "
-            "tile shape of a layer (default: 2); also sizes the variance "
-            "pilot of the Neyman allocation"
+            "directory for the disk-persistent decision cache (batched "
+            "backend); default: no persistence, except for 'batch' and "
+            "'serve', which use the user cache directory (XDG_CACHE_HOME "
+            "aware)"
         ),
     )
     parser.add_argument(
@@ -652,45 +600,6 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------- #
 # Command implementations
 # ---------------------------------------------------------------------- #
-def _resolve_backend(args: argparse.Namespace):
-    """The backend argument handed to the library.
-
-    Registry names pass through; ``--backend sampled`` builds a
-    :class:`~repro.backends.SampledSimBackend` configured from the
-    sampling flags.  Sampling flags without the sampled backend are an
-    error, never a silent no-op (mirroring the ``--cache-dir`` rule).
-    """
-    given = [
-        flag
-        for flag, value in (
-            ("--sample-fraction", args.sample_fraction),
-            ("--sample-seed", args.sample_seed),
-            ("--error-target", args.error_target),
-            ("--min-tiles-per-shape", args.min_tiles_per_shape),
-        )
-        if value is not None
-    ]
-    if args.backend != "sampled":
-        if given:
-            raise ValueError(
-                f"{'/'.join(given)} requires --backend sampled "
-                f"(the {args.backend!r} backend does not sample)"
-            )
-        return args.backend
-    from repro.backends import SampledSimBackend
-
-    kwargs = {}
-    if args.sample_fraction is not None:
-        kwargs["sample_fraction"] = args.sample_fraction
-    if args.sample_seed is not None:
-        kwargs["sample_seed"] = args.sample_seed
-    if args.error_target is not None:
-        kwargs["error_target"] = args.error_target
-    if args.min_tiles_per_shape is not None:
-        kwargs["min_tiles_per_shape"] = args.min_tiles_per_shape
-    return SampledSimBackend(**kwargs)
-
-
 def _build_accelerator(args: argparse.Namespace) -> ArrayFlexAccelerator:
     # cache_dir validation is the facade's job (shared attach_store rules):
     # --cache-dir with a backend that owns no decision cache is an error,
@@ -699,7 +608,7 @@ def _build_accelerator(args: argparse.Namespace) -> ArrayFlexAccelerator:
         rows=args.rows,
         cols=args.cols,
         supported_depths=tuple(args.depths),
-        backend=_resolve_backend(args),
+        backend=args.backend,
         cache_dir=args.cache_dir,
         activity_model=args.activity_model,
     )
@@ -854,7 +763,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             f"the 'batch' command always uses the batched backend; "
             f"--backend {args.backend} is not supported here"
         )
-    _resolve_backend(args)  # rejects stray sampling flags, never a no-op
     if args.no_cache and args.cache_dir:
         raise ValueError("--no-cache and --cache-dir are mutually exclusive")
     sizes = [_parse_size(size) for size in args.sizes]
@@ -944,7 +852,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"the 'serve' command always uses the batched backend; "
             f"--backend {args.backend} is not supported here"
         )
-    _resolve_backend(args)  # rejects stray sampling flags, never a no-op
     if args.no_cache and args.cache_dir:
         raise ValueError("--no-cache and --cache-dir are mutually exclusive")
     cache_dir = None if args.no_cache else (args.cache_dir or default_cache_dir())
@@ -1078,21 +985,7 @@ def _cmd_workloads(args: argparse.Namespace) -> int:
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     _reject_cache_dir(args)
-    backend = _resolve_backend(args)
-    if args.id == "sampled" and args.backend_explicit:
-        from repro.backends import SampledSimBackend
-
-        # The accuracy experiment inherently runs the sampled backend
-        # against the exact cycle backend; any other explicit request
-        # must fail, not be silently replaced by the default.
-        if not isinstance(backend, SampledSimBackend):
-            raise ValueError(
-                f"the 'sampled' experiment always compares the sampled "
-                f"backend against the cycle backend; --backend "
-                f"{args.backend} is not supported here (tune the sampled "
-                f"side with --backend sampled --sample-fraction/--sample-seed)"
-            )
-    for experiment in EXPERIMENT_FACTORIES[args.id](backend):
+    for experiment in EXPERIMENT_FACTORIES[args.id](args.backend):
         print(experiment.render())
         print()
     return 0
@@ -1120,7 +1013,6 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     from repro.eval.ablation import AblationStudy, Component
 
     _reject_cache_dir(args)
-    backend = _resolve_backend(args)
     if args.batch_size < 1:
         raise ValueError("--batch-size must be at least 1")
     if args.component:
@@ -1150,7 +1042,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
                 "'backend' is itself an ablated component"
             )
     else:
-        fixed["backend"] = backend
+        fixed["backend"] = args.backend
     if "activity_model" not in names:
         fixed["activity_model"] = args.activity_model
     if "geometry" not in names:
@@ -1201,31 +1093,26 @@ def _reject_cache_dir(args: argparse.Namespace) -> None:
 
 
 def _reject_backend(args: argparse.Namespace, reason: str) -> None:
-    """Refuse ``--backend`` (and the sampling flags) on commands that
-    never execute a backend.
+    """Refuse ``--backend`` on commands that never execute a backend.
 
     A ``--backend`` these commands would discard must be an error, never
-    a silent no-op — otherwise ``--backend sampled --sample-fraction
-    0.1 workloads`` "succeeds" while sampling nothing.  ``reason`` says
-    why the command has no backend, in the command's own words; the
-    stray-sampling-flag check still runs for the (default-backend) case
-    so bare sampling flags fail with their own message everywhere.
+    a silent no-op.  ``reason`` says why the command has no backend, in
+    the command's own words.
     """
     if args.backend_explicit:
         raise ValueError(
             f"the {args.command!r} command {reason}; "
             f"--backend is not supported here"
         )
-    _resolve_backend(args)  # rejects stray sampling flags, never a no-op
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
     """Inspect or prune the disk-persistent decision cache.
 
     Pure store maintenance — no backend ever executes, so an explicit
-    ``--backend`` (like stray sampling flags) is an error, never a silent
-    no-op.  ``--cache-dir`` selects the directory; the default is the
-    same user cache directory the ``batch`` command persists into.
+    ``--backend`` is an error, never a silent no-op.  ``--cache-dir``
+    selects the directory; the default is the same user cache directory
+    the ``batch`` command persists into.
     """
     _reject_backend(args, "only touches the on-disk store")
     from repro.backends import DecisionStore

@@ -131,11 +131,10 @@ class ArrayFlexAccelerator:
 
         #: The execution backend scheduling runs on this accelerator.  May
         #: be an :class:`~repro.backends.ExecutionBackend` instance or a
-        #: registry name ("analytical", "batched", "sampled", "cycle");
-        #: defaults to the reference analytical backend.  ``cache_dir``
-        #: attaches the disk-persistent decision store (and implies the
-        #: batched backend unless a sampled backend, which owns its own
-        #: decision cache, was requested).
+        #: registry name ("analytical", "batched", "cycle"); defaults to
+        #: the reference analytical backend.  ``cache_dir`` attaches the
+        #: disk-persistent decision store (and implies the batched
+        #: backend).
         self.backend = create_backend(attach_store(backend, cache_dir))
         self._scheduler: Scheduler | None = None
         self.optimizer = PipelineOptimizer(self.config)

@@ -107,16 +107,6 @@ class LayerMetrics:
     regardless of which activity model priced it.  ``power`` carries the
     per-component mW breakdown; ``power_mw``/``energy_nj`` reproduce the
     historical flat record's API exactly.
-
-    ``error_bound`` is the relative statistical uncertainty of ``cycles``
-    (and therefore of the time/energy figures derived from it) reported
-    by estimating backends — the sampled-simulation backend guarantees
-    ``|cycles - exact| <= error_bound * exact``.  Exact backends leave it
-    ``None``; an exhaustive or degenerate-exact sample reports ``0.0``.
-    It deliberately does not participate in equality (``compare=False``):
-    it is metadata about how a number was obtained, not part of the
-    schedule's numeric identity, so an exhaustively-sampled schedule
-    compares bit-identical to the cycle-accurate one.
     """
 
     index: int
@@ -129,7 +119,6 @@ class LayerMetrics:
     array_utilization: float
     power: ArrayPowerBreakdown
     analytical_depth: float = 0.0
-    error_bound: float | None = field(default=None, compare=False)
 
     @property
     def power_mw(self) -> float:
@@ -219,42 +208,6 @@ class ModelSchedule:
     def average_utilization(self) -> float:
         """Time-weighted average array utilization over the run."""
         return self._time_weighted("array_utilization")
-
-    def max_error_bound(self) -> float:
-        """Largest per-layer relative ``error_bound`` of the run.
-
-        ``0.0`` for schedules produced by exact backends (whose layers
-        carry ``error_bound=None``) and for exhaustively-sampled runs.
-        """
-        return max(
-            (layer.error_bound or 0.0 for layer in self.layers), default=0.0
-        )
-
-    def combined_error_bound(self) -> float | None:
-        """Model-level relative error bound: time-weighted per-layer mean.
-
-        Each layer's time is within its own relative bound, so the total
-        time is within the execution-time-weighted combination — the same
-        statistic the sampled backend's ``schedule_model_totals`` fast
-        path reports, computed here from a materialised schedule.  Exact
-        strata mix correctly with sampled ones: a layer with
-        ``error_bound=None`` (exact backend) or ``0.0`` (exhaustively
-        sampled) contributes zero width at its time weight.  ``None``
-        when *every* layer is exact, matching the fast paths' convention
-        that only estimating runs carry a bound.
-        """
-        if all(layer.error_bound is None for layer in self.layers):
-            return None
-        total = self.total_time_ns
-        if total == 0:
-            return 0.0
-        return (
-            sum(
-                (layer.error_bound or 0.0) * layer.execution_time_ns
-                for layer in self.layers
-            )
-            / total
-        )
 
     def _time_weighted(self, attribute: str) -> float:
         total = self.total_time_ns

@@ -1,10 +1,10 @@
 """Declarative ablation/importance harness over the design space.
 
 The repo exposes many orthogonal design knobs — execution backend,
-activity model, sampling parameters, array geometry, collapse-depth set,
-workload suite, batch size — and "which knob mattered" used to be
-answered by a hand-written experiment class per question.  This module
-turns that into data:
+activity model, array geometry, collapse-depth set, workload suite,
+batch size — and "which knob mattered" used to be answered by a
+hand-written experiment class per question.  This module turns that into
+data:
 
 * declare an :class:`AblationStudy` — a list of :class:`Component` knobs,
   each with a baseline value and one or more alternatives, plus fixed
@@ -14,12 +14,11 @@ turns that into data:
   optional pairwise grid for interaction checks;
 * the runs fan out through :class:`~repro.serve.SchedulingService`
   (request dedup, thread/process pools, per-run timeouts and ``obs``
-  spans for free), grouped by backend identity so a sampled-backend
-  variant never shares a service with an exact one;
+  spans for free), one service per backend;
 * per-component **importance** is the largest relative delta any of its
   alternatives causes on each metric (latency / energy / EDP), ranked on
-  the study's primary metric, with the sampled backend's ``error_bound``
-  propagated into a per-delta significance flag.
+  the study's primary metric.  Every backend is exact, so every nonzero
+  delta is a real effect.
 
 The run set, run ids, rankings and JSON payload are deterministic
 functions of the declaration: the same study produces the same report
@@ -31,7 +30,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
-from repro.backends import SampledSimBackend, create_backend
+from repro.backends import create_backend
 from repro.core.config import ArrayFlexConfig
 from repro.core.metrics import ModelSchedule
 from repro.eval.report import format_table
@@ -41,21 +40,6 @@ from repro.serve.service import EXECUTORS, SchedulingService
 
 #: Metrics every study scores, in report order.
 METRICS = ("latency", "energy", "edp")
-
-#: How many relative error bounds wide a delta must be to count as
-#: significant.  Latency is bounded directly; energy inherits the same
-#: relative bound (energy = power x time with exactly-priced power); EDP
-#: multiplies energy by time, so its relative uncertainty doubles.
-_METRIC_BOUND_WEIGHT = {"latency": 1.0, "energy": 1.0, "edp": 2.0}
-
-#: Knobs that tune the sampled backend; any of them set on a run forces
-#: (and reconfigures) a :class:`~repro.backends.SampledSimBackend`.
-SAMPLED_KNOBS = (
-    "sample_fraction",
-    "sample_seed",
-    "error_target",
-    "min_tiles_per_shape",
-)
 
 #: Every knob a :class:`Component` (or ``fixed``) may name, with the
 #: study-wide baseline used when neither declares it.
@@ -68,10 +52,6 @@ DEFAULT_SETTINGS: dict[str, object] = {
     "suite": "cnn",
     "workloads": None,
     "batch": 1,
-    "sample_fraction": None,
-    "sample_seed": None,
-    "error_target": None,
-    "min_tiles_per_shape": None,
 }
 
 KNOBS = tuple(DEFAULT_SETTINGS)
@@ -104,10 +84,8 @@ def _normalize(name: str, value: object) -> object:
                     f"depths must look like 1+2+4, got {value!r}"
                 ) from None
         return tuple(int(depth) for depth in value)
-    if name in ("batch", "sample_seed", "min_tiles_per_shape"):
+    if name == "batch":
         return int(value)
-    if name in ("sample_fraction", "error_target"):
-        return float(value)
     if name == "workloads":
         if isinstance(value, str):
             return (value,)
@@ -221,24 +199,6 @@ class RunResult:
     def energy_nj(self) -> float:
         return sum(_energy_nj(w.result) for w in self.workloads if w.ok)
 
-    @property
-    def error_bound(self) -> float:
-        """Run-level relative bound: time-weighted over the workloads.
-
-        Exact workloads (bound ``None``) mix with sampled ones as
-        zero-width strata, mirroring
-        :meth:`~repro.core.metrics.ModelSchedule.combined_error_bound`.
-        """
-        total = self.time_ns
-        if total == 0:
-            return 0.0
-        weighted = sum(
-            (_bound(w.result) or 0.0) * _time_ns(w.result)
-            for w in self.workloads
-            if w.ok
-        )
-        return weighted / total
-
     def metric(self, name: str) -> float:
         if name == "latency":
             return self.time_ns / 1e6  # ms
@@ -262,20 +222,12 @@ def _energy_nj(result: object) -> float:
     return result.energy_nj
 
 
-def _bound(result: object) -> float | None:
-    if isinstance(result, ModelSchedule):
-        return result.combined_error_bound()
-    return result.error_bound
-
-
 @dataclass
 class RunDelta:
     """One non-baseline run's relative deltas against the baseline."""
 
     run: RunResult
     deltas: dict[str, float]
-    noise: dict[str, float]
-    significant: dict[str, bool]
 
     @property
     def run_id(self) -> str:
@@ -295,11 +247,6 @@ class ComponentImportance:
         return max(
             (abs(delta.deltas[metric]) for delta in self.deltas if delta.run.ok),
             default=0.0,
-        )
-
-    def significant(self, metric: str) -> bool:
-        return any(
-            delta.significant[metric] for delta in self.deltas if delta.run.ok
         )
 
     @property
@@ -412,39 +359,6 @@ class AblationStudy:
 # ---------------------------------------------------------------------- #
 # Execution: fan-out through SchedulingService, grouped by backend
 # ---------------------------------------------------------------------- #
-def _run_backend(settings: Mapping[str, object]):
-    """The backend one run executes on, with sampling knobs folded in."""
-    backend = settings["backend"]
-    overrides = {
-        knob: settings[knob] for knob in SAMPLED_KNOBS if settings[knob] is not None
-    }
-    if isinstance(backend, str):
-        if not overrides:
-            return create_backend(backend)
-        if backend != "sampled":
-            raise ValueError(
-                f"{'/'.join(sorted(overrides))} requires the 'sampled' backend "
-                f"(the {backend!r} backend does not sample)"
-            )
-        return SampledSimBackend(**overrides)
-    if overrides:
-        if not isinstance(backend, SampledSimBackend):
-            raise ValueError(
-                f"{'/'.join(sorted(overrides))} requires the 'sampled' backend "
-                f"(the {backend.name!r} backend does not sample)"
-            )
-        return SampledSimBackend(
-            sample_fraction=overrides.get("sample_fraction", backend.sample_fraction),
-            min_tiles_per_shape=overrides.get(
-                "min_tiles_per_shape", backend.min_tiles_per_shape
-            ),
-            sample_seed=overrides.get("sample_seed", backend.sample_seed),
-            error_target=overrides.get("error_target", backend.error_target),
-            max_probe_t=backend.max_probe_t,
-        )
-    return backend
-
-
 def _run_workloads(settings: Mapping[str, object]) -> list:
     from repro.workloads import get_suite, get_workload
 
@@ -473,17 +387,12 @@ def _run_config(settings: Mapping[str, object]) -> ArrayFlexConfig:
     return ArrayFlexConfig(**kwargs)
 
 
-def _backend_key(backend) -> tuple:
-    identity = getattr(backend, "decision_identity", tuple)()
-    return (backend.name,) + tuple(identity)
-
-
 def execute_study(
     study: AblationStudy, order: Sequence[str] | None = None
 ) -> "StudyResult":
     """Run every generated run of ``study`` through scheduling services.
 
-    Runs are grouped by backend identity; each group goes through one
+    Runs are grouped by backend name; each group goes through one
     :class:`SchedulingService` as a single ``submit_many`` batch, so the
     whole group runs with full executor concurrency, deduplicated
     requests (e.g. the shared conventional baselines of a pairwise grid)
@@ -505,14 +414,14 @@ def execute_study(
             )
         ordered = [by_id[run_id] for run_id in order]
 
-    # Resolve every run, then bucket by backend identity (first-seen
-    # instance wins, so identical identities share one warm service).
-    plans: list[tuple[RunSpec, dict, tuple, list, list[Request]]] = []
-    groups: dict[tuple, object] = {}
+    # Resolve every run, then bucket by backend name (first-seen instance
+    # wins, so runs on the same backend share one warm service).
+    plans: list[tuple[RunSpec, dict, str, list, list[Request]]] = []
+    groups: dict[str, object] = {}
     for spec in ordered:
         settings = study.settings_for(spec)
-        backend = _run_backend(settings)
-        key = _backend_key(backend)
+        backend = create_backend(settings["backend"])
+        key = backend.name
         groups.setdefault(key, backend)
         config = _run_config(settings)
         workloads = _run_workloads(settings)
@@ -607,8 +516,6 @@ def execute_study(
 
 def _delta(baseline: RunResult, run: RunResult) -> RunDelta:
     deltas: dict[str, float] = {}
-    noise: dict[str, float] = {}
-    significant: dict[str, bool] = {}
     for metric in METRICS:
         base = baseline.metric(metric)
         value = run.metric(metric)
@@ -618,13 +525,8 @@ def _delta(baseline: RunResult, run: RunResult) -> RunDelta:
             delta = 0.0 if value == 0.0 else float("inf")
         else:
             delta = value / base - 1.0
-        width = _METRIC_BOUND_WEIGHT[metric] * (
-            baseline.error_bound + run.error_bound
-        )
         deltas[metric] = delta
-        noise[metric] = width
-        significant[metric] = run.ok and abs(delta) > width
-    return RunDelta(run=run, deltas=deltas, noise=noise, significant=significant)
+    return RunDelta(run=run, deltas=deltas)
 
 
 # ---------------------------------------------------------------------- #
@@ -676,7 +578,6 @@ class StudyResult:
                     run.metric("latency"),
                     run.metric("energy"),
                     f"{run.metric('edp'):.4e}",
-                    _format_bound(run.error_bound),
                     *(
                         (_format_delta(delta.deltas[m]) for m in METRICS)
                         if delta is not None
@@ -692,7 +593,6 @@ class StudyResult:
                     "latency (ms)",
                     "energy (uJ)",
                     "EDP",
-                    "+/-bound",
                     "d latency",
                     "d energy",
                     "d EDP",
@@ -718,7 +618,6 @@ class StudyResult:
                         else ("--", "--", "--")
                     ),
                     _format_delta(entry.score, signed=False),
-                    entry.significant(metric),
                 )
             )
         blocks.append(
@@ -731,7 +630,6 @@ class StudyResult:
                     "d energy",
                     "d EDP",
                     "importance",
-                    "significant",
                 ],
                 ranking_rows,
                 title=f"Component importance -- ranked on {metric}",
@@ -769,12 +667,10 @@ class StudyResult:
                 },
                 "status": run.status,
                 "metrics": run.metrics(),
-                "error_bound": run.error_bound,
             }
             delta = self.deltas.get(run.run_id)
             if delta is not None:
                 payload["deltas"] = dict(delta.deltas)
-                payload["significant"] = dict(delta.significant)
             return payload
 
         payload = {
@@ -789,7 +685,6 @@ class StudyResult:
                         entry.driver.run_id if entry.driver is not None else None
                     ),
                     "importance": {m: entry.importance(m) for m in METRICS},
-                    "significant": {m: entry.significant(m) for m in METRICS},
                 }
                 for entry in self.ranking
             ],
@@ -807,10 +702,6 @@ def _format_delta(value: float, signed: bool = True) -> str:
         return "inf"
     sign = "+" if signed else ""
     return f"{value * 100:{sign}.2f}%"
-
-
-def _format_bound(value: float) -> str:
-    return f"{value * 100:.2f}%" if value else "0%"
 
 
 # ---------------------------------------------------------------------- #

@@ -858,170 +858,6 @@ class ActivitySensitivityExperiment:
 
 
 # ---------------------------------------------------------------------- #
-# Beyond the paper: sampled-simulation backend accuracy vs exact cycles
-# ---------------------------------------------------------------------- #
-@dataclass
-class SampledAccuracyEntry:
-    workload_name: str
-    num_gemms: int
-    exact_cycles: int
-    sampled_cycles: int
-    max_rel_error: float
-    max_error_bound: float
-    simulated_tiles: int
-    total_tiles: int
-    within_bounds: bool
-
-    @property
-    def coverage(self) -> float:
-        """Fraction of the workload's tile population actually simulated."""
-        if self.total_tiles == 0:
-            return 0.0
-        return self.simulated_tiles / self.total_tiles
-
-
-@dataclass
-class SampledAccuracyResult:
-    entries: list[SampledAccuracyEntry]
-
-    @property
-    def all_within_bounds(self) -> bool:
-        return all(entry.within_bounds for entry in self.entries)
-
-    @property
-    def max_rel_error(self) -> float:
-        return max((entry.max_rel_error for entry in self.entries), default=0.0)
-
-
-class SampledAccuracyExperiment:
-    """How accurate is the sampled-simulation backend versus exact cycles?
-
-    Not a paper figure: the ``sampled`` backend estimates each layer's
-    cycle count from a seeded stratified sample of its tiles (plus
-    calibrated streaming probes) and reports a per-layer relative
-    ``error_bound``.  This experiment runs a workload suite through both
-    the sampled and the exact cycle-accurate backend and tabulates, per
-    workload, the worst per-layer relative error, the worst self-reported
-    bound, and the fraction of the tile population the estimator sampled
-    (distinct engine runs are fewer still: measurements are shared across
-    layers) — the accuracy-for-cost trade the backend exists to make.
-    Everything here is deterministic (the sample is seeded), so the table
-    regenerates bit-identically.
-    """
-
-    experiment_id = "sampled"
-    paper_reference = {
-        "claim": (
-            "beyond the paper: stratified tile sampling with calibrated "
-            "streaming probes reproduces exact cycle counts at a small "
-            "fraction of the simulated tiles, with per-layer error bounds"
-        )
-    }
-
-    def __init__(
-        self,
-        size: int = 32,
-        suite: str = "cnn",
-        sample_fraction: float = 0.05,
-        sample_seed: int = 0,
-        technology: TechnologyModel | None = None,
-        backend: ExecutionBackend | str | None = None,
-    ):
-        from repro.backends import CycleAccurateBackend, SampledSimBackend
-        from repro.workloads import get_suite
-
-        self.size = size
-        self.workloads = get_suite(suite)
-        self.technology = technology or TechnologyModel.default_28nm()
-        # ``backend`` tunes the *sampled* side (the CLI passes a configured
-        # SampledSimBackend through); anything else keeps the defaults.
-        resolved = create_backend(backend, default="sampled")
-        self.sampled = (
-            resolved
-            if isinstance(resolved, SampledSimBackend)
-            else SampledSimBackend(
-                sample_fraction=sample_fraction, sample_seed=sample_seed
-            )
-        )
-        self.exact = CycleAccurateBackend()
-
-    def run(self) -> SampledAccuracyResult:
-        config = ArrayFlexConfig(
-            rows=self.size, cols=self.size, technology=self.technology
-        )
-        entries = []
-        for workload in self.workloads:
-            exact = self.exact.schedule_model(workload, config)
-            sampled = self.sampled.schedule_model(workload, config)
-            max_rel = 0.0
-            max_bound = 0.0
-            within = True
-            simulated = 0
-            total = 0
-            for exact_layer, sampled_layer in zip(exact.layers, sampled.layers):
-                rel = (
-                    abs(sampled_layer.cycles - exact_layer.cycles)
-                    / exact_layer.cycles
-                )
-                bound = sampled_layer.error_bound or 0.0
-                max_rel = max(max_rel, rel)
-                max_bound = max(max_bound, bound)
-                within = within and rel <= bound + 1e-12
-                estimate = self.sampled.layer_estimate(sampled_layer.gemm, config)
-                simulated += estimate.simulated_tiles
-                total += estimate.total_tiles
-            entries.append(
-                SampledAccuracyEntry(
-                    workload_name=exact.model_name,
-                    num_gemms=len(exact.layers),
-                    exact_cycles=exact.total_cycles,
-                    sampled_cycles=sampled.total_cycles,
-                    max_rel_error=max_rel,
-                    max_error_bound=max_bound,
-                    simulated_tiles=simulated,
-                    total_tiles=total,
-                    within_bounds=within,
-                )
-            )
-        return SampledAccuracyResult(entries=entries)
-
-    def render(self, result: SampledAccuracyResult | None = None) -> str:
-        result = result or self.run()
-        rows = [
-            (
-                entry.workload_name,
-                entry.num_gemms,
-                entry.exact_cycles,
-                entry.sampled_cycles,
-                format_percent(entry.max_rel_error),
-                format_percent(entry.max_error_bound),
-                f"{entry.simulated_tiles}/{entry.total_tiles}",
-                format_percent(entry.coverage),
-                "yes" if entry.within_bounds else "NO",
-            )
-            for entry in result.entries
-        ]
-        return format_table(
-            [
-                "workload",
-                "GEMMs",
-                "exact cycles",
-                "sampled cycles",
-                "max |err|",
-                "max bound",
-                "tiles sampled/total",
-                "coverage",
-                "within bound",
-            ],
-            rows,
-            title=(
-                f"Sampled-simulation accuracy vs exact cycles, "
-                f"{self.size}x{self.size} SA"
-            ),
-        )
-
-
-# ---------------------------------------------------------------------- #
 # Eq. (7) -- analytical vs discrete optimum
 # ---------------------------------------------------------------------- #
 @dataclass

@@ -219,51 +219,6 @@ def _activity_section() -> list[str]:
     return lines
 
 
-def _sampled_section() -> list[str]:
-    from repro.eval.experiments import SampledAccuracyExperiment
-
-    experiment = SampledAccuracyExperiment()
-    result = experiment.run()
-    lines = [
-        "## Beyond the paper — sampled vs cycle backend accuracy",
-        "",
-        "* The `sampled` backend estimates per-layer cycle counts from a "
-        "seeded stratified sample of each layer's tiles (plus calibrated "
-        "streaming probes along T) instead of simulating tiles in full, and "
-        "reports a per-layer relative `error_bound`.  The table compares it "
-        "against the exact `cycle` backend on the CNN suite "
-        f"({experiment.size}x{experiment.size} SA, sample fraction "
-        f"{experiment.sampled.sample_fraction}, seed "
-        f"{experiment.sampled.sample_seed}); the sample is deterministic, so "
-        "these numbers regenerate bit-identically.",
-        "",
-        "| workload | GEMMs | exact cycles | sampled cycles | max layer error | max bound | tiles sampled | within bound |",
-        "|---|---|---|---|---|---|---|---|",
-    ]
-    for entry in result.entries:
-        lines.append(
-            f"| {entry.workload_name} | {entry.num_gemms} | "
-            f"{entry.exact_cycles} | {entry.sampled_cycles} | "
-            f"{format_percent(entry.max_rel_error)} | "
-            f"{format_percent(entry.max_error_bound)} | "
-            f"{entry.simulated_tiles}/{entry.total_tiles} "
-            f"({format_percent(entry.coverage)}) | "
-            f"{'yes' if entry.within_bounds else 'NO'} |"
-        )
-    lines += [
-        "",
-        "Every layer estimate lands within its self-reported bound (the "
-        "engine's tile latency is content-independent, so the stratified "
-        "estimates are exact in practice while sampling ~5% of the tile "
-        "population); `benchmarks/test_bench_sampled.py` additionally pins "
-        "the same bounds on the batched CNN suite and prints the cold-run "
-        "time against the cycle backend, which no longer pays for T: it "
-        "calibrates each (geometry, mode) once on three short probes.",
-        "",
-    ]
-    return lines
-
-
 def _eq7_section() -> list[str]:
     result = Eq7ValidationExperiment().run()
     return [
@@ -345,29 +300,26 @@ def _importance_section() -> list[str]:
         "",
         "* The declarative ablation harness (`python -m repro ablate`, "
         "`docs/ablation.md`) flips one design knob at a time off a pinned "
-        "baseline and ranks each component by its worst-case EDP delta; a "
-        "delta only counts as *significant* when it clears the combined "
-        "sampling error bound of the two runs it compares (zero-width for "
-        "the exact backends used here).  Baseline: the paper's "
+        "baseline and ranks each component by its worst-case EDP delta.  "
+        "Baseline: the paper's "
         f"{format_value('geometry', study.baseline_settings()['geometry'])} "
         "array, constant activity, depth menu "
         f"{format_value('depths', study.baseline_settings()['depths'])}, "
         "CNN suite, batched backend.",
         "",
-        "| rank | component | flip | EDP delta | latency delta | energy delta | significant |",
-        "|---|---|---|---|---|---|---|",
+        "| rank | component | flip | EDP delta | latency delta | energy delta |",
+        "|---|---|---|---|---|---|",
     ]
     for entry in result.ranking:
         driver = entry.driver
         if driver is None:
-            lines.append(f"| {entry.rank} | {entry.component} | — | — | — | — | no |")
+            lines.append(f"| {entry.rank} | {entry.component} | — | — | — | — |")
             continue
         lines.append(
             f"| {entry.rank} | {entry.component} | {driver.run_id} | "
             f"{_format_delta(driver.deltas['edp'])} | "
             f"{_format_delta(driver.deltas['latency'])} | "
-            f"{_format_delta(driver.deltas['energy'])} | "
-            f"{'yes' if entry.significant(study.metric) else 'no'} |"
+            f"{_format_delta(driver.deltas['energy'])} |"
         )
     lines += [
         "",
@@ -406,7 +358,6 @@ def generate_experiments_markdown() -> str:
         + _fig9_section()
         + _transformer_section()
         + _activity_section()
-        + _sampled_section()
         + _eq7_section()
         + _ablation_section()
         + _importance_section()

@@ -333,19 +333,14 @@ def result_to_wire(result: ModelSchedule | ModelTotals) -> dict:
     :class:`SchedulingService` calls is exact, not approximate.
     """
     if isinstance(result, ModelTotals):
-        payload = {
+        return {
             "kind": "totals",
             "time_ns": result.time_ns,
             "energy_nj": result.energy_nj,
             "average_power_mw": result.average_power_mw,
             "energy_delay_product": result.energy_delay_product,
         }
-        # Same convention as the schedule payload's max_error_bound: an
-        # exact result (None or 0.0) keeps the legacy shape.
-        if result.error_bound:
-            payload["error_bound"] = result.error_bound
-        return payload
-    payload = {
+    return {
         "kind": "schedule",
         "model_name": result.model_name,
         "accelerator": result.accelerator,
@@ -363,10 +358,6 @@ def result_to_wire(result: ModelSchedule | ModelTotals) -> dict:
         "average_utilization": result.average_utilization(),
         "average_activity": result.average_activity(),
     }
-    bound = result.max_error_bound()
-    if bound:
-        payload["max_error_bound"] = bound
-    return payload
 
 
 def response_to_wire(response: Response) -> dict:

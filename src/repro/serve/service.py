@@ -24,10 +24,8 @@ Three layers of work elimination stack up:
   configuration identity per :meth:`ArrayFlexConfig.cache_key`, which
   folds in the configured :mod:`repro.core.activity` model — the same
   workload priced under ``constant`` and ``utilization`` activity is two
-  distinct computations, never one shared future; the backend's
-  ``decision_identity()`` is folded in too, so a sampled-simulation
-  result under one seed/fraction is never deduplicated against another)
-  are submitted once and share one future, across ``submit`` calls;
+  distinct computations, never one shared future) are submitted once and
+  share one future, across ``submit`` calls;
 * **decision cache** — distinct requests still share per-layer mode
   decisions through the backend's LRU (CNN suites repeat GEMM shapes
   heavily);
@@ -260,15 +258,6 @@ class SchedulingService:
         if backend is None:
             backend = BatchedCachedBackend(cache_size=cache_size)
         self.backend = attach_store(create_backend(backend, default="batched"), cache_dir)
-        #: The backend's numeric identity, folded into every dedup key.
-        #: Empty for the exact (numerically interchangeable) backends; the
-        #: sampled backend contributes its seed/fraction/probe parameters,
-        #: so results it estimated under one calibration are never served
-        #: for a request expecting another (e.g. after a long-lived caller
-        #: swaps the service, or when keys are compared across services).
-        self._backend_identity = getattr(
-            self.backend, "decision_identity", lambda: ()
-        )()
         self.executor_kind = executor
         self.max_workers = max_workers or default_max_workers(executor)
         #: Bound on the dedup map: completed futures (and their results)
@@ -509,7 +498,6 @@ class SchedulingService:
             request.conventional,
             request.totals_only,
             request.config.cache_key(),
-            self._backend_identity,
         )
         with self._lock:
             self._ctr_requests.inc()

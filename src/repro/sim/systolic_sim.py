@@ -276,8 +276,8 @@ class CycleAccurateSystolicArray:
     MAX_BATCH_ELEMENTS = 1 << 22
 
     #: Most-recently-used control schedules, keyed (rows, cols, k, T).
-    #: Sampled probes and calibration runs revisit a handful of depths over
-    #: and over; the cache makes the control side of those runs free.
+    #: Repeated GEMMs and chunked tile batches revisit a handful of depths
+    #: over and over; the cache makes the control side of those runs free.
     _control_cache: OrderedDict[tuple[int, int, int, int], _TileControl] = OrderedDict()
     _CONTROL_CACHE_SIZE = 64
 

@@ -68,27 +68,6 @@ class TilingPlan:
         """Total tile count of Eq. (2)/(4): ceil(N/R) x ceil(M/C)."""
         return self.n_tiles_vertical * self.n_tiles_horizontal
 
-    def shape_populations(self) -> dict[tuple[int, int], int]:
-        """Tile counts per ``(n_size, m_size)`` shape, in closed form.
-
-        Equals ``Counter((s.n_size, s.m_size) for s in plan.tiles())``
-        without materialising the specs — the sampled backend's strata
-        only need the counts, not the tile coordinates.
-        """
-
-        def axis(dim: int, step: int) -> dict[int, int]:
-            full, edge = divmod(dim, step)
-            counts = {step: full} if full else {}
-            if edge:
-                counts[edge] = 1
-            return counts
-
-        return {
-            (n_size, m_size): n_count * m_count
-            for n_size, n_count in axis(self.n_dim, self.rows).items()
-            for m_size, m_count in axis(self.m_dim, self.cols).items()
-        }
-
     def tiles(self) -> list[TileSpec]:
         """All tiles in execution order (M-major, then N)."""
         specs: list[TileSpec] = []

@@ -2,10 +2,8 @@
 
 Every backend registered in :data:`repro.backends.BACKENDS` must produce
 *numerically interchangeable* schedules: the batched backend bit-exactly,
-the cycle-accurate and sampled backends because the simulator is
-cycle-exact with respect to Eqs. (1)/(3) (and the sampled estimator is
-exact whenever the engine's tile latency is content-independent, which
-the engine guarantees).  Instead of one hand-written test class per
+the cycle-accurate backend because the simulator is cycle-exact with
+respect to Eqs. (1)/(3).  Instead of one hand-written test class per
 backend, this module defines the *matrix* — every registered backend x a
 set of workloads chosen to exercise edge tiles, repeated shapes, tiny
 and probe-length streamed dimensions x several array configurations —
@@ -26,7 +24,6 @@ from repro.backends import (
     AnalyticalBackend,
     BatchedCachedBackend,
     CycleAccurateBackend,
-    SampledSimBackend,
     model_totals,
 )
 from repro.core.config import ArrayFlexConfig
@@ -39,10 +36,6 @@ BACKEND_FACTORIES = {
     "analytical": AnalyticalBackend,
     "batched": BatchedCachedBackend,
     "cycle": CycleAccurateBackend,
-    # A fixed seed keeps the sampled estimates deterministic; the default
-    # probe cap (32) makes the "tall-t" workload exercise the calibrated
-    # streaming-probe extrapolation inside the parity matrix.
-    "sampled": lambda: SampledSimBackend(sample_seed=0),
 }
 
 
@@ -77,8 +70,8 @@ def parity_workloads() -> dict[str, list[GemmShape]]:
             GemmShape(m=64, n=12, t=17, name="edge-m"),
             GemmShape(m=20, n=33, t=6, name="edge-both-repeat"),
         ],
-        # T beyond twice the sampled backend's probe cap: exercises the
-        # calibrated affine-in-T extrapolation against full simulation.
+        # T far beyond the cycle backend's calibration probes: exercises
+        # the calibrated affine-in-T extrapolation.
         "tall-t": [
             GemmShape(m=24, n=40, t=300, name="tall-a"),
             GemmShape(m=12, n=20, t=150, name="tall-b"),
@@ -106,8 +99,7 @@ def assert_backend_parity(backend, workload, config, reference=None) -> None:
     The reference is the analytical backend (the closed forms the paper
     states); ``LayerMetrics`` equality covers mode decisions, cycles,
     operating points, activity, utilization and the full per-component
-    power breakdown (``error_bound`` is estimate metadata and excluded
-    from equality by the record itself).
+    power breakdown.
     """
     reference = reference or AnalyticalBackend()
     name = "parity"

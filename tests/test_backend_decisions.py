@@ -1,14 +1,13 @@
 """Tests for the columnar decision codec (`repro.backends.decisions`).
 
 The codec is what makes the v2 store's zero-copy read path safe: every
-row any backend writes must survive the list -> structured-record ->
-list round trip bit-exactly (``error_bound`` ``None`` included, via the
-``NaN`` sentinel), and a shard the codec cannot read back must surface
-as corruption, never as silently-wrong numbers.  The concurrent-writer
-stress test pins the store's merge-on-write guarantee on the new format.
+row the backend writes must survive the list -> structured-record ->
+list round trip bit-exactly, and a shard the codec cannot read back must
+surface as corruption, never as silently-wrong numbers.  The
+concurrent-writer stress test pins the store's merge-on-write guarantee
+on the new format.
 """
 
-import math
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 
@@ -16,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.backends import AnalyticalBackend, BatchedCachedBackend, SampledSimBackend
+from repro.backends import AnalyticalBackend, BatchedCachedBackend
 from repro.backends.decisions import (
     DECISION_DTYPE,
     DECISION_ROW_WIDTH,
@@ -32,16 +31,15 @@ from repro.core.config import ArrayFlexConfig
 from repro.nn.gemm_mapping import GemmShape
 from repro.timing.power_model import ArrayPowerBreakdown
 
-#: Finite doubles (the codec's NaN sentinel is reserved for None).
+#: Finite doubles (NaN never compares equal, which the bit-exact == needs).
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 positive_int = st.integers(min_value=1, max_value=2**40)
 
 
 @st.composite
 def decision_rows(draw):
-    """Arbitrary well-formed decision rows, as any backend would emit them."""
+    """Arbitrary well-formed decision rows, as the backend would emit them."""
     power = [draw(finite) for _ in range(8)]
-    error_bound = draw(st.one_of(st.none(), finite))
     return [
         draw(st.integers(min_value=1, max_value=64)),  # collapse_depth
         draw(positive_int),                            # cycles
@@ -51,7 +49,6 @@ def decision_rows(draw):
         draw(finite),                                  # activity
         draw(finite),                                  # array_utilization
         *power,
-        error_bound,
     ]
 
 
@@ -79,7 +76,7 @@ class TestRowCodecRoundTrip:
         assert set(index) == set(decisions)
         for key, row in decisions.items():
             decoded = record_to_row(records[index[key]])
-            assert decoded == row  # == is bit-exact for int/float/None
+            assert decoded == row  # == is bit-exact for int/float
 
     @given(row=decision_rows())
     @settings(max_examples=60, deadline=None)
@@ -89,15 +86,6 @@ class TestRowCodecRoundTrip:
         encoded = rows_to_records({(1, 2, 3): decision_to_row(decision)})
         assert decision_from_row(record_to_row(encoded[0])) == decision
 
-    def test_none_error_bound_encodes_as_nan(self):
-        records = rows_to_records({(1, 1, 1): [1, 1] + [0.0] * 13 + [None]})
-        assert math.isnan(float(records[0]["error_bound"]))
-        assert record_to_row(records[0])[-1] is None
-
-    def test_finite_error_bound_round_trips(self):
-        records = rows_to_records({(1, 1, 1): [1, 1] + [0.0] * 13 + [0.03125]})
-        assert record_to_row(records[0])[-1] == 0.03125
-
     def test_row_width_matches_the_dtype(self):
         # 3 key columns + the decision row = the structured record.
         assert len(DECISION_DTYPE.names) == DECISION_ROW_WIDTH + 3
@@ -105,14 +93,14 @@ class TestRowCodecRoundTrip:
     def test_records_index_later_duplicates_win(self):
         array = np.concatenate(
             [
-                rows_to_records({(1, 1, 1): [1, 1] + [0.0] * 13 + [None]}),
-                rows_to_records({(1, 1, 1): [2, 2] + [0.0] * 13 + [None]}),
+                rows_to_records({(1, 1, 1): [1, 1] + [0.0] * 13}),
+                rows_to_records({(1, 1, 1): [2, 2] + [0.0] * 13}),
             ]
         )
         assert records_index(array) == {(1, 1, 1): 1}
 
     def test_malformed_inputs_rejected(self):
-        good = [1, 1] + [0.0] * 13 + [None]
+        good = [1, 1] + [0.0] * 13
         with pytest.raises(ValueError):
             rows_to_records({"1,1,1": good})
         with pytest.raises(ValueError):
@@ -122,7 +110,7 @@ class TestRowCodecRoundTrip:
 
 
 class TestBackendRowShapes:
-    """Every decision-producing backend's real rows fit the codec."""
+    """The decision-producing backend's real rows fit the codec."""
 
     GEMM = GemmShape(m=20, n=33, t=40)
 
@@ -130,15 +118,6 @@ class TestBackendRowShapes:
         config = ArrayFlexConfig(rows=16, cols=16)
         backend = BatchedCachedBackend()
         decision = backend._decide_batch([self.GEMM], config)[0]
-        assert decision.error_bound is None
-        encoded = rows_to_records({(20, 33, 40): decision_to_row(decision)})
-        assert decision_from_row(record_to_row(encoded[0])) == decision
-
-    def test_sampled_backend_rows_round_trip(self):
-        config = ArrayFlexConfig(rows=16, cols=16)
-        backend = SampledSimBackend(sample_fraction=0.5)
-        decision = backend._decide(self.GEMM, config)
-        assert decision.error_bound is not None
         encoded = rows_to_records({(20, 33, 40): decision_to_row(decision)})
         assert decision_from_row(record_to_row(encoded[0])) == decision
 
@@ -162,7 +141,6 @@ class TestBackendRowShapes:
             activity=0.5,
             array_utilization=0.9,
             power=power,
-            error_bound=None,
         )
         row = decision_to_row(decision)
         encoded = rows_to_records({(1, 1, 1): row})
@@ -176,7 +154,7 @@ class TestCorruption:
         writer = DecisionStore(tmp_path)
         writer.put_many(
             key,
-            {(m, m, m): [1, 1] + [0.0] * 13 + [None] for m in range(1, 20)},
+            {(m, m, m): [1, 1] + [0.0] * 13 for m in range(1, 20)},
         )
         shard = next(tmp_path.glob("decisions-*.npy"))
         shard.write_bytes(shard.read_bytes()[:64])  # header survives, data gone
@@ -187,7 +165,7 @@ class TestCorruption:
 
     def test_unreadable_sidecar_warns_and_counts(self, tmp_path):
         key = ("cfg",)
-        DecisionStore(tmp_path).put_many(key, {(1, 1, 1): [1, 1] + [0.0] * 13 + [None]})
+        DecisionStore(tmp_path).put_many(key, {(1, 1, 1): [1, 1] + [0.0] * 13})
         next(tmp_path.glob("decisions-*.meta.json")).write_text("{not json")
         reader = DecisionStore(tmp_path)
         with pytest.warns(RuntimeWarning, match="meta.json"):
@@ -197,7 +175,7 @@ class TestCorruption:
     def test_wrong_dtype_payload_is_corrupt_not_misread(self, tmp_path):
         key = ("cfg",)
         store = DecisionStore(tmp_path)
-        store.put_many(key, {(1, 1, 1): [1, 1] + [0.0] * 13 + [None]})
+        store.put_many(key, {(1, 1, 1): [1, 1] + [0.0] * 13})
         shard = next(tmp_path.glob("decisions-*.npy"))
         np.save(open(shard, "wb"), np.zeros(4))  # plain float64 vector
         reader = DecisionStore(tmp_path)
@@ -216,7 +194,6 @@ def _stress_writer(args):
             {
                 (worker, round_index, offset): [1, worker + 1]
                 + [float(round_index)] * 13
-                + [None]
                 for offset in range(5)
             },
         )
@@ -265,7 +242,7 @@ class TestConcurrentWriters:
         def write(worker):
             for i in range(20):
                 store.put_many(
-                    key, {(worker, i, 0): [1, 1] + [float(worker)] * 13 + [None]}
+                    key, {(worker, i, 0): [1, 1] + [float(worker)] * 13}
                 )
 
         threads = [threading.Thread(target=write, args=(w,)) for w in range(4)]
@@ -280,7 +257,7 @@ class TestConcurrentWriters:
         """The store object itself crosses process boundaries (sweeps ship
         backend+store to workers), reopening the same directory."""
         store = DecisionStore(tmp_path)
-        store.put_many(("p",), {(1, 1, 1): [1, 1] + [0.0] * 13 + [None]})
+        store.put_many(("p",), {(1, 1, 1): [1, 1] + [0.0] * 13})
         clone = pickle.loads(pickle.dumps(store))
         assert clone.get(("p",), 1, 1, 1) is not None
 
@@ -302,14 +279,3 @@ class TestWarmEqualsCold:
         warm = BatchedCachedBackend(store=DecisionStore(tmp_path))
         assert warm.schedule_model(self.WORKLOAD, config).layers == reference.layers
         assert warm.cache_info()["misses"] == 0
-
-    def test_sampled_warm_equals_cold_with_error_bounds(self, tmp_path):
-        config = ArrayFlexConfig(rows=16, cols=16)
-        cold = SampledSimBackend(store=DecisionStore(tmp_path), sample_fraction=0.25)
-        reference = cold.schedule_model(self.WORKLOAD, config)
-        assert any(layer.error_bound is not None for layer in reference.layers)
-        warm = SampledSimBackend(store=DecisionStore(tmp_path), sample_fraction=0.25)
-        schedule = warm.schedule_model(self.WORKLOAD, config)
-        assert schedule.layers == reference.layers  # error_bound included
-        assert warm.cache_info()["misses"] == 0
-        assert warm.cache_info()["store_hits"] > 0

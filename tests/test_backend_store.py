@@ -10,13 +10,12 @@ from repro.backends import AnalyticalBackend, BatchedCachedBackend
 from repro.backends.decisions import DECISION_ROW_WIDTH
 from repro.backends.store import CACHE_VERSION, DecisionStore, default_cache_dir
 from repro.core.config import ArrayFlexConfig
-from repro.nn.gemm_mapping import GemmShape
 from repro.nn.models import resnet34
 
 
-def make_row(value: float = 1.0, error_bound: float | None = None) -> list:
-    """A well-formed decision row (the v4 16-column layout) for store tests."""
-    row = [2, 100, 1.7, 58.8, 3.5, 0.5, 0.9] + [float(value)] * 8 + [error_bound]
+def make_row(value: float = 1.0) -> list:
+    """A well-formed decision row (the v5 15-column layout) for store tests."""
+    row = [2, 100, 1.7, 58.8, 3.5, 0.5, 0.9] + [float(value)] * 8
     assert len(row) == DECISION_ROW_WIDTH
     return row
 
@@ -68,18 +67,6 @@ class TestRoundTrip:
         key = config.cache_key()
         DecisionStore(tmp_path).put_many(key, {(1, 2, 3): make_row(2.5)})
         assert DecisionStore(tmp_path).get(key, 1, 2, 3) == make_row(2.5)
-
-    def test_error_bound_round_trips_including_none(self, tmp_path, config):
-        """The nullable column survives the NaN encoding in both states."""
-        key = config.cache_key()
-        DecisionStore(tmp_path).put_many(
-            key,
-            {(1, 1, 1): make_row(1.0, error_bound=None),
-             (2, 2, 2): make_row(1.0, error_bound=0.0125)},
-        )
-        fresh = DecisionStore(tmp_path)
-        assert fresh.get(key, 1, 1, 1)[-1] is None
-        assert fresh.get(key, 2, 2, 2)[-1] == 0.0125
 
     def test_shard_payload_is_columnar_npy(self, tmp_path, store, config):
         """The v2 on-disk payload is a structured array, mmap-readable."""
@@ -286,12 +273,14 @@ class TestVersioning:
         assert CACHE_VERSION != "1.1"  # the six-number flat-row era
 
     def test_error_bound_column_bumped_the_decision_model_version(self):
-        """The sampled backend widened rows with the error_bound column
-        (v3); pre-widening shards must be orphaned by the version key."""
+        """Rows were widened with a nullable error-bound column (v3) and
+        narrowed back to fifteen columns when it went (v5); shards of
+        either neighbouring layout must be orphaned by the version key."""
         from repro.backends.store import DECISION_MODEL_VERSION
 
-        assert DECISION_MODEL_VERSION >= 3
-        assert CACHE_VERSION != "1.2"  # the 15-column pre-error_bound era
+        assert DECISION_MODEL_VERSION >= 5
+        assert CACHE_VERSION != "1.2"  # the 15-column JSON era
+        assert CACHE_VERSION != "2.4"  # the 16-column columnar era
 
     def test_columnar_rewrite_bumped_both_versions(self):
         """The v2 columnar format re-encoded rows (v4) and changed the
@@ -481,63 +470,51 @@ class TestBackendIntegration:
         assert clone.schedule_model(model, config).layers == reference.layers
 
 
-class TestSampledStoreKeys:
-    """Sampled-backend rows are keyed by the sampling parameters: a row
-    written under one seed or fraction can never answer a lookup made
-    under another (the cache-key collision the PR exists to prevent)."""
+class TestConcurrentReplace:
+    """A merge's ``os.replace`` racing a reader's open of the same shard."""
 
-    WORKLOAD = [
-        GemmShape(m=20, n=33, t=6, name="edge-both"),
-        GemmShape(m=24, n=40, t=300, name="tall"),
-        GemmShape(m=7, n=50, t=3, name="edge-n"),
-    ]
+    def test_replace_between_header_read_and_map_reads_one_file(
+        self, tmp_path, config, monkeypatch
+    ):
+        """The reader maps the file whose header it read, even when a
+        concurrent merge swaps a smaller shard into place in between:
+        no corrupt-shard warning, and the view holds one file's rows."""
+        import warnings
 
-    @staticmethod
-    def _backend(tmp_path, **kwargs):
-        from repro.backends import SampledSimBackend
+        import numpy as np
 
-        return SampledSimBackend(store=DecisionStore(tmp_path), **kwargs)
+        from repro.backends import store as store_module
 
-    def test_same_parameters_warm_start_from_disk(self, tmp_path):
-        small = ArrayFlexConfig(rows=16, cols=16)
-        cold = self._backend(tmp_path, sample_seed=4)
-        reference = cold.schedule_model(self.WORKLOAD, small)
-        warm = self._backend(tmp_path, sample_seed=4)
-        assert warm.schedule_model(self.WORKLOAD, small).layers == reference.layers
-        info = warm.cache_info()
-        assert info["store_hits"] > 0
-        assert info["misses"] == 0
+        key = config.cache_key()
+        original = {(m, m, m): make_row(float(m)) for m in range(1, 41)}
+        DecisionStore(tmp_path).put_many(key, original)
+        other = tmp_path / "other"
+        DecisionStore(other).put_many(
+            key, {(m, m, m): make_row(-1.0) for m in range(1, 11)}
+        )
+        shard = next(tmp_path.glob("decisions-*.npy"))
+        replacement = other / shard.name
+        # Forget the writer's cached view so the reader opens the file.
+        monkeypatch.setattr(store_module, "_VIEW_CACHE", {})
+        real_memmap = np.memmap
+        swaps = []
 
-    @pytest.mark.parametrize(
-        "other_kwargs",
-        [
-            {"sample_seed": 5},
-            {"sample_fraction": 0.5},
-            {"min_tiles_per_shape": 3},
-            {"max_probe_t": 16},
-            {"error_target": 0.01},
-        ],
-    )
-    def test_different_sampling_parameters_never_share_rows(self, tmp_path, other_kwargs):
-        small = ArrayFlexConfig(rows=16, cols=16)
-        writer = self._backend(tmp_path, sample_seed=4)
-        writer.schedule_model(self.WORKLOAD, small)
-        reader = self._backend(tmp_path, **{"sample_seed": 4, **other_kwargs})
-        reader.schedule_model(self.WORKLOAD, small)
-        info = reader.cache_info()
-        assert info["store_hits"] == 0  # rejected: different shard key
-        assert info["misses"] > 0
-        # Both parameter sets own separate shards in the same directory.
-        assert DecisionStore(tmp_path).stats()["shards"] == 2
+        def swap_then_map(*args, **kwargs):
+            if not swaps:
+                swaps.append(shard)
+                os.replace(replacement, shard)
+            return real_memmap(*args, **kwargs)
 
-    def test_sampled_and_batched_rows_never_collide(self, tmp_path):
-        small = ArrayFlexConfig(rows=16, cols=16)
-        sampled = self._backend(tmp_path)
-        sampled.schedule_model(self.WORKLOAD, small)
-        batched = BatchedCachedBackend(store=DecisionStore(tmp_path))
-        batched.schedule_model(self.WORKLOAD, small)
-        assert batched.cache_info()["store_hits"] == 0
-        assert DecisionStore(tmp_path).stats()["shards"] == 2
+        monkeypatch.setattr(np, "memmap", swap_then_map)
+        reader = DecisionStore(tmp_path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            view = reader.load(key)
+        assert swaps == [shard]  # the swap really happened mid-read
+        assert [str(w.message) for w in caught] == []
+        assert reader.counters()["corrupt_loads"] == 0
+        assert sorted(view.keys()) == sorted(original)
+        assert all(view.get(gemm) == row for gemm, row in original.items())
 
 
 class TestAttachStore:

@@ -3,10 +3,9 @@
 The contract under test: every backend implements the same
 ``schedule_layer`` / ``schedule_model`` protocol and every registered
 backend is *numerically interchangeable* — the batched/cached backend
-bit-identically, the cycle-accurate backend because the simulator is
-cycle-exact with respect to Eqs. (1)/(3), and the sampled backend
-because its seeded stratified estimator is exact on this engine.  The
-per-backend parity assertions live in one shared parametrized harness
+bit-identically, and the cycle-accurate backend because the simulator
+is cycle-exact with respect to Eqs. (1)/(3).  The per-backend parity
+assertions live in one shared parametrized harness
 (``tests/backend_harness.py``) that runs every ``BACKENDS`` entry
 through the same workload/config matrix, so future backends get parity
 coverage by registering one factory there.
@@ -59,8 +58,8 @@ def batched():
 
 
 class TestRegistry:
-    def test_names_cover_the_four_backends(self):
-        assert set(BACKENDS) == {"analytical", "batched", "cycle", "sampled"}
+    def test_names_cover_the_three_backends(self):
+        assert set(BACKENDS) == {"analytical", "batched", "cycle"}
 
     def test_every_registered_backend_has_parity_coverage(self):
         """Registering a backend without a harness factory fails loudly."""

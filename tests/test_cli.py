@@ -138,80 +138,16 @@ class TestBackendFlag:
         assert main(["compare", "--model", "resnet34", "--backend", "batched"]) == 0
         assert "batched backend" in capsys.readouterr().out
 
-    def test_compare_sampled_backend_small_array(self, capsys):
-        assert (
-            main(
-                [
-                    "--backend", "sampled",
-                    "--sample-fraction", "0.25",
-                    "--sample-seed", "7",
-                    "compare",
-                    "--rows", "16",
-                    "--cols", "16",
-                    "--model", "mobilenet_v1",
-                ]
-            )
-            == 0
-        )
-        assert "sampled backend" in capsys.readouterr().out
-
-    def test_sampled_flags_configure_the_backend(self):
-        from repro.cli import _resolve_backend
-
-        args = build_parser().parse_args(
-            ["--backend", "sampled", "--sample-fraction", "0.5", "--sample-seed", "3", "info"]
-        )
-        backend = _resolve_backend(args)
-        assert backend.sample_fraction == 0.5
-        assert backend.sample_seed == 3
-
-    def test_error_target_and_min_tiles_flags_configure_the_backend(self):
-        from repro.cli import _resolve_backend
-
-        args = build_parser().parse_args(
-            ["--backend", "sampled", "--error-target", "0.02",
-             "--min-tiles-per-shape", "4", "info"]
-        )
-        backend = _resolve_backend(args)
-        assert backend.error_target == 0.02
-        assert backend.min_tiles_per_shape == 4
-
-    def test_error_target_auto_mode_runs_end_to_end(self, capsys):
-        assert (
-            main(
-                [
-                    "--backend", "sampled",
-                    "--error-target", "0.05",
-                    "compare",
-                    "--rows", "16",
-                    "--cols", "16",
-                    "--model", "mobilenet_v1",
-                ]
-            )
-            == 0
-        )
-        assert "sampled backend" in capsys.readouterr().out
-
-    def test_sampling_flags_require_sampled_backend(self):
-        with pytest.raises(ValueError, match="requires --backend sampled"):
-            main(["--sample-seed", "3", "compare", "--model", "resnet34"])
-        with pytest.raises(ValueError, match="requires --backend sampled"):
-            main(
-                ["--backend", "batched", "--sample-fraction", "0.5",
-                 "compare", "--model", "resnet34"]
-            )
-        with pytest.raises(ValueError, match="requires --backend sampled"):
-            main(["--error-target", "0.05", "compare", "--model", "resnet34"])
-        with pytest.raises(ValueError, match="requires --backend sampled"):
-            main(
-                ["--backend", "cycle", "--min-tiles-per-shape", "4",
-                 "compare", "--model", "resnet34"]
-            )
+    def test_sampled_backend_choice_is_a_parse_error(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--backend", "sampled", "info"])
+        assert excinfo.value.code == 2
 
     def test_batch_rejects_stray_sampling_flags(self):
-        with pytest.raises(ValueError, match="requires --backend sampled"):
+        with pytest.raises(SystemExit) as excinfo:
             main(["--sample-seed", "3", "batch", "--models", "resnet34",
                   "--sizes", "64x64", "--no-cache"])
+        assert excinfo.value.code == 2
 
     @pytest.mark.parametrize(
         "command",
@@ -232,11 +168,11 @@ class TestBackendFlag:
         ids=lambda command: command[0],
     )
     def test_every_command_rejects_stray_sampling_flags(self, command):
-        """No command may silently ignore the sampling flags — including the
-        ones that never build a scheduling backend at all (workloads, cache,
-        client, trace summary), which used to accept and discard them."""
-        with pytest.raises(ValueError, match="requires --backend sampled"):
+        """The sampling flags left with the sampled backend: every command
+        refuses them as a parse error (exit 2), never a silent no-op."""
+        with pytest.raises(SystemExit) as excinfo:
             main(["--sample-seed", "3", *command])
+        assert excinfo.value.code == 2
 
     @pytest.mark.parametrize(
         "command, reason",
@@ -251,18 +187,7 @@ class TestBackendFlag:
         """Commands that schedule nothing must say so instead of silently
         building (then discarding) the requested backend."""
         with pytest.raises(ValueError, match=reason):
-            main(["--backend", "sampled", *command])
-
-    def test_experiment_sampled_registered(self):
-        from repro.cli import EXPERIMENT_FACTORIES
-
-        assert "sampled" in EXPERIMENT_FACTORIES
-
-    def test_experiment_sampled_rejects_other_explicit_backends(self):
-        """The accuracy experiment must not silently swap in the default
-        sampled backend when another backend was explicitly requested."""
-        with pytest.raises(ValueError, match="not supported here"):
-            main(["--backend", "cycle", "experiment", "sampled"])
+            main(["--backend", "cycle", *command])
 
 
 class TestWorkloadsCommand:
@@ -511,8 +436,9 @@ class TestCacheCommand:
             main(["--backend", "batched", "--cache-dir", str(tmp_path), "cache", "stats"])
 
     def test_cache_rejects_stray_sampling_flags(self, tmp_path):
-        with pytest.raises(ValueError):
+        with pytest.raises(SystemExit) as excinfo:
             main(["--sample-fraction", "0.1", "--cache-dir", str(tmp_path), "cache", "stats"])
+        assert excinfo.value.code == 2
 
 
 class TestAblateCommand:
@@ -574,15 +500,6 @@ class TestAblateCommand:
                     "--component", "backend=batched:analytical",
                 ]
             )
-
-    def test_sampling_component_runs_with_sampled_backend(self, capsys):
-        assert main(
-            [
-                "--backend", "sampled", "--sample-fraction", "0.25", *self.FAST,
-                "--component", "sample_seed=0:1",
-            ]
-        ) == 0
-        assert "sample_seed=1" in capsys.readouterr().out
 
     def test_rejects_cache_dir(self, tmp_path):
         with pytest.raises(ValueError, match="cache"):

@@ -1,6 +1,6 @@
 """Tests of the declarative ablation/importance harness.
 
-Covers the four pillars the harness promises:
+Covers the three pillars the harness promises:
 
 * run-set generation is a pure, validated function of the declaration
   (baseline plus one-off, optional pairwise grid, stable run ids);
@@ -8,11 +8,7 @@ Covers the four pillars the harness promises:
   with results identical to direct backend calls, under either executor
   kind and any submission order (determinism), and without tripping the
   deprecated serve aliases (``-W error::DeprecationWarning`` clean);
-* importance/significance math: per-component deltas, error-bound-aware
-  significance, EDP's doubled bound weight;
-* ``ModelTotals.error_bound`` aggregation when a run mixes sampled and
-  exact strata — the generic schedule path, the sampled fast path and
-  the run-level aggregate must all report the same time-weighted bound.
+* importance math: per-component deltas relative to the baseline.
 """
 
 import json
@@ -20,8 +16,7 @@ import warnings
 
 import pytest
 
-from repro.backends import ModelTotals, SampledSimBackend
-from repro.backends.base import ExecutionBackend
+from repro.backends import ModelTotals
 from repro.core.config import ArrayFlexConfig
 from repro.eval.ablation import (
     METRICS,
@@ -34,7 +29,6 @@ from repro.eval.ablation import (
     default_study,
     format_value,
 )
-from repro.nn.gemm_mapping import GemmShape
 
 
 def tiny_study(**overrides) -> AblationStudy:
@@ -128,14 +122,6 @@ class TestDeclaration:
         with pytest.raises(ValueError, match="executor"):
             tiny_study(executor="fleet")
 
-    def test_sampling_knob_requires_sampled_backend(self):
-        study = AblationStudy(
-            components=[Component("sample_seed", 0, (1,))],
-            fixed={"workloads": ("mobilenet_v1",), "backend": "batched"},
-        )
-        with pytest.raises(ValueError, match="requires the 'sampled' backend"):
-            study.run()
-
 
 class TestExecution:
     @pytest.fixture(scope="class")
@@ -161,11 +147,10 @@ class TestExecution:
         assert scores == sorted(scores, reverse=True)
         assert [entry.rank for entry in outcome.ranking] == [1, 2]
 
-    def test_exact_backend_deltas_are_significant(self, outcome):
-        # Zero sampling noise: any nonzero delta clears the zero-width bound.
+    def test_flipped_knob_moves_the_metric(self, outcome):
         entry = next(e for e in outcome.ranking if e.component == "geometry")
         assert entry.score > 0.0
-        assert entry.significant("edp")
+        assert entry.driver.run_id == "geometry=32x32"
 
     def test_render_mentions_every_run_and_component(self, outcome):
         text = outcome.render()
@@ -228,30 +213,16 @@ class TestDeterminism:
         with pytest.raises(ValueError, match="permutation"):
             tiny_study().run(order=["baseline"])
 
-    def test_sampled_study_reproduces_bit_identically(self):
-        study = AblationStudy(
-            components=[Component("sample_seed", 0, (3,))],
-            fixed={
-                "workloads": ("mobilenet_v1",),
-                "geometry": (16, 16),
-                "backend": "sampled",
-                "sample_fraction": 0.25,
-            },
-        )
-        assert study.run().to_json() == study.run().to_json()
-
 
 class TestImportanceMath:
-    def totals_run(self, run_id, time_ns, energy_nj, bound=None, overrides=()):
+    def totals_run(self, run_id, time_ns, energy_nj, overrides=()):
         return RunResult(
             spec=RunSpec(run_id=run_id, overrides=tuple(overrides)),
             settings={},
             workloads=[
                 WorkloadRun(
                     name="w",
-                    result=ModelTotals(
-                        time_ns=time_ns, energy_nj=energy_nj, error_bound=bound
-                    ),
+                    result=ModelTotals(time_ns=time_ns, energy_nj=energy_nj),
                 )
             ],
         )
@@ -265,131 +236,11 @@ class TestImportanceMath:
         # EDP: (40*150)/(50*100) - 1 = 0.2
         assert delta.deltas["edp"] == pytest.approx(0.2)
 
-    def test_exact_runs_have_zero_noise_and_significance(self):
+    def test_identical_runs_have_zero_deltas(self):
         baseline = self.totals_run("baseline", 100.0, 50.0)
         same = self.totals_run("batch=2", 100.0, 50.0, overrides=[("batch", 2)])
         delta = _delta(baseline, same)
-        assert all(delta.noise[m] == 0.0 for m in METRICS)
-        assert not any(delta.significant[m] for m in METRICS)
-
-    def test_delta_inside_the_error_bound_is_not_significant(self):
-        baseline = self.totals_run("baseline", 100.0, 50.0, bound=0.05)
-        run = self.totals_run(
-            "sample_seed=1", 103.0, 51.5, bound=0.05, overrides=[("sample_seed", 1)]
-        )
-        delta = _delta(baseline, run)
-        # 3% delta against a 10% combined bound: noise, not signal.
-        assert delta.noise["latency"] == pytest.approx(0.1)
-        assert not delta.significant["latency"]
-        # EDP doubles the bound weight (time enters twice).
-        assert delta.noise["edp"] == pytest.approx(0.2)
-        assert not delta.significant["edp"]
-
-    def test_delta_beyond_the_error_bound_is_significant(self):
-        baseline = self.totals_run("baseline", 100.0, 50.0, bound=0.02)
-        run = self.totals_run(
-            "sample_seed=1", 130.0, 65.0, bound=0.02, overrides=[("sample_seed", 1)]
-        )
-        delta = _delta(baseline, run)
-        assert delta.significant["latency"]
-        assert delta.significant["energy"]
-
-    def test_run_level_bound_mixes_exact_and_sampled_workloads(self):
-        """An exact workload is a zero-width stratum at its time weight."""
-        run = RunResult(
-            spec=RunSpec(run_id="baseline"),
-            settings={},
-            workloads=[
-                WorkloadRun(
-                    name="exact",
-                    result=ModelTotals(time_ns=100.0, energy_nj=1.0, error_bound=None),
-                ),
-                WorkloadRun(
-                    name="sampled",
-                    result=ModelTotals(time_ns=300.0, energy_nj=2.0, error_bound=0.04),
-                ),
-            ],
-        )
-        assert run.error_bound == pytest.approx(0.04 * 300.0 / 400.0)
-
-
-class TestErrorBoundAggregation:
-    """The zero-bound/nonzero-bound mixing regression (PR 9 follow-up)."""
-
-    @pytest.fixture
-    def noisy_backend(self, monkeypatch):
-        """A sampled backend whose engine has one high-variance stratum.
-
-        The real cycle engine is deterministic per tile shape, so bounds
-        collapse to zero; injecting variance (same trick as the Neyman
-        tests) makes one layer carry a genuinely nonzero bound while
-        small layers stay exhaustive (zero bound) — the mixed run.
-        """
-        backend = SampledSimBackend(sample_fraction=0.1)
-
-        def synthetic(config, depth, t_rows, items):
-            return [
-                1_000 * n + 10 * m + ((index % 5) * 40 if n == m == 16 else 0)
-                for n, m, index in items
-            ]
-
-        monkeypatch.setattr(backend, "_simulate_batch", synthetic)
-        return backend
-
-    @pytest.fixture
-    def mixed_model(self):
-        return [
-            GemmShape(m=6, n=7, t=9, name="tiny-exhaustive"),
-            GemmShape(m=410, n=410, t=20, name="hetero-sampled"),
-        ]
-
-    def test_run_genuinely_mixes_zero_and_nonzero_bounds(
-        self, noisy_backend, mixed_model
-    ):
-        config = ArrayFlexConfig(rows=16, cols=16)
-        schedule = noisy_backend.schedule_model(mixed_model, config, model_name="mix")
-        bounds = [layer.error_bound for layer in schedule.layers]
-        assert bounds[0] == 0.0
-        assert bounds[1] > 0.0
-
-    def test_combined_bound_is_the_time_weighted_mean(
-        self, noisy_backend, mixed_model
-    ):
-        config = ArrayFlexConfig(rows=16, cols=16)
-        schedule = noisy_backend.schedule_model(mixed_model, config, model_name="mix")
-        expected = sum(
-            (layer.error_bound or 0.0) * layer.execution_time_ns
-            for layer in schedule.layers
-        ) / schedule.total_time_ns
-        assert schedule.combined_error_bound() == pytest.approx(expected)
-        assert 0.0 < schedule.combined_error_bound() < schedule.max_error_bound()
-
-    def test_generic_and_fast_totals_paths_agree(self, noisy_backend, mixed_model):
-        """The asymmetry fix: the generic schedule-then-sum path must
-        carry the same combined bound as the sampled fast path."""
-        config = ArrayFlexConfig(rows=16, cols=16)
-        fast = noisy_backend.schedule_model_totals(mixed_model, config, model_name="mix")
-        generic = ExecutionBackend.schedule_model_totals(
-            noisy_backend, mixed_model, config, model_name="mix"
-        )
-        assert generic.time_ns == fast.time_ns
-        assert generic.energy_nj == fast.energy_nj
-        assert generic.error_bound == pytest.approx(fast.error_bound)
-        assert fast.error_bound > 0.0
-
-    def test_exact_backends_still_report_no_bound(self):
-        config = ArrayFlexConfig(rows=16, cols=16)
-        from repro.backends import create_backend, model_totals
-
-        totals = model_totals(create_backend("analytical"), "mobilenet_v1", config)
-        assert totals.error_bound is None
-
-    def test_all_exact_layers_combine_to_none(self):
-        from repro.backends import create_backend
-
-        config = ArrayFlexConfig(rows=16, cols=16)
-        schedule = create_backend("batched").schedule_model("mobilenet_v1", config)
-        assert schedule.combined_error_bound() is None
+        assert all(delta.deltas[m] == 0.0 for m in METRICS)
 
 
 class TestActivityRefactor:

@@ -129,41 +129,6 @@ class TestScheduleMany:
         assert schedules[1].layers == reference[("ResNet-34", True)].layers
 
 
-class TestBackendIdentityInDedupKeys:
-    """Dedup keys fold in the backend's ``decision_identity()``: sampled
-    results estimated under one seed/fraction are never keyed like
-    another's, while the exact backends keep their historical keys."""
-
-    @staticmethod
-    def _key(service, config):
-        request = ScheduleRequest(model=resnet34(), config=config)
-        key, future, _ = service._submit_keyed(request)
-        future.result()
-        return key
-
-    def test_exact_backends_have_empty_identity(self, config):
-        with SchedulingService() as service:
-            assert service._backend_identity == ()
-            assert self._key(service, config)[-1] == ()
-
-    def test_sampled_seed_and_fraction_distinguish_keys(self, config):
-        from repro.backends import SampledSimBackend
-
-        small = config.with_size(16, 16)
-        keys = []
-        for backend in (
-            SampledSimBackend(sample_seed=0),
-            SampledSimBackend(sample_seed=1),
-            SampledSimBackend(sample_seed=0, sample_fraction=0.5),
-        ):
-            with SchedulingService(backend=backend) as service:
-                keys.append(self._key(service, small))
-        assert len(set(keys)) == 3
-        # Same parameters produce the same key (cross-service identity).
-        with SchedulingService(backend=SampledSimBackend(sample_seed=0)) as service:
-            assert self._key(service, small) == keys[0]
-
-
 class TestConcurrency:
     def test_concurrent_schedule_many_is_safe_and_exact(self, config, reference):
         """Many threads hammering one service agree with the reference."""
@@ -252,17 +217,20 @@ class TestStats:
 
     def test_close_flushes_buffered_store_rows(self, config, tmp_path):
         """A closed service leaves everything it derived on disk, even
-        rows a buffering backend had not yet merged."""
-        from repro.backends import SampledSimBackend
+        rows its backend's store had buffered but not yet merged."""
+        from repro.backends.decisions import decision_to_row
 
-        backend = SampledSimBackend(store=DecisionStore(tmp_path))
+        backend = BatchedCachedBackend(store=DecisionStore(tmp_path))
         service = SchedulingService(backend=backend)
         small = ArrayFlexConfig(rows=16, cols=16)
-        gemms = [GemmShape(m=20, n=33, t=6)]
-        # schedule_layer alone buffers without a model-boundary flush.
-        service.backend.schedule_layer(gemms[0], small)
+        gemm = GemmShape(m=20, n=33, t=6)
+        decision = BatchedCachedBackend()._decide_batch([gemm], small)[0]
+        backend.store.put(
+            small.cache_key(), (gemm.m, gemm.n, gemm.t), decision_to_row(decision)
+        )
+        assert not list(tmp_path.glob("decisions-*.npy"))  # buffered only
         service.close()
-        assert DecisionStore(tmp_path).stats()["entries"] > 0
+        assert DecisionStore(tmp_path).stats()["entries"] == 1
 
 
 class TestTotalsOnly:

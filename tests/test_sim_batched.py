@@ -2,9 +2,10 @@
 
 ``CycleAccurateSystolicArray.simulate_tiles`` replays the value
 datapath's closed-form trajectory (one integer matmul per batch) instead
-of stepping registers cycle by cycle; every backend probe, calibration
-and GEMM execution routes through it.  These property tests pin the
-contract the whole stack relies on: for random ``(T, n, m, k, R, C)``
+of stepping registers cycle by cycle; functional GEMM execution
+(``SimulationEngine``, ``run_tiled_gemm``) routes through it, while the
+cycle backend calibrates on the scalar ``simulate_tile``.  These property
+tests pin the contract both paths rely on: for random ``(T, n, m, k, R, C)``
 batches the batched path is **bit-identical** to a scalar
 ``simulate_tile`` loop — the output tiles, every
 :class:`~repro.sim.stats.SimulationStats` field and the collapse depth —
