@@ -38,12 +38,14 @@ def test_obs_overhead(benchmark):
     assert sweep_under_tracer(disabled) == reference
     assert sweep_under_tracer(enabled) == reference  # tracing never changes results
     names = {span.name for span in enabled.drain()}
-    assert "explorer.explore" in names and "backend.model_totals" in names, names
+    assert "explorer.explore" in names and "backend.suite_totals" in names, names
 
     # Interleaved best-of-N: machine-load drift hits every regime
-    # symmetrically instead of biasing whichever ran last.
+    # symmetrically instead of biasing whichever ran last.  One sweep
+    # takes only a few milliseconds, so N is large enough for each
+    # regime's minimum to settle on a shared machine.
     bypass_s = disabled_s = enabled_s = float("inf")
-    for _ in range(7):
+    for _ in range(15):
         start = time.perf_counter()
         sweep_under_tracer(bypass)
         bypass_s = min(bypass_s, time.perf_counter() - start)

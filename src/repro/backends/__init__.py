@@ -89,8 +89,8 @@ def model_totals(
 ) -> ModelTotals:
     """Aggregate time/energy of one run, via the backend's fast path.
 
-    The single duck-typing shim shared by every totals consumer (the
-    design-space explorer, the serving front-end): backends exposing
+    The single duck-typing shim shared by every per-model totals consumer
+    (the serving front-end, :func:`suite_totals`): backends exposing
     ``schedule_model_totals`` use it directly (the batched one skips
     per-layer object construction); bare protocol implementations get
     the base class's materialise-and-sum generic bound to them, so the
@@ -100,6 +100,31 @@ def model_totals(
     if fast is None:
         fast = ExecutionBackend.schedule_model_totals.__get__(backend)
     return fast(model, config, model_name=model_name, conventional=conventional)
+
+
+def suite_totals(
+    backend: ExecutionBackend | ExecutionBackendProtocol,
+    models,
+    config,
+) -> list[tuple[ModelTotals, ModelTotals]]:
+    """(ArrayFlex, conventional) totals of each model on one configuration.
+
+    What a design-space explorer scores per point.  Backends exposing
+    ``schedule_suite_totals`` use it (the batched one decides the whole
+    suite in one pass); every other backend — analytical, cycle,
+    duck-typed protocol implementations — pairs :func:`model_totals`
+    calls per model.  Bit-identical either way.
+    """
+    fast = getattr(backend, "schedule_suite_totals", None)
+    if fast is not None:
+        return fast(models, config)
+    return [
+        (
+            model_totals(backend, model, config),
+            model_totals(backend, model, config, conventional=True),
+        )
+        for model in models
+    ]
 
 
 def create_backend(
@@ -143,4 +168,5 @@ __all__ = [
     "attach_store",
     "create_backend",
     "model_totals",
+    "suite_totals",
 ]

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -206,6 +207,20 @@ def _conventional_power_vectors(
         "leakage": np.full(len(activity), num_pes * leakage_mw),
         "total_mw": num_pes * (dynamic + leakage_mw),
     }
+
+
+def _accumulate(layers: Iterable[tuple[float, float]]) -> ModelTotals:
+    """Totals of per-layer ``(power_mw, time_ns)`` pairs, summed in layer order.
+
+    The same left-to-right accumulation as the ``ModelSchedule`` property
+    sums, so every totals path of this backend is bit-identical to them.
+    """
+    time_ns = 0.0
+    energy_nj = 0.0
+    for power, layer_time in layers:
+        time_ns += layer_time
+        energy_nj += power * layer_time / 1000.0
+    return ModelTotals(time_ns=time_ns, energy_nj=energy_nj)
 
 
 def _breakdown_at(power: dict[str, np.ndarray], i: int) -> ArrayPowerBreakdown:
@@ -392,11 +407,38 @@ class BatchedCachedBackend(ExecutionBackend):
         with span:
             return self._totals(gemms, config, conventional)
 
+    def schedule_suite_totals(
+        self, models: list[WorkloadArgument], config: ArrayFlexConfig
+    ) -> list[tuple[ModelTotals, ModelTotals]]:
+        """(ArrayFlex, conventional) totals of every model on one configuration.
+
+        A design point of a sweep scores a whole workload suite, so the
+        ArrayFlex decisions of all its models come from one
+        :meth:`_decide_batch` over their concatenated GEMMs: one cache and
+        store pass, one mode search and at most one store merge per
+        configuration, instead of one of each per model.  Each model's
+        slice is then summed in layer order, so every pair equals its
+        :meth:`schedule_model_totals` counterparts bit for bit.
+        """
+        resolved = [resolve_workload(model)[0] for model in models]
+        suite = [gemm for gemms in resolved for gemm in gemms]
+        span = get_tracer().span(
+            "backend.suite_totals", backend=self.name, models=len(resolved), layers=len(suite)
+        )
+        with span:
+            decisions = self._decide_batch(suite, config)
+            pairs = []
+            start = 0
+            for gemms in resolved:
+                own = decisions[start : start + len(gemms)]
+                start += len(gemms)
+                arrayflex = _accumulate((d.power_mw, d.execution_time_ns) for d in own)
+                pairs.append((arrayflex, self._totals(gemms, config, conventional=True)))
+        return pairs
+
     def _totals(
         self, gemms: list[GemmShape], config: ArrayFlexConfig, conventional: bool
     ) -> ModelTotals:
-        time_ns = 0.0
-        energy_nj = 0.0
         if conventional:
             parts = self.components(config)
             rows, cols = config.rows, config.cols
@@ -413,15 +455,10 @@ class BatchedCachedBackend(ExecutionBackend):
                 frequency,
                 parts.energy.power_model.conventional_pe_leakage_mw(),
             )["total_mw"]
-            for power, layer_time in zip(powers.tolist(), (cycles * period_ns).tolist()):
-                time_ns += layer_time
-                energy_nj += power * layer_time / 1000.0
-        else:
-            for decision in self._decide_batch(gemms, config):
-                layer_time = decision.execution_time_ns
-                time_ns += layer_time
-                energy_nj += decision.power_mw * layer_time / 1000.0
-        return ModelTotals(time_ns=time_ns, energy_nj=energy_nj)
+            return _accumulate(zip(powers.tolist(), (cycles * period_ns).tolist()))
+        return _accumulate(
+            (d.power_mw, d.execution_time_ns) for d in self._decide_batch(gemms, config)
+        )
 
     # ------------------------------------------------------------------ #
     # Cache bookkeeping
@@ -476,12 +513,13 @@ class BatchedCachedBackend(ExecutionBackend):
         missing: list[int] = []
         unique_keys: dict[tuple, int] = {}
         unique_gemms: list[GemmShape] = []
+        hits = store_hits = 0
         with self._lock:
             for i, (gemm, key) in enumerate(zip(gemms, keys)):
                 cached = self._cache.get(key)
                 if cached is not None:
                     self._cache.move_to_end(key)
-                    self._hits.inc()
+                    hits += 1
                     decisions[i] = cached
                     continue
                 if stored is not None:
@@ -489,14 +527,17 @@ class BatchedCachedBackend(ExecutionBackend):
                     if row is not None:
                         cached = decision_from_row(row)
                         self._cache[key] = cached
-                        self._store_hits.inc()
+                        store_hits += 1
                         decisions[i] = cached
                         continue
-                self._misses.inc()
                 missing.append(i)
                 if key not in unique_keys:
                     unique_keys[key] = len(unique_gemms)
                     unique_gemms.append(gemm)
+            # One counter update per batch, not one lock round-trip per GEMM.
+            self._hits.inc(hits)
+            self._store_hits.inc(store_hits)
+            self._misses.inc(len(missing))
             # Store hits insert too: enforce the cap on every path.
             while len(self._cache) > self.cache_size:
                 self._cache.popitem(last=False)

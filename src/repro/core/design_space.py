@@ -13,26 +13,30 @@ and scored on latency saving, power saving, EDP gain and area overhead
 relative to a conventional fixed-pipeline array of the same geometry.
 
 Evaluation runs on a pluggable execution backend (default: the batched /
-cached backend, which memoises mode decisions across design points and is
-numerically identical to the analytical reference).  Pass ``cache_dir`` to
-persist those decisions on disk, so a rerun sweep — another CLI
-invocation, a CI job — starts warm and skips the mode search entirely.
+cached backend, numerically identical to the analytical reference; it
+scores a whole point — every GEMM of every workload — in one mode search).
+Pass ``cache_dir`` to persist those decisions on disk, so a rerun sweep —
+another CLI invocation, a CI job — starts warm and skips the mode search
+entirely.
 
-Multi-point sweeps fan out through the batch-serving front-end
-(:class:`repro.serve.SchedulingService`) over a process pool: pass
-``max_workers`` explicitly, or let large candidate sets default to one
-worker per CPU.  Workers share warmth through the decision store when a
-``cache_dir`` is configured.
+Multi-point sweeps fan out over a process pool, one task per design
+point: pass ``max_workers`` explicitly, or let large candidate sets
+default to one worker per usable CPU.  With a ``cache_dir`` configured,
+each point's decisions land in the store as one merge from the one
+worker that scored it.
 """
 
 from __future__ import annotations
 
 import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from typing import TYPE_CHECKING
 
 from repro.core.config import ArrayFlexConfig
 from repro.nn.models import CnnModel
+from repro.obs.trace import call_with_context, get_tracer
 from repro.timing.area_model import AreaModel
 from repro.timing.technology import TechnologyModel
 
@@ -42,11 +46,23 @@ if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
     from repro.workloads.base import Workload
 
 #: Candidate-set size from which ``explore`` fans out over a process pool
-#: by default (when ``max_workers`` was not pinned anywhere).  Below this
-#: the serial batched path wins outright: it finishes typical sweeps in
-#: milliseconds through the totals fast path, while every pool worker
-#: pays interpreter spawn + package import before its first point.
+#: by default (when ``max_workers`` was not pinned anywhere).  The
+#: implicit fan-out only runs under ``fork``, so a worker costs no package
+#: import, but forking the pool and shipping every result back is a fixed
+#: cost that small sweeps, done serially in milliseconds, never win back.
 AUTO_PARALLEL_MIN_POINTS = 64
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on.
+
+    Its affinity mask where the platform has one, so a process pinned to
+    one CPU (``taskset``, a cgroup cpuset) stays serial; else the
+    machine's CPU count.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -141,15 +157,10 @@ class DesignSpaceExplorer:
     # ------------------------------------------------------------------ #
     def evaluate_point(self, point: DesignPoint) -> DesignPointResult:
         """Evaluate one candidate design point over the workload suite."""
+        from repro.backends import suite_totals
+
         config = self._config_for(point)
-        pairs = [
-            (
-                self._model_totals(model, config, conventional=False),
-                self._model_totals(model, config, conventional=True),
-            )
-            for model in self.models
-        ]
-        return self._aggregate(point, config, pairs)
+        return self._aggregate(point, config, suite_totals(self.backend, self.models, config))
 
     def _config_for(self, point: DesignPoint) -> ArrayFlexConfig:
         return ArrayFlexConfig(
@@ -159,13 +170,6 @@ class DesignSpaceExplorer:
             technology=self.technology,
             activity_model=self.activity_model,
         )
-
-    def _model_totals(
-        self, model: "CnnModel | Workload", config: ArrayFlexConfig, conventional: bool
-    ) -> "ModelTotals":
-        from repro.backends import model_totals
-
-        return model_totals(self.backend, model, config, conventional=conventional)
 
     def _aggregate(
         self,
@@ -211,15 +215,13 @@ class DesignSpaceExplorer:
         """Evaluate a list of candidate points (in the given order).
 
         With ``max_workers`` (here or on the constructor) greater than 1,
-        the points fan out over the batch-serving front-end's process
-        pool; results come back in input order either way.  When no
-        worker count was pinned anywhere, sweeps of at least
-        :data:`AUTO_PARALLEL_MIN_POINTS` points default to one worker per
-        CPU — the production posture for genuinely large sweeps, where
-        the per-worker spawn/import cost amortises.
+        the points fan out over a process pool; results come back in
+        input order either way.  When no worker count was pinned
+        anywhere, sweeps of at least :data:`AUTO_PARALLEL_MIN_POINTS`
+        points default to one worker per CPU this process may use — the
+        production posture for genuinely large sweeps, where the pool's
+        fixed cost amortises.
         """
-        from repro.obs.trace import get_tracer
-
         if not points:
             raise ValueError("no design points to explore")
         workers = max_workers if max_workers is not None else self.max_workers
@@ -228,7 +230,7 @@ class DesignSpaceExplorer:
             and len(points) >= AUTO_PARALLEL_MIN_POINTS
             and self._auto_parallel_safe()
         ):
-            workers = os.cpu_count() or 1
+            workers = _usable_cpus()
         parallel = workers is not None and workers > 1 and len(points) > 1
         with get_tracer().span(
             "explorer.explore",
@@ -276,38 +278,36 @@ class DesignSpaceExplorer:
     def _explore_parallel(
         self, points: list[DesignPoint], workers: int
     ) -> list[DesignPointResult]:
-        """Fan the sweep out through the batch-serving front-end.
+        """Fan the sweep out over a process pool, one task per point.
 
-        Every (point, model) pair becomes two totals-only service
-        requests (ArrayFlex and conventional) — workers run the backend's
-        totals fast path and ship two floats back instead of pickling
-        per-layer schedules.  The service deduplicates repeated pairs,
-        the backend instance shipped to each worker carries the parent's
-        cache state, and a configured decision store keeps the workers'
-        warmth shared across the pool and across runs.
+        The pool initializer installs this explorer (with its backend and
+        that backend's cache state) in every worker once; each task then
+        scores one whole point with :meth:`evaluate_point` and ships one
+        small result back.  A point's decisions therefore come from one
+        mode search and reach a configured store as one merge by one
+        worker, so concurrent workers never race on a shard's
+        read-merge-replace (equal points write equal rows).  Under an
+        enabled tracer the span context travels with every task and the
+        workers' spans are re-parented here.
         """
-        from repro.serve import SchedulingService
-
-        configs = [self._config_for(point) for point in points]
-        with SchedulingService(
-            backend=self.backend,
-            executor="process",
-            # Tasks are per (point, model, baseline), so that product — not
-            # the point count — bounds useful parallelism.
-            max_workers=min(workers, 2 * len(points) * len(self.models)),
-        ) as service:
-            pairs = [
-                (arrayflex.unwrap(), conventional.unwrap())
-                for arrayflex, conventional in service.compare(
-                    ((model, config) for config in configs for model in self.models),
-                    totals_only=True,
-                )
-            ]
-        span = len(self.models)
-        return [
-            self._aggregate(point, config, pairs[i * span : (i + 1) * span])
-            for i, (point, config) in enumerate(zip(points, configs))
-        ]
+        tracer = get_tracer()
+        with ProcessPoolExecutor(
+            max_workers=min(workers, len(points)),
+            initializer=_init_worker,
+            initargs=(self,),
+        ) as pool:
+            if not tracer.enabled:
+                return list(pool.map(_evaluate_in_worker, points))
+            results = []
+            for result, spans in pool.map(
+                call_with_context,
+                repeat(tracer.current_context()),
+                repeat(_evaluate_in_worker),
+                points,
+            ):
+                tracer.extend(spans)
+                results.append(result)
+            return results
 
     def rank(
         self, points: list[DesignPoint], objective: str = "edp_gain"
@@ -335,3 +335,18 @@ class DesignSpaceExplorer:
                         DesignPoint(rows=size, cols=size, supported_depths=depths)
                     )
         return candidates
+
+
+#: Per-worker explorer for process-pool sweeps, installed by the pool
+#: initializer so every task scores on the worker's own warm(ing) backend.
+_WORKER_EXPLORER: DesignSpaceExplorer | None = None
+
+
+def _init_worker(explorer: DesignSpaceExplorer) -> None:
+    global _WORKER_EXPLORER
+    _WORKER_EXPLORER = explorer
+
+
+def _evaluate_in_worker(point: DesignPoint) -> DesignPointResult:
+    assert _WORKER_EXPLORER is not None, "process-pool initializer did not run"
+    return _WORKER_EXPLORER.evaluate_point(point)

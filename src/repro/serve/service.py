@@ -371,8 +371,8 @@ class SchedulingService:
     ) -> list[tuple[Response, Response]]:
         """(ArrayFlex, conventional) response pairs, one per workload.
 
-        The comparison front-ends (CLI ``batch``, size sweeps, the
-        design-space explorer) all need both runs of every workload; this
+        The comparison front-ends (CLI ``batch``, size sweeps) all need
+        both runs of every workload; this
         encodes the submit/pair bookkeeping once so no caller hand-walks
         an interleaved response list.  ``timeout`` bounds the wait per
         request (see :meth:`submit_many`); a timed-out side of a pair is

@@ -25,6 +25,7 @@ from repro.backends import (
     BatchedCachedBackend,
     CycleAccurateBackend,
     model_totals,
+    suite_totals,
 )
 from repro.core.config import ArrayFlexConfig
 from repro.nn.gemm_mapping import GemmShape
@@ -124,3 +125,9 @@ def assert_backend_parity(backend, workload, config, reference=None) -> None:
     totals = model_totals(backend, workload, config, model_name=name)
     assert totals.time_ns == expected.total_time_ns
     assert totals.energy_nj == expected.total_energy_nj
+
+    [(arrayflex, baseline)] = suite_totals(backend, [workload], config)
+    assert arrayflex == totals
+    assert baseline == model_totals(
+        reference, workload, config, conventional=True, model_name=name
+    )

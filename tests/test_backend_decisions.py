@@ -177,7 +177,7 @@ class TestCorruption:
         store = DecisionStore(tmp_path)
         store.put_many(key, {(1, 1, 1): [1, 1] + [0.0] * 13})
         shard = next(tmp_path.glob("decisions-*.npy"))
-        np.save(open(shard, "wb"), np.zeros(4))  # plain float64 vector
+        np.save(shard, np.zeros(4))  # plain float64 vector
         reader = DecisionStore(tmp_path)
         with pytest.warns(RuntimeWarning):
             assert reader.get(key, 1, 1, 1) is None

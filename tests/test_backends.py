@@ -150,6 +150,39 @@ class TestParityHarness:
         )
 
 
+class TestSuiteTotals:
+    """One decision pass over a whole suite equals per-model totals, bit
+    for bit: under every harness configuration, with an LRU smaller than
+    the suite's distinct GEMMs, and with a workload listed twice."""
+
+    @staticmethod
+    def suites():
+        workloads = list(parity_workloads().values())
+        return {
+            "harness": workloads,
+            "repeated": [*workloads, workloads[0]],
+            "cnn": [mobilenet_v1(), resnet34()],
+        }
+
+    @pytest.mark.parametrize("cache_size", [65536, 7])
+    @pytest.mark.parametrize("suite_key", ["harness", "repeated", "cnn"])
+    @pytest.mark.parametrize("config_key", sorted(parity_configs()))
+    def test_matches_per_model_totals(self, config_key, suite_key, cache_size):
+        config = parity_configs()[config_key]
+        suite = self.suites()[suite_key]
+        per_model = BatchedCachedBackend()
+        expected = [
+            (
+                per_model.schedule_model_totals(model, config),
+                per_model.schedule_model_totals(model, config, conventional=True),
+            )
+            for model in suite
+        ]
+        backend = BatchedCachedBackend(cache_size=cache_size)
+        assert backend.schedule_suite_totals(suite, config) == expected
+        assert backend.cache_info()["size"] <= cache_size
+
+
 class TestBatchedParity:
     """Batched-specific bit-parity beyond the shared matrix: the paper's
     full-size configurations and CNN models (cheap on closed-form-only

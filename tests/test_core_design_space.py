@@ -1,9 +1,13 @@
 """Tests for the design-space exploration utility."""
 
+import os
+
 import pytest
 
+from repro.core import design_space
 from repro.core.design_space import DesignPoint, DesignSpaceExplorer
 from repro.nn.models import mobilenet_v1, resnet34
+from repro.workloads import list_workloads
 
 
 @pytest.fixture(scope="module")
@@ -119,3 +123,68 @@ class TestRegistryWorkloads:
     def test_unknown_name_surfaces(self):
         with pytest.raises(ValueError):
             DesignSpaceExplorer(["alexnet"])
+
+
+class TestSweepStore:
+    """A sweep writes each design point's decisions as one complete merge."""
+
+    POINTS = [
+        DesignPoint(rows=rows, cols=cols, supported_depths=(1, 2, 4))
+        for rows, cols in ((32, 32), (64, 48), (96, 64), (128, 128))
+    ]
+
+    def test_serial_cold_sweep_merges_once_per_point(self, tmp_path):
+        explorer = DesignSpaceExplorer(list_workloads(), cache_dir=tmp_path, max_workers=1)
+        explorer.explore(self.POINTS)
+        assert explorer.backend.store.counters()["merges"] == len(self.POINTS)
+
+    def test_parallel_cold_sweep_leaves_every_decision_stored(self, tmp_path):
+        """Pool workers never race on one shard's read-merge-replace, so a
+        restarted sweep finds every decision and writes nothing."""
+        models = list_workloads()
+        cold = DesignSpaceExplorer(models, cache_dir=tmp_path, max_workers=2).explore(
+            self.POINTS
+        )
+        restart = DesignSpaceExplorer(models, cache_dir=tmp_path, max_workers=1)
+        assert restart.explore(self.POINTS) == cold
+        assert restart.backend.cache_info()["misses"] == 0
+        assert restart.backend.store.counters()["merges"] == 0
+
+
+class TestImplicitFanOut:
+    """Without a pinned worker count, large sweeps fan out over the CPUs
+    this process may run on, not over every CPU of the machine."""
+
+    POINTS = [
+        DesignPoint(rows=8 * (i + 1), cols=64, supported_depths=(1, 2))
+        for i in range(design_space.AUTO_PARALLEL_MIN_POINTS)
+    ]
+
+    @pytest.fixture()
+    def fan_out(self, monkeypatch):
+        """Worker counts ``explore`` asked the process pool for."""
+        requested = []
+
+        def record(explorer, points, workers):
+            requested.append(workers)
+            return [explorer.evaluate_point(point) for point in points]
+
+        monkeypatch.setattr(DesignSpaceExplorer, "_auto_parallel_safe", lambda self: True)
+        monkeypatch.setattr(DesignSpaceExplorer, "_explore_parallel", record)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        return requested
+
+    def test_one_usable_cpu_stays_serial(self, monkeypatch, fan_out):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        DesignSpaceExplorer([mobilenet_v1()]).explore(self.POINTS)
+        assert fan_out == []
+
+    def test_workers_follow_the_affinity_mask(self, monkeypatch, fan_out):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+        DesignSpaceExplorer([mobilenet_v1()]).explore(self.POINTS)
+        assert fan_out == [2]
+
+    def test_cpu_count_without_an_affinity_api(self, monkeypatch, fan_out):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        DesignSpaceExplorer([mobilenet_v1()]).explore(self.POINTS)
+        assert fan_out == [8]

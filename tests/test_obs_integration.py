@@ -1,7 +1,8 @@
 """Cross-layer tests of the observability pillars.
 
 Exercises what the unit tests cannot: span context shipped across the
-scheduling service's *process*-pool executor and re-parented on return,
+scheduling service's and the design-space explorer's *process* pools and
+re-parented on return,
 the daemon's X-Request-Id round trip (response header, trace identity,
 JSON log records), the >= 3-level span hierarchy one HTTP schedule call
 produces, and the ``/metrics`` endpoint reading everything from the one
@@ -17,6 +18,7 @@ from http.client import HTTPConnection
 
 import pytest
 
+from repro.core.design_space import DesignPoint, DesignSpaceExplorer
 from repro.obs.logs import configure_logging
 from repro.obs.trace import Tracer, get_tracer, set_tracer
 from repro.serve import DaemonClient, SchedulerDaemon, SchedulingService
@@ -115,6 +117,28 @@ def test_process_pool_spans_reparent_under_the_request(tracer):
     )
     totals = next(s for s in spans if s.name == "backend.model_totals")
     assert totals.parent_id == request.span_id
+
+
+def test_parallel_explore_spans_reparent_under_the_sweep(tracer):
+    points = [
+        DesignPoint(rows=size, cols=size, supported_depths=(1, 2, 4))
+        for size in (32, 64, 128)
+    ]
+    traced = DesignSpaceExplorer(["mobilenet_v1"], max_workers=2).explore(points)
+    set_tracer(Tracer(enabled=False))
+    try:
+        untraced = DesignSpaceExplorer(["mobilenet_v1"], max_workers=2).explore(points)
+    finally:
+        set_tracer(tracer)
+    assert traced == untraced
+
+    spans = tracer.spans()
+    [sweep] = [span for span in spans if span.name == "explorer.explore"]
+    suites = [span for span in spans if span.name == "backend.suite_totals"]
+    assert len(suites) == len(points)
+    assert all(span.pid != sweep.pid for span in suites), "scored in pool workers"
+    assert {span.parent_id for span in suites} == {sweep.span_id}
+    assert {span.trace_id for span in suites} == {sweep.trace_id}
 
 
 def test_thread_pool_spans_nest_under_the_request(tracer):
