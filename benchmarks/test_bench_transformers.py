@@ -16,10 +16,17 @@ Pinned conclusions:
   (``misses == 0``) and stays bit-identical.
 """
 
+import multiprocessing
+
 from bench_scenarios import schedule_transformer_suite, transformer_workloads
 
 from repro.backends import AnalyticalBackend, BatchedCachedBackend, DecisionStore
 from repro.core.config import ArrayFlexConfig
+
+
+def _seed_store(directory: str) -> None:
+    """Child process: schedule the suite into the store, then exit normally."""
+    schedule_transformer_suite(BatchedCachedBackend(store=DecisionStore(directory)))
 
 
 def test_transformer_suite_batched_matches_analytical(benchmark):
@@ -43,8 +50,14 @@ def test_transformer_suite_warm_store_rerun(benchmark, tmp_path):
     """A fresh process with a seeded store re-derives nothing."""
     reference = schedule_transformer_suite(AnalyticalBackend())
 
-    seed = BatchedCachedBackend(store=DecisionStore(tmp_path))
-    schedule_transformer_suite(seed)
+    # Seeded by another process, so the rerun reads exactly what an
+    # exiting process leaves on disk.
+    seeder = multiprocessing.get_context("spawn").Process(
+        target=_seed_store, args=(str(tmp_path),)
+    )
+    seeder.start()
+    seeder.join(timeout=120)
+    assert not seeder.is_alive() and seeder.exitcode == 0
 
     def warm_rerun():
         backend = BatchedCachedBackend(store=DecisionStore(tmp_path))

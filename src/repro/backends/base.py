@@ -157,10 +157,9 @@ class ExecutionBackend(abc.ABC):
 
         No-op for backends without an attached
         :class:`~repro.backends.store.DecisionStore` (or without one at
-        all).  Single-decision writers buffer rows in the store
-        (:meth:`DecisionStore.put`) and call this at model boundaries, so
-        a finished schedule is always fully persisted; long-lived callers
-        (the serving front-end's ``close``) call it as a final drain.
+        all).  The store buffers rows between shard merges; long-lived
+        callers (the serving front-end's ``close``) call this as a final
+        drain.
         """
         store = getattr(self, "store", None)
         if store is not None:

@@ -25,14 +25,15 @@ layer, at the layer's effective activity, for every component of the
 ``tests/test_backends.py`` pins the parity down.
 
 With a :class:`~repro.backends.store.DecisionStore` attached, the LRU is
-additionally spilled to disk: every freshly solved decision is flushed to
-the store, and memory misses consult it before falling back to the NumPy
-solve, so a new process (a rerun CLI invocation, a CI job, a pool worker)
-starts warm.  The store's shards are memory-mapped columnar arrays read
-through a zero-copy :class:`~repro.backends.store.ShardView` — all pool
-workers share one page-cache copy, and a stored row is only materialised
-into a :class:`Decision` when this backend actually misses its in-memory
-LRU.  All cache bookkeeping is serialised on an internal lock,
+additionally spilled to disk: every freshly solved decision goes to the
+store, which buffers it until its shard's next merge (at the latest, when
+the process exits or its owner closes), and memory misses consult the
+store before falling back to the NumPy solve, so a new process (a rerun
+CLI invocation, a CI job, a pool worker) starts warm.  The store's shards
+are memory-mapped columnar arrays read through a zero-copy
+:class:`~repro.backends.store.ShardView` — all pool workers share one
+page-cache copy, and a stored row is only materialised into a
+:class:`Decision` when this backend actually misses its in-memory LRU.  All cache bookkeeping is serialised on an internal lock,
 which makes one backend instance safe to share across the threads of
 :class:`~repro.serve.SchedulingService`.
 """

@@ -135,14 +135,19 @@ def rows_to_records(decisions: dict[tuple, list]) -> np.ndarray:
     """
     records = np.empty(len(decisions), dtype=DECISION_DTYPE)
     for position, (key, row) in enumerate(decisions.items()):
-        if not (isinstance(key, tuple) and len(key) == 3):
-            raise ValueError(f"within-shard key must be an (m, n, t) tuple, got {key!r}")
-        if len(row) != DECISION_ROW_WIDTH:
-            raise ValueError(
-                f"decision row must have {DECISION_ROW_WIDTH} columns, got {len(row)}"
-            )
+        check_entry(key, row)
         records[position] = (int(key[0]), int(key[1]), int(key[2]), *row)
     return records
+
+
+def check_entry(key: tuple, row: list) -> None:
+    """Reject a malformed ``(m, n, t) -> row`` shard entry with ValueError."""
+    if not (isinstance(key, tuple) and len(key) == 3):
+        raise ValueError(f"within-shard key must be an (m, n, t) tuple, got {key!r}")
+    if len(row) != DECISION_ROW_WIDTH:
+        raise ValueError(
+            f"decision row must have {DECISION_ROW_WIDTH} columns, got {len(row)}"
+        )
 
 
 def record_to_row(record: np.void) -> list:

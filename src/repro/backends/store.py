@@ -47,15 +47,19 @@ Versioning and invalidation are explicit:
 Writes are atomic (temp file + :func:`os.replace` in the same directory)
 and merge with whatever a concurrent writer already flushed, so parallel
 sweeps sharing one cache directory lose at most duplicated work, never
-correctness.  Single-row writers batch through :meth:`DecisionStore.put`,
-which buffers rows and turns them into one merge per
-:attr:`~DecisionStore.flush_rows` appends (or an explicit
-:meth:`~DecisionStore.flush`).  Corrupt shards are never silently
-swallowed: unreadable payloads are surfaced through a ``warnings.warn``
-naming the file and counted in :meth:`~DecisionStore.stats`.  The store
-never writes inside the repository tree: the default location honours
-``REPRO_CACHE_DIR`` and ``XDG_CACHE_HOME`` and falls back to
-``~/.cache/repro-arrayflex``.
+correctness.  A merge rewrites the whole shard, so
+:meth:`DecisionStore.put_many` buffers a shard's rows until they number
+at least the rows this instance last saw on disk for it: a new shard is
+written at once, a shard of n rows costs O(log n) merges, and each row is
+rewritten O(1) times on average.  :meth:`~DecisionStore.flush`, pickling,
+:meth:`~DecisionStore.stats`, :meth:`~DecisionStore.prune` and the normal
+exit of the process (or pool worker) holding buffered rows write them
+all; a killed process loses at most the rows buffered since each shard's
+last merge.  Corrupt shards are never silently swallowed: unreadable
+payloads are surfaced through a ``warnings.warn`` naming the file and
+counted in :meth:`~DecisionStore.stats`.  The store never writes inside
+the repository tree: the default location honours ``REPRO_CACHE_DIR``
+and ``XDG_CACHE_HOME`` and falls back to ``~/.cache/repro-arrayflex``.
 """
 
 from __future__ import annotations
@@ -67,12 +71,14 @@ import tempfile
 import threading
 import time
 import warnings
+from multiprocessing import util
 from pathlib import Path
 
 import numpy as np
 
 from repro.backends.decisions import (
     DECISION_DTYPE,
+    check_entry,
     record_to_row,
     records_index,
     rows_to_records,
@@ -249,12 +255,9 @@ class DecisionStore:
         directory: str | os.PathLike[str] | None = None,
         version: str = CACHE_VERSION,
         max_bytes: int | None = None,
-        flush_rows: int = 256,
     ) -> None:
         if max_bytes is not None and max_bytes <= 0:
             raise ValueError("max_bytes must be positive (or None for no cap)")
-        if flush_rows < 1:
-            raise ValueError("flush_rows must be at least 1")
         self.directory = (
             Path(directory).expanduser() if directory is not None else default_cache_dir()
         )
@@ -265,15 +268,19 @@ class DecisionStore:
         #: machines) cannot grow unboundedly.  ``None`` (the default)
         #: keeps the historical unbounded behaviour.
         self.max_bytes = max_bytes
-        #: Buffered single-row appends (:meth:`put`) are flushed as one
-        #: merge once this many rows are pending.
-        self.flush_rows = flush_rows
+        self._init_transient()
+
+    def _init_transient(self) -> None:
         self._lock = threading.Lock()
-        #: Shard memo: digest -> ShardView, mapped lazily per shard.
+        #: Shard memo: digest -> ShardView, mapped lazily per shard; its
+        #: length is the row count this instance last saw on disk.
         self._shards: dict[str, ShardView] = {}
         #: Write buffer: digest -> (config_key, {gemm_key: row}).
         self._pending: dict[str, tuple[tuple, dict[tuple, list]]] = {}
         self._pending_rows = 0
+        #: The exit-time flush, registered only while rows are buffered
+        #: (it holds this store alive).
+        self._exit_flush: util.Finalize | None = None
         self._init_metrics()
 
     def _init_metrics(self) -> None:
@@ -302,19 +309,13 @@ class DecisionStore:
             "directory": self.directory,
             "version": self.version,
             "max_bytes": self.max_bytes,
-            "flush_rows": self.flush_rows,
         }
 
     def __setstate__(self, state: dict) -> None:
         self.directory = state["directory"]
         self.version = state["version"]
         self.max_bytes = state.get("max_bytes")
-        self.flush_rows = state.get("flush_rows", 256)
-        self._lock = threading.Lock()
-        self._shards = {}
-        self._pending = {}
-        self._pending_rows = 0
-        self._init_metrics()
+        self._init_transient()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DecisionStore({str(self.directory)!r}, version={self.version!r})"
@@ -347,9 +348,9 @@ class DecisionStore:
         """The stored decisions of one configuration, as a zero-copy view.
 
         The shard is memory-mapped once per store instance and memoised;
-        entries written through :meth:`put_many` / :meth:`flush` keep the
-        memo in sync.  Rows buffered by :meth:`put` and not yet flushed
-        are visible through :meth:`get`, not through this view.
+        this instance's merges keep the memo in sync.  Rows
+        :meth:`put_many` buffered and not yet merged are visible through
+        :meth:`get`, not through this view.
         """
         digest = self._digest(config_key)
         with self._lock:
@@ -470,52 +471,58 @@ class DecisionStore:
     # ------------------------------------------------------------------ #
     # Writes
     # ------------------------------------------------------------------ #
-    def put(self, config_key: tuple, gemm_key: tuple, row: list) -> None:
-        """Buffer one decision row; flushed as a single batched merge.
+    def put_many(self, config_key: tuple, decisions: dict[tuple, list]) -> None:
+        """Add decisions to the configuration's shard.
 
-        The path for writers that persist one decision at a time: rows
-        accumulate in memory and become one atomic shard merge per
-        :attr:`flush_rows` appends, instead of one read-merge-replace
-        cycle per row.  :meth:`get` sees buffered rows
-        immediately; other store instances see them after :meth:`flush`
-        (called automatically on overflow, pickling, stats and pruning).
+        The rows join the shard's write buffer, and the buffer is merged
+        into the shard (atomically on disk) once it holds at least as many
+        rows as this instance last saw on disk for that shard — at once
+        for a shard not yet on disk.  :meth:`get` sees buffered rows
+        immediately; other store instances see them from the next merge
+        on (see the module docstring for every flush point).
         """
+        if not decisions:
+            return
+        for key, row in decisions.items():
+            check_entry(key, row)
         digest = self._digest(config_key)
         with self._lock:
-            entry = self._pending.get(digest)
-            if entry is None:
-                entry = (config_key, {})
-                self._pending[digest] = entry
-            if gemm_key not in entry[1]:
-                self._pending_rows += 1
-            entry[1][gemm_key] = list(row)
-            if self._pending_rows >= self.flush_rows:
-                self._flush_locked()
+            _, buffered = self._pending.setdefault(digest, (config_key, {}))
+            before = len(buffered)
+            buffered.update(decisions)
+            self._pending_rows += len(buffered) - before
+            on_disk = self._shards.get(digest)
+            if len(buffered) >= (len(on_disk) if on_disk is not None else 0):
+                del self._pending[digest]
+                self._pending_rows -= len(buffered)
+                self._merge_locked(digest, config_key, buffered)
+            self._sync_exit_flush_locked()
 
     def flush(self) -> None:
-        """Merge every buffered :meth:`put` row to disk (one merge per shard)."""
+        """Merge every buffered row to disk (one merge per shard)."""
         with self._lock:
             self._flush_locked()
 
     def _flush_locked(self) -> None:
         pending, self._pending, self._pending_rows = self._pending, {}, 0
+        self._sync_exit_flush_locked()
         for digest, (config_key, decisions) in pending.items():
             self._merge_locked(digest, config_key, decisions)
 
-    def put_many(self, config_key: tuple, decisions: dict[tuple, list]) -> None:
-        """Merge decisions into the configuration's shard (atomic on disk)."""
-        if not decisions:
-            return
-        digest = self._digest(config_key)
-        with self._lock:
-            # Fold same-shard buffered rows into the same merge (explicit
-            # writes win over buffered ones on key collisions).
-            entry = self._pending.pop(digest, None)
-            if entry is not None:
-                self._pending_rows -= len(entry[1])
-                entry[1].update(decisions)
-                decisions = entry[1]
-            self._merge_locked(digest, config_key, decisions)
+    def _sync_exit_flush_locked(self) -> None:
+        """Hold a flush at normal process exit exactly while rows are buffered.
+
+        A forked child starts with its parent's registration dropped
+        (``still_active`` is False there), so it registers its own.
+        """
+        armed = self._exit_flush is not None and self._exit_flush.still_active()
+        if self._pending and not armed:
+            # Ahead of multiprocessing's own finalizers (queues: 10), so a
+            # pool worker writes its rows while it is still whole.
+            self._exit_flush = util.Finalize(None, self.flush, exitpriority=100)
+        elif not self._pending and self._exit_flush is not None:
+            self._exit_flush.cancel()
+            self._exit_flush = None
 
     def _merge_locked(self, digest: str, config_key: tuple, decisions: dict) -> None:
         with get_tracer().span("store.merge", shard=digest, rows=len(decisions)):
@@ -723,6 +730,7 @@ class DecisionStore:
         with self._lock:
             self._pending.clear()
             self._pending_rows = 0
+            self._sync_exit_flush_locked()
             if self.directory.is_dir():
                 self._purge_shards()
             self._shards.clear()

@@ -22,8 +22,11 @@ entirely.
 Multi-point sweeps fan out over a process pool, one task per design
 point: pass ``max_workers`` explicitly, or let large candidate sets
 default to one worker per usable CPU.  With a ``cache_dir`` configured,
-each point's decisions land in the store as one merge from the one
-worker that scored it.
+each point's decisions reach the store from the one worker that scored
+it: a point whose shard is new is written as one merge at once; rows
+added to a shard already on disk are buffered by the store and written
+at its next merge, at the latest when that worker (or the process)
+exits.
 """
 
 from __future__ import annotations
@@ -284,11 +287,11 @@ class DesignSpaceExplorer:
         that backend's cache state) in every worker once; each task then
         scores one whole point with :meth:`evaluate_point` and ships one
         small result back.  A point's decisions therefore come from one
-        mode search and reach a configured store as one merge by one
-        worker, so concurrent workers never race on a shard's
-        read-merge-replace (equal points write equal rows).  Under an
-        enabled tracer the span context travels with every task and the
-        workers' spans are re-parented here.
+        mode search and reach a configured store from one worker, so
+        concurrent workers never race on a shard's read-merge-replace
+        (equal points write equal rows).  Under an enabled tracer the span
+        context travels with every task and the workers' spans are
+        re-parented here.
         """
         tracer = get_tracer()
         with ProcessPoolExecutor(

@@ -201,16 +201,22 @@ class ModelSchedule:
         composition["total"] = self.total_energy_nj
         return composition
 
-    def average_activity(self) -> float:
-        """Time-weighted average effective activity over the run."""
-        return self._time_weighted("activity")
+    def average_activity(self, total_time_ns: float | None = None) -> float:
+        """Time-weighted average effective activity over the run.
 
-    def average_utilization(self) -> float:
-        """Time-weighted average array utilization over the run."""
-        return self._time_weighted("array_utilization")
+        ``total_time_ns``, when given, is :attr:`total_time_ns` summed
+        already by the caller.
+        """
+        return self._time_weighted("activity", total_time_ns)
 
-    def _time_weighted(self, attribute: str) -> float:
-        total = self.total_time_ns
+    def average_utilization(self, total_time_ns: float | None = None) -> float:
+        """Time-weighted average array utilization over the run (see
+        :meth:`average_activity` for ``total_time_ns``)."""
+        return self._time_weighted("array_utilization", total_time_ns)
+
+    def _time_weighted(self, attribute: str, total: float | None) -> float:
+        if total is None:
+            total = self.total_time_ns
         if total == 0:
             return 0.0
         return (

@@ -32,7 +32,10 @@ What a daemon needs that a library doesn't
 *Backpressure*: at most ``max_inflight`` requests are admitted at once
 (:class:`~repro.serve.middleware.AdmissionGate`); beyond that the daemon
 sheds load with HTTP 429 + ``Retry-After`` instead of queueing without
-bound.  *Rate limits*: an optional per-client token bucket
+bound.  A request's body is read and decoded before it takes a rate-limit
+token or an admission slot, under a per-connection read deadline, so a
+client that stalls mid-body holds neither and is simply disconnected.
+*Rate limits*: an optional per-client token bucket
 (:class:`~repro.serve.middleware.TokenBucket`, keyed by ``X-Client-Id``
 or peer host) refuses over-rate clients with HTTP 503 + the exact
 refill time.  *Graceful drain*: SIGTERM/SIGINT (or
@@ -87,6 +90,10 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 
 #: Largest accepted batch/compare fan-out per HTTP request.
 MAX_BATCH_REQUESTS = 4096
+
+#: Seconds a connection may stall on a read (request line, headers, body,
+#: or the next request of a keep-alive connection) before it is closed.
+READ_TIMEOUT_S = 2.0
 
 _POST_ROUTES = ("/v1/schedule", "/v1/batch", "/v1/compare")
 
@@ -310,6 +317,9 @@ class _Handler(BaseHTTPRequestHandler):
     #: TCP_NODELAY: otherwise Nagle holds the last segment of a reply
     #: larger than one segment until the client's delayed ACK.
     disable_nagle_algorithm = True
+    #: Read deadline (``StreamRequestHandler`` sets it on the socket); a
+    #: timed-out read closes the connection without a reply.
+    timeout = READ_TIMEOUT_S
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002 - stdlib name
         """Structured access log (DEBUG on ``repro.serve.access``).
@@ -375,11 +385,11 @@ class _Handler(BaseHTTPRequestHandler):
             "daemon.request", trace_id=rid, endpoint=endpoint, client=client
         ) as span:
             try:
+                payload = self._read_json()
                 if daemon.draining:
                     raise AdmissionRejected("daemon is draining", retry_after_s=None)
                 daemon.limiter.admit(client)
                 with daemon.gate.admit():
-                    payload = self._read_json()
                     if endpoint == "/v1/schedule":
                         body, outcome = self._handle_schedule(payload)
                     elif endpoint == "/v1/batch":
@@ -405,6 +415,10 @@ class _Handler(BaseHTTPRequestHandler):
                 daemon.metrics.reject(endpoint, exc.code)
                 span.set(outcome=exc.code)
                 self._send_serve_error(exc)
+            except TimeoutError:
+                # A stalled read: the stdlib handler drops the connection.
+                span.set(outcome="read_timeout")
+                raise
             except Exception as exc:  # pragma: no cover - defensive catch-all
                 daemon.metrics.reject(endpoint, "internal_error")
                 span.set(outcome="internal_error")

@@ -333,13 +333,10 @@ def result_to_wire(result: ModelSchedule | ModelTotals) -> dict:
     :class:`SchedulingService` calls is exact, not approximate.
     """
     if isinstance(result, ModelTotals):
-        return {
-            "kind": "totals",
-            "time_ns": result.time_ns,
-            "energy_nj": result.energy_nj,
-            "average_power_mw": result.average_power_mw,
-            "energy_delay_product": result.energy_delay_product,
-        }
+        return {"kind": "totals", **_totals_to_wire(result)}
+    # Each layer sum once: the same sums, so the same floats, as the
+    # schedule's own properties.
+    totals = ModelTotals(time_ns=result.total_time_ns, energy_nj=result.total_energy_nj)
     return {
         "kind": "schedule",
         "model_name": result.model_name,
@@ -348,15 +345,21 @@ def result_to_wire(result: ModelSchedule | ModelTotals) -> dict:
         "cols": result.cols,
         "layers": len(result.layers),
         "total_cycles": result.total_cycles,
-        "time_ns": result.total_time_ns,
-        "energy_nj": result.total_energy_nj,
-        "average_power_mw": result.average_power_mw,
-        "energy_delay_product": result.energy_delay_product,
+        **_totals_to_wire(totals),
         "depth_histogram": {
             str(depth): count for depth, count in sorted(result.depth_histogram().items())
         },
-        "average_utilization": result.average_utilization(),
-        "average_activity": result.average_activity(),
+        "average_utilization": result.average_utilization(totals.time_ns),
+        "average_activity": result.average_activity(totals.time_ns),
+    }
+
+
+def _totals_to_wire(totals: ModelTotals) -> dict:
+    return {
+        "time_ns": totals.time_ns,
+        "energy_nj": totals.energy_nj,
+        "average_power_mw": totals.average_power_mw,
+        "energy_delay_product": totals.energy_delay_product,
     }
 
 

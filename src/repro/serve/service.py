@@ -677,7 +677,11 @@ class SchedulingService:
     # Introspection / lifecycle
     # ------------------------------------------------------------------ #
     def stats(self) -> dict[str, int | str]:
-        """Serving and (thread-mode) backend cache counters."""
+        """Serving and (thread-mode) backend cache counters.
+
+        Touches no disk, so a live ``/metrics`` can call it per scrape;
+        :meth:`DecisionStore.stats` is the on-disk report.
+        """
         with self._lock:
             counters: dict[str, int | str] = {
                 "executor": self.executor_kind,
@@ -692,15 +696,6 @@ class SchedulingService:
             # Process workers hold their own backend copies; the parent's
             # counters would be misleading there.
             counters.update(cache_info())
-        store = getattr(self.backend, "store", None)
-        if store is not None:
-            # The disk store is shared across executors of any kind (one
-            # directory, atomic merge-on-write), so its counters are
-            # meaningful even in process mode.  ``disk_``-prefixed to keep
-            # them apart from cache_info()'s in-memory ``store_hits``.
-            counters.update(
-                {f"disk_{key}": value for key, value in store.stats().items()}
-            )
         return counters
 
     @property

@@ -20,11 +20,16 @@ resolve identically once the alias is registered.  A trailing ``@bs<N>``
 suffix requests batched inference: ``get_workload("gpt2_decode@bs8")``
 returns the decode trace with T scaled by a batch of 8 (see
 :mod:`repro.workloads.batching`).
+
+Each (registration, batch) pair is built once per process: builds without
+factory keyword arguments are memoised in a bounded LRU, and every caller
+shares the one frozen workload object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 from repro.workloads.base import Workload
@@ -34,6 +39,10 @@ DEFAULT_SUITE = "misc"
 
 #: Separator of the inline batch-request suffix (``name@bs8``).
 _BATCH_SUFFIX = "@bs"
+
+#: Bound on memoised builds.  A built-in workload build holds about 12 KB
+#: of frozen GEMM shapes, so a full memo stays near 6 MB.
+BUILD_MEMO_SIZE = 512
 
 
 class UnknownWorkloadError(ValueError):
@@ -138,7 +147,8 @@ def get_workload(name: str, *, batch: int = 1, **kwargs) -> Workload:
     ``batch`` (or an inline ``@bs<N>`` suffix on the name) maps the
     workload to batched inference by scaling every GEMM's streamed T
     dimension; ``kwargs`` pass through to the factory for parameterised
-    builds (``get_workload("bert_base", seq_len=384)``).
+    builds (``get_workload("bert_base", seq_len=384)``).  Builds without
+    ``kwargs`` are memoised: repeated calls return the same object.
     """
     marker = name.lower().rfind(_BATCH_SUFFIX)
     if marker >= 0:
@@ -155,12 +165,25 @@ def get_workload(name: str, *, batch: int = 1, **kwargs) -> Workload:
         if batch != 1:
             raise ValueError("give the batch inline or as batch=, not both")
         batch = inline_batch
-    workload = workload_entry(name).factory(**kwargs)
+    entry = workload_entry(name)
+    if kwargs:
+        return _build(entry, batch, **kwargs)
+    return _memoised_build(entry, batch)
+
+
+def _build(entry: WorkloadEntry, batch: int, **kwargs) -> Workload:
+    workload = entry.factory(**kwargs)
     if batch == 1:
         return workload
     from repro.workloads.batching import batched_workload
 
     return batched_workload(workload, batch)
+
+
+#: Keyed by the registration entry, factory included, so a ``replace=True``
+#: registration (a new entry) or a hand-restored registry never meets a
+#: stale build.  Workloads are frozen dataclasses, safe to share.
+_memoised_build = lru_cache(maxsize=BUILD_MEMO_SIZE)(_build)
 
 
 def list_workloads(suite: str | None = None) -> list[str]:

@@ -250,6 +250,7 @@ class TestConcurrentWriters:
             thread.start()
         for thread in threads:
             thread.join()
+        store.flush()  # single-row writes wait in the buffer for a merge
         view = DecisionStore(tmp_path).load(key)
         assert len(view) == 80  # one lock, no lost updates
 

@@ -1,8 +1,12 @@
 """Tests for the disk-persistent decision cache (`repro.backends.store`)."""
 
+import gc
 import json
+import math
+import multiprocessing
 import os
 import pickle
+import weakref
 
 import pytest
 
@@ -375,54 +379,109 @@ class TestVersioning:
         assert clone.get(key, 1, 1, 1) == make_row()
 
 
+def _seeded(directory, key, rows: int = 2) -> DecisionStore:
+    """A fresh store whose ``key`` shard already holds ``rows`` rows on disk."""
+    store = DecisionStore(directory)
+    store.put_many(key, {(100 + i, 1, 1): make_row() for i in range(rows)})
+    return store
+
+
+def _buffer_one_row_and_exit(directory: str, key: tuple) -> None:
+    """Child process: leave one row buffered (1 < 2 on disk), then exit."""
+    store = _seeded(directory, key)
+    store.put_many(key, {(1, 1, 1): make_row(3.0)})
+    assert store.counters()["pending_rows"] == 1
+
+
+def _disk_rows(directory) -> int:
+    """The row count the shard's sidecar records on disk."""
+    return json.loads(next(directory.glob("decisions-*.meta.json")).read_text())["rows"]
+
+
 class TestBufferedPut:
-    """Single-row writes batch in memory and merge once (`DecisionStore.put`)."""
+    """put_many buffers a shard's rows until they would double it on disk."""
+
+    def test_new_shard_is_merged_at_once(self, tmp_path, config):
+        store = DecisionStore(tmp_path)
+        store.put_many(config.cache_key(), {(1, 1, 1): make_row()})
+        assert store.counters()["merges"] == 1
+        assert store.counters()["pending_rows"] == 0
 
     def test_put_buffers_until_flush(self, tmp_path, config):
-        store = DecisionStore(tmp_path)
         key = config.cache_key()
-        store.put(key, (1, 1, 1), make_row())
-        assert not list(tmp_path.glob("decisions-*.npy"))  # nothing on disk yet
+        store = _seeded(tmp_path, key)
+        store.put_many(key, {(1, 1, 1): make_row()})
+        assert DecisionStore(tmp_path).get(key, 1, 1, 1) is None  # buffered only
         store.flush()
         assert DecisionStore(tmp_path).get(key, 1, 1, 1) == make_row()
 
     def test_get_sees_buffered_rows(self, tmp_path, config):
         """Read-your-writes: the buffering is invisible to the writer."""
-        store = DecisionStore(tmp_path)
         key = config.cache_key()
-        store.put(key, (1, 1, 1), make_row(7.0))
+        store = _seeded(tmp_path, key)
+        store.put_many(key, {(1, 1, 1): make_row(7.0)})
+        assert store.counters()["pending_rows"] == 1
         assert store.get(key, 1, 1, 1) == make_row(7.0)
 
-    def test_flush_rows_threshold_triggers_one_merge(self, tmp_path, config):
-        store = DecisionStore(tmp_path, flush_rows=4)
+    @pytest.mark.parametrize("calls", [1, 2, 3, 5, 8, 9, 40])
+    def test_equal_calls_cost_logarithmic_merges(self, tmp_path, config, calls):
+        """k equal put_many calls: at most ceil(log2 k) + 1 merges, and the
+        buffer never holds as many rows as the shard does on disk."""
+        store = DecisionStore(tmp_path)
         key = config.cache_key()
-        for m in range(1, 4):
-            store.put(key, (m, m, m), make_row(float(m)))
-        assert not list(tmp_path.glob("decisions-*.npy"))
-        store.put(key, (4, 4, 4), make_row(4.0))  # fourth row: auto-flush
-        assert DecisionStore(tmp_path).stats()["entries"] == 4
+        for call in range(calls):
+            store.put_many(key, {(call, i, 1): make_row() for i in range(5)})
+            assert store.counters()["pending_rows"] < _disk_rows(tmp_path)
+        assert store.counters()["merges"] <= math.ceil(math.log2(calls)) + 1
+        store.flush()
+        assert DecisionStore(tmp_path).stats()["entries"] == 5 * calls
+
+    def test_malformed_rows_rejected_before_buffering(self, tmp_path, config):
+        key = config.cache_key()
+        store = _seeded(tmp_path, key)
+        with pytest.raises(ValueError):
+            store.put_many(key, {(1, 1, 1): [1, 2, 3]})
+        assert store.counters()["pending_rows"] == 0
 
     def test_pickling_flushes_the_buffer(self, tmp_path, config):
         """Shipping a store to a pool worker must not strand buffered rows."""
-        store = DecisionStore(tmp_path)
         key = config.cache_key()
-        store.put(key, (1, 1, 1), make_row())
+        store = _seeded(tmp_path, key)
+        store.put_many(key, {(1, 1, 1): make_row()})
         clone = pickle.loads(pickle.dumps(store))
         assert clone.get(key, 1, 1, 1) == make_row()
-        assert DecisionStore(tmp_path).stats()["entries"] == 1
+        assert DecisionStore(tmp_path).stats()["entries"] == 3
 
     def test_put_many_folds_in_buffered_rows_for_the_same_shard(self, tmp_path, config):
-        store = DecisionStore(tmp_path)
         key = config.cache_key()
-        store.put(key, (1, 1, 1), make_row(1.0))
-        store.put_many(key, {(2, 2, 2): make_row(2.0)})
+        store = _seeded(tmp_path, key)
+        store.put_many(key, {(1, 1, 1): make_row(1.0)})  # 1 < 2 on disk: buffered
+        store.put_many(key, {(2, 2, 2): make_row(2.0)})  # 2 >= 2: one merge of both
+        assert store.counters()["merges"] == 2
         fresh = DecisionStore(tmp_path)
         assert fresh.get(key, 1, 1, 1) == make_row(1.0)
         assert fresh.get(key, 2, 2, 2) == make_row(2.0)
 
-    def test_invalid_flush_rows_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            DecisionStore(tmp_path, flush_rows=0)
+    def test_normal_exit_writes_buffered_rows(self, tmp_path, config):
+        key = config.cache_key()
+        child = multiprocessing.get_context("spawn").Process(
+            target=_buffer_one_row_and_exit, args=(str(tmp_path), key)
+        )
+        child.start()
+        child.join(timeout=60)
+        assert not child.is_alive() and child.exitcode == 0
+        assert DecisionStore(tmp_path).get(key, 1, 1, 1) == make_row(3.0)
+
+    def test_flushed_store_is_not_kept_alive(self, tmp_path, config):
+        """Only a store with buffered rows is held for the exit flush."""
+        key = config.cache_key()
+        store = _seeded(tmp_path, key)
+        store.put_many(key, {(1, 1, 1): make_row()})
+        alive = weakref.ref(store)
+        store.flush()
+        del store
+        gc.collect()
+        assert alive() is None
 
 
 class TestBackendIntegration:

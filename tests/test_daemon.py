@@ -10,6 +10,7 @@ updates), graceful drain — including a real SIGTERM against a
 import json
 import os
 import signal
+import socket
 import statistics
 import subprocess
 import sys
@@ -37,6 +38,7 @@ from repro.serve import (
     ServeError,
     response_to_wire,
 )
+from repro.workloads import get_workload
 
 #: Small explicit GEMM workloads: fast to schedule, wire-travelable.
 GEMMS_A = [[64, 576, 3136, "conv_a"]]
@@ -307,6 +309,30 @@ class TestBackpressure:
         assert daemon.drain(timeout=30)
 
 
+class TestStalledBody:
+    def test_stalled_body_holds_no_admission_slot(self):
+        """A client that stops mid-body takes no rate-limit token and no
+        slot: the next client is served, and the read deadline then drops
+        the stalled connection without a reply, so the drain completes."""
+        daemon = SchedulerDaemon(port=0, max_inflight=1)
+        daemon.start()
+        stalled = socket.create_connection(daemon.address, timeout=30)
+        try:
+            stalled.sendall(
+                b"POST /v1/schedule HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                b"Content-Type: application/json\r\nContent-Length: 100\r\n\r\n"
+                b'{"v": 1'
+            )
+            time.sleep(0.2)  # the handler thread is now blocked on the body
+            client = DaemonClient(port=daemon.address[1])
+            assert client.schedule(wire_request(GEMMS_A))["status"] == "ok"
+            assert daemon.drain(timeout=5)
+            assert stalled.recv(4096) == b""  # closed, no 500 (or any) reply
+        finally:
+            stalled.close()
+        assert daemon.metrics.snapshot()["rejections"] == {}
+
+
 class TestRateLimit:
     def test_token_bucket_refuses_with_503(self):
         daemon = SchedulerDaemon(port=0, rate_limit=0.01, rate_burst=2)
@@ -432,6 +458,32 @@ class TestGracefulDrain:
         assert DecisionStore(tmp_path).stats()["entries"] > 0
         with pytest.raises(OSError):
             client.healthz()  # the listening socket is gone
+
+    def test_drain_writes_rows_the_store_buffered(self, tmp_path):
+        """The second workload's few fresh GEMMs wait in the store's buffer
+        (fewer than its shard holds on disk); drain writes them, and a
+        restarted daemon answers both requests without solving anything."""
+        names = ("mobilenet_v1", "resnet34")
+        requests = [wire_request(name, config={"rows": 64, "cols": 64}) for name in names]
+        daemon = SchedulerDaemon(port=0, cache_dir=tmp_path)
+        daemon.start()
+        client = DaemonClient(port=daemon.address[1])
+        for request in requests:
+            assert client.schedule(request)["status"] == "ok"
+        assert daemon.service.backend.store.counters()["pending_rows"] > 0
+        assert daemon.drain(timeout=30)
+        distinct = {(g.m, g.n, g.t) for name in names for g in get_workload(name).gemms()}
+        assert DecisionStore(tmp_path).stats()["entries"] == len(distinct)
+
+        restarted = SchedulerDaemon(port=0, cache_dir=tmp_path)
+        restarted.start()
+        try:
+            client = DaemonClient(port=restarted.address[1])
+            for request in requests:
+                assert client.schedule(request)["status"] == "ok"
+            assert client.metrics()["service"]["misses"] == 0
+        finally:
+            assert restarted.drain(timeout=30)
 
     def test_request_drain_is_idempotent(self):
         daemon = SchedulerDaemon(port=0)

@@ -197,16 +197,18 @@ class TestStats:
         assert stats["executor"] == "process"
         assert "misses" not in stats
 
-    def test_cache_dir_surfaces_disk_store_counters(self, config, tmp_path):
-        """With persistence on, stats() reports the on-disk store too,
-        ``disk_``-prefixed so they can't shadow the in-memory counters."""
+    def test_stats_leave_buffered_store_rows_alone(self, config, tmp_path):
+        """stats() is cheap enough for every /metrics scrape: it neither
+        scans the disk nor flushes the rows the store has buffered."""
         with SchedulingService(cache_dir=tmp_path) as service:
-            service.schedule_all([(resnet34(), config)])
+            service.submit((mobilenet_v1(), config))  # new shard: merged
+            service.submit((resnet34(), config))
+            store = service.backend.store
+            pending = store.counters()["pending_rows"]
+            assert pending > 0  # resnet34's few fresh GEMMs wait for a merge
             stats = service.stats()
-        assert stats["disk_shards"] == 1
-        assert stats["disk_entries"] > 0
-        assert stats["disk_total_bytes"] > 0
-        assert stats["disk_corrupt_shards"] == 0
+            assert store.counters()["pending_rows"] == pending
+        assert not any(key.startswith("disk_") for key in stats)
         assert "store_hits" in stats  # the in-memory counter is still there
 
     def test_stats_without_cache_dir_have_no_disk_counters(self, config):
@@ -223,14 +225,29 @@ class TestStats:
         backend = BatchedCachedBackend(store=DecisionStore(tmp_path))
         service = SchedulingService(backend=backend)
         small = ArrayFlexConfig(rows=16, cols=16)
-        gemm = GemmShape(m=20, n=33, t=6)
-        decision = BatchedCachedBackend()._decide_batch([gemm], small)[0]
-        backend.store.put(
-            small.cache_key(), (gemm.m, gemm.n, gemm.t), decision_to_row(decision)
-        )
-        assert not list(tmp_path.glob("decisions-*.npy"))  # buffered only
+        gemms = [GemmShape(m=20, n=33, t=t) for t in (6, 7, 8)]
+        rows = [
+            {(gemm.m, gemm.n, gemm.t): decision_to_row(decision)}
+            for gemm, decision in zip(gemms, BatchedCachedBackend()._decide_batch(gemms, small))
+        ]
+        backend.store.put_many(small.cache_key(), rows[0] | rows[1])  # new shard: merged
+        backend.store.put_many(small.cache_key(), rows[2])  # 1 row < 2 on disk: buffered
+        assert DecisionStore(tmp_path).stats()["entries"] == 2
         service.close()
-        assert DecisionStore(tmp_path).stats()["entries"] == 1
+        assert DecisionStore(tmp_path).stats()["entries"] == 3
+
+    def test_process_workers_write_buffered_rows_on_exit(self, config, tmp_path):
+        """A pool worker's store buffers resnet34's few fresh rows behind
+        mobilenet's merged shard; the worker writes them when it exits."""
+        requests = [(mobilenet_v1(), config), (resnet34(), config)]
+        with SchedulingService(
+            cache_dir=tmp_path, executor="process", max_workers=1
+        ) as service:
+            for request in requests:
+                service.submit(request)
+        with SchedulingService(cache_dir=tmp_path) as restarted:
+            restarted.submit_many(requests)
+            assert restarted.stats()["misses"] == 0
 
 
 class TestTotalsOnly:

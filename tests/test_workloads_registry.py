@@ -85,6 +85,28 @@ class TestRegistryLookup:
             registry_module._REGISTRY.pop("resnet34_test_shadow", None)
 
 
+class TestBuildMemo:
+    """Each (registration, batch) is built once per process and shared."""
+
+    def test_batched_name_returns_one_shared_object(self):
+        first = get_workload("resnet34@bs8")
+        assert get_workload("resnet34@bs8") is first
+        assert get_workload("ResNet-34", batch=8) is first
+
+    def test_factory_kwargs_bypass_the_memo(self):
+        assert get_workload("bert_base", seq_len=384) is not get_workload(
+            "bert_base", seq_len=384
+        )
+
+    def test_memo_stays_within_its_bound(self):
+        from repro.workloads import registry as registry_module
+
+        for batch in range(2, 5002):
+            get_workload(f"vgg16@bs{batch}")
+        info = registry_module._memoised_build.cache_info()
+        assert info.currsize <= registry_module.BUILD_MEMO_SIZE
+
+
 class TestBatchScaling:
     def test_batch_one_is_identity(self):
         model = resnet34()
@@ -208,9 +230,11 @@ class TestSuiteProtocolMinimalism:
 
 class TestEdgeCaseHardening:
     def test_replace_can_shadow_a_builtin_by_its_alias(self):
-        """Shadowing by display name must actually take effect."""
+        """Shadowing by display name must actually take effect, past the
+        memoised build of the original, which returns after the restore."""
         from repro.workloads import registry as registry_module
 
+        original = get_workload("ResNet-34")
         original_alias_target = registry_module._ALIASES.get("resnet_34")
         try:
             marker = GemmShape(m=1, n=1, t=1, name="shadow")
@@ -225,6 +249,7 @@ class TestEdgeCaseHardening:
             registry_module._REGISTRY.pop("resnet_34", None)
             if original_alias_target is not None:
                 registry_module._ALIASES["resnet_34"] = original_alias_target
+        assert get_workload("ResNet-34") is original
 
     def test_empty_lowering_rejected_like_empty_lists(self):
         class Hollow:
