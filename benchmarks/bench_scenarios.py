@@ -106,7 +106,6 @@ def schedule_transformer_suite(backend):
     Totals (not schedules) are what sweep-style consumers aggregate, and
     the pairs keep the workload order of :func:`transformer_workloads`.
     """
-    from repro.backends import model_totals
     from repro.core.config import ArrayFlexConfig
 
     totals = []
@@ -115,8 +114,8 @@ def schedule_transformer_suite(backend):
         for workload in transformer_workloads():
             totals.append(
                 (
-                    model_totals(backend, workload, config, conventional=False),
-                    model_totals(backend, workload, config, conventional=True),
+                    backend.schedule_model_totals(workload, config),
+                    backend.schedule_model_totals(workload, config, conventional=True),
                 )
             )
     return totals

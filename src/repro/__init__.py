@@ -4,11 +4,10 @@ This package is a full Python reproduction of *ArrayFlex: A Systolic Array
 Architecture with Configurable Transparent Pipelining* (DATE 2023):
 
 * :mod:`repro.core` -- the ArrayFlex contribution: latency/clock models
-  (Eqs. 1-6), the per-layer pipeline-depth optimizer (Eq. 7), the CNN
-  scheduler, the structured :class:`~repro.core.metrics.LayerMetrics`
-  result model, the pluggable per-layer activity models
-  (:mod:`repro.core.activity`), the energy model and the public
-  accelerator facade.
+  (Eqs. 1-6), the per-layer pipeline-depth optimizer (Eq. 7), the
+  structured :class:`~repro.core.metrics.LayerMetrics` result model, the
+  pluggable per-layer activity models (:mod:`repro.core.activity`), the
+  energy model and the public accelerator facade.
 * :mod:`repro.arch`, :mod:`repro.sim` -- the systolic-array substrate: a
   structural PE/array model and a cycle-accurate weight-stationary
   simulator supporting normal and collapsed (shallow) pipelines.
@@ -23,10 +22,12 @@ Architecture with Configurable Transparent Pipelining* (DATE 2023):
   (BERT-Base / ViT-B/16 prefill, GPT-2-style decode) and the
   batch-scaling adapter for batched inference.
 * :mod:`repro.baselines` -- the conventional fixed-pipeline baseline.
-* :mod:`repro.backends` -- pluggable execution backends: the analytical
-  reference, the batched/cached fast path (identical numbers) and the
-  cycle-accurate measured path, all behind one protocol; plus the
-  disk-persistent decision cache (:mod:`repro.backends.store`).
+* :mod:`repro.backends` -- the execution backends that schedule whole
+  workloads layer by layer: the per-layer analytical reference, the
+  batched/cached engine (one vectorised mode search, identical numbers)
+  and the same engine on cycle counts measured by the cycle-accurate
+  simulator; plus the disk-persistent decision cache
+  (:mod:`repro.backends.store`).
 * :mod:`repro.serve` -- the serving layer: the versioned
   :class:`~repro.serve.protocol.Request`/``Response`` protocol, the
   deduplicating ``submit()`` service over thread/process executors, and

@@ -2,15 +2,16 @@
 
 Wraps the closed-form model stack of :mod:`repro.core` — the latency
 equations (Eqs. 1–4), the discrete Eq. (6) mode search, the Eq. (5) clock
-model and the activity-aware power model — exactly as the original
-per-layer scheduler used them.  This is the fidelity reference every
-other backend is tested against, and the default backend of
-:class:`repro.ArrayFlexAccelerator`.
+model and the activity-aware power model — one layer at a time, through
+the per-layer loops of :class:`~repro.backends.base.ExecutionBackend`.
+This is the fidelity reference every other backend is tested against,
+and the default backend of :class:`repro.ArrayFlexAccelerator` and
+:class:`repro.ConventionalAccelerator`.
 """
 
 from __future__ import annotations
 
-from repro.backends.base import ExecutionBackend, LayerResult
+from repro.backends.base import ExecutionBackend
 from repro.core.config import ArrayFlexConfig
 from repro.core.metrics import LayerMetrics
 from repro.core.optimizer import ModeDecision
@@ -24,7 +25,7 @@ class AnalyticalBackend(ExecutionBackend):
 
     def schedule_layer(
         self, gemm: GemmShape, config: ArrayFlexConfig, index: int = 1
-    ) -> LayerResult:
+    ) -> LayerMetrics:
         parts = self.components(config)
         decision: ModeDecision = parts.optimizer.best_depth(gemm)
         power, activity, utilization = parts.energy.arrayflex_layer_power(

@@ -1,30 +1,31 @@
-"""The execution-backend contract.
+"""The execution-backend base class.
 
-Every way of "running" a workload on the accelerator — the closed-form
-analytical models, the vectorised batched/cached evaluator, the
-cycle-accurate tile simulator — implements the same two-method protocol:
+Every way of "running" a workload on the accelerator subclasses
+:class:`ExecutionBackend` and is called with the configuration as an
+argument, so one instance serves any number of design points:
 
-* ``schedule_layer(gemm, config) -> LayerResult`` decides the pipeline
+* ``schedule_layer(gemm, config) -> LayerMetrics`` decides the pipeline
   mode of one GEMM and returns its cycles / time / power;
 * ``schedule_model(model, config) -> ModelSchedule`` does the same for
   every layer of a workload (a CNN layer table, a transformer GEMM trace,
-  any ``repro.workloads`` registry name or an explicit GEMM list) and
-  aggregates the run.
+  any ``repro.workloads`` registry name or an explicit GEMM list);
+* ``schedule_model_totals`` / ``schedule_suite_totals`` return only the
+  aggregate time and energy, which is all a sweep reads.
 
-Callers (the accelerator facade, the design-space explorer, the sweeps,
-the experiment harness and the CLI) program against this protocol only,
-so fidelity and speed can be traded per call site: pick
-:class:`~repro.backends.analytical.AnalyticalBackend` for the reference
-closed forms, :class:`~repro.backends.batched.BatchedCachedBackend` for
-production-scale sweeps, or
-:class:`~repro.backends.cycle_accurate.CycleAccurateBackend` when cycle
-counts must come from simulation rather than Eq. (3).
+Three backends implement it, with one reference and one engine:
 
-All backends must produce :class:`ModelSchedule` objects that are
-*numerically interchangeable*: the batched backend is bit-identical to
-the analytical one, and the cycle-accurate backend matches wherever the
-simulator agrees with the latency equations (which the test-suite pins
-down).  ``tests/test_backends.py`` enforces this parity.
+* :class:`~repro.backends.analytical.AnalyticalBackend` is the
+  reference: the per-layer loops of this base class over the closed
+  forms of :mod:`repro.core`;
+* :class:`~repro.backends.batched.BatchedCachedBackend` is the engine:
+  one vectorised Eq. (6) mode search per batch of layers behind an LRU of
+  decisions;
+* :class:`~repro.backends.cycle_accurate.CycleAccurateBackend` runs that
+  same engine on measured per-tile cycles (lines fitted to
+  register-stepped probe tiles) instead of Eq. (3).
+
+All three produce numerically interchangeable schedules, which
+``tests/test_backends.py`` pins down bit for bit.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import abc
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
 
 from repro.core.clock import ClockModel
 from repro.core.config import ArrayFlexConfig
@@ -49,14 +49,6 @@ from repro.core.optimizer import PipelineOptimizer
 from repro.nn.gemm_mapping import GemmShape
 from repro.obs.trace import get_tracer
 
-#: The per-layer result type shared by every backend.  A backend's
-#: ``schedule_layer`` returns exactly what the scheduler records for a
-#: layer — the structured :class:`~repro.core.metrics.LayerMetrics`
-#: record — so schedules built from any backend compose with the whole
-#: reporting stack (energy reports, breakdowns, histograms,
-#: EXPERIMENTS.md, ...).
-LayerResult = LayerMetrics
-
 
 @dataclass(frozen=True)
 class ModelTotals:
@@ -64,7 +56,7 @@ class ModelTotals:
 
     The sweep-style call sites (design-space exploration, size sweeps)
     only consume totals, so backends may produce these without
-    materialising per-layer :class:`LayerResult` objects.  Totals are
+    materialising per-layer :class:`LayerMetrics` objects.  Totals are
     bit-identical to summing the corresponding :class:`ModelSchedule`
     properties: same values, same left-to-right summation order.
     """
@@ -81,36 +73,6 @@ class ModelTotals:
     @property
     def energy_delay_product(self) -> float:
         return self.energy_nj * self.time_ns
-
-
-@runtime_checkable
-class ExecutionBackendProtocol(Protocol):
-    """Structural type of an execution backend.
-
-    Duck-typed implementations of this protocol (without subclassing
-    :class:`ExecutionBackend`) are accepted everywhere a backend is,
-    including :func:`repro.backends.create_backend`.
-    """
-
-    name: str
-
-    def schedule_layer(
-        self, gemm: GemmShape, config: ArrayFlexConfig, index: int = 1
-    ) -> LayerResult: ...
-
-    def schedule_model(
-        self,
-        model: WorkloadArgument,
-        config: ArrayFlexConfig,
-        model_name: str | None = None,
-    ) -> ModelSchedule: ...
-
-    def schedule_model_conventional(
-        self,
-        model: WorkloadArgument,
-        config: ArrayFlexConfig,
-        model_name: str | None = None,
-    ) -> ModelSchedule: ...
 
 
 class ExecutionBackend(abc.ABC):
@@ -150,7 +112,7 @@ class ExecutionBackend(abc.ABC):
         self._components_lock = threading.RLock()
 
     # ------------------------------------------------------------------ #
-    # The protocol
+    # Scheduling
     # ------------------------------------------------------------------ #
     def flush_store(self) -> None:
         """Flush buffered decision-store writes to disk.
@@ -168,7 +130,7 @@ class ExecutionBackend(abc.ABC):
     @abc.abstractmethod
     def schedule_layer(
         self, gemm: GemmShape, config: ArrayFlexConfig, index: int = 1
-    ) -> LayerResult:
+    ) -> LayerMetrics:
         """Decide the pipeline mode of one GEMM and measure/model its run."""
 
     def schedule_model(
@@ -204,7 +166,7 @@ class ExecutionBackend(abc.ABC):
         The generic implementation materialises the full schedule and sums
         it; backends that can produce totals without building per-layer
         objects (the batched backend) override this.  Either way the
-        numbers equal the :class:`~repro.core.scheduler.ModelSchedule`
+        numbers equal the :class:`~repro.core.metrics.ModelSchedule`
         property sums bit-for-bit.
         """
         scheduler = self.schedule_model_conventional if conventional else self.schedule_model
@@ -213,12 +175,30 @@ class ExecutionBackend(abc.ABC):
             time_ns=schedule.total_time_ns, energy_nj=schedule.total_energy_nj
         )
 
+    def schedule_suite_totals(
+        self, models: list[WorkloadArgument], config: ArrayFlexConfig
+    ) -> list[tuple[ModelTotals, ModelTotals]]:
+        """(ArrayFlex, conventional) totals of each model on one configuration.
+
+        What a design-space explorer scores per point.  Pairs
+        :meth:`schedule_model_totals` calls per model; the batched backend
+        overrides this to decide the whole suite in one pass, with the
+        same numbers.
+        """
+        return [
+            (
+                self.schedule_model_totals(model, config),
+                self.schedule_model_totals(model, config, conventional=True),
+            )
+            for model in models
+        ]
+
     # ------------------------------------------------------------------ #
     # Conventional baseline (single fixed mode, shared closed form)
     # ------------------------------------------------------------------ #
     def schedule_layer_conventional(
         self, gemm: GemmShape, config: ArrayFlexConfig, index: int = 1
-    ) -> LayerResult:
+    ) -> LayerMetrics:
         """Schedule one GEMM on the fixed-pipeline baseline (always k = 1)."""
         parts = self.components(config)
         cycles = parts.latency.conventional_total_cycles(gemm)

@@ -3,17 +3,21 @@
 Two observations make model scheduling much cheaper than the per-layer
 reference path without changing a single number:
 
-* the Eq. (6) mode search evaluates closed forms only, so all layers of a
-  model (and all supported depths) can be evaluated in one vectorised
-  NumPy pass instead of a Python loop per layer per depth;
+* the Eq. (6) mode search needs only per-tile cycles and per-mode clock
+  periods, so all layers of a model (and all supported depths) can be
+  evaluated in one vectorised NumPy pass instead of a Python loop per
+  layer per depth;
 * CNNs repeat GEMM shapes heavily (every ResNet/ConvNeXt stage repeats
   its block, and design-space sweeps revisit the same workloads point
   after point), so decisions memoised by
   ``(GEMM dims, array geometry, mode set, activity model, technology)``
   are near-free on re-encounter.
 
-:class:`BatchedCachedBackend` combines both behind the standard
-:class:`~repro.backends.base.ExecutionBackend` protocol.  Its results are
+:class:`BatchedCachedBackend` combines both behind the
+:class:`~repro.backends.base.ExecutionBackend` interface.  It is the one
+mode-search engine: its per-tile cycles come from one overridable method,
+:meth:`BatchedCachedBackend._tile_cycles` (Eq. (3) here, measured lines on
+:class:`~repro.backends.cycle_accurate.CycleAccurateBackend`).  Its results are
 bit-identical to :class:`~repro.backends.analytical.AnalyticalBackend`:
 the vectorised argmin replicates the sequential shallow-first tie-break
 of :meth:`repro.core.optimizer.PipelineOptimizer.best_depth` (including
@@ -33,8 +37,9 @@ CLI invocation, a CI job, a pool worker) starts warm.  The store's shards
 are memory-mapped columnar arrays read through a zero-copy
 :class:`~repro.backends.store.ShardView` — all pool workers share one
 page-cache copy, and a stored row is only materialised into a
-:class:`Decision` when this backend actually misses its in-memory LRU.  All cache bookkeeping is serialised on an internal lock,
-which makes one backend instance safe to share across the threads of
+:class:`Decision` when this backend actually misses its in-memory LRU.
+All cache bookkeeping is serialised on an internal lock, which makes one
+backend instance safe to share across the threads of
 :class:`~repro.serve.SchedulingService`.
 """
 
@@ -46,7 +51,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from repro.backends.base import ExecutionBackend, LayerResult, ModelTotals
+from repro.backends.base import ExecutionBackend, ModelTotals
 from repro.backends.decisions import (
     Decision,
     decision_from_row,
@@ -277,11 +282,11 @@ class BatchedCachedBackend(ExecutionBackend):
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------ #
-    # Protocol implementation
+    # Scheduling
     # ------------------------------------------------------------------ #
     def schedule_layer(
         self, gemm: GemmShape, config: ArrayFlexConfig, index: int = 1
-    ) -> LayerResult:
+    ) -> LayerMetrics:
         decision = self._decide_batch([gemm], config)[0]
         return self._to_layer(index, gemm, decision)
 
@@ -572,9 +577,11 @@ class BatchedCachedBackend(ExecutionBackend):
     ) -> list[Decision]:
         """One NumPy pass of the Eq. (6) mode search over many layers.
 
-        Shapes: ``times`` is (layers, depths); the column scan below is
-        the exact vector analogue of the sequential shallow-first
-        tie-break in ``PipelineOptimizer.best_depth``.  Once the modes are
+        Cycles come from :meth:`_tile_cycles`, so the modes follow
+        whichever cycle source the backend has.  Shapes: ``times`` is
+        (layers, depths); the column scan below is the exact vector
+        analogue of the sequential shallow-first tie-break in
+        ``PipelineOptimizer.best_depth``.  Once the modes are
         chosen, one vectorised activity/power pass prices every layer at
         its own effective activity (utilization-aware when the configured
         activity model is) — the batched counterpart of
@@ -589,14 +596,8 @@ class BatchedCachedBackend(ExecutionBackend):
         t = np.array([g.t for g in gemms], dtype=np.int64)
         tiles = _ceil_div(n, rows) * _ceil_div(m, cols)
 
-        # Eq. (3)/(4) cycles for every layer at every supported depth.
-        per_tile = np.stack(
-            [
-                rows + _ceil_div(rows, depth) + _ceil_div(cols, depth) + t - 2
-                for depth in depths
-            ],
-            axis=1,
-        )
+        # Per-tile cycles x Eq. (4) tile count, every layer at every depth.
+        per_tile = np.stack([self._tile_cycles(config, d, t) for d in depths], axis=1)
         cycles = per_tile * tiles[:, None]
 
         # Eq. (6): absolute time under each mode's discrete operating point.
@@ -641,6 +642,17 @@ class BatchedCachedBackend(ExecutionBackend):
             )
             for i in range(len(gemms))
         ]
+
+    def _tile_cycles(
+        self, config: ArrayFlexConfig, depth: int, t: np.ndarray
+    ) -> np.ndarray:
+        """Cycles of one full tile at ``depth`` for each streamed depth in ``t``.
+
+        The one cycle source of the mode search: Eq. (3) here; the cycle
+        backend overrides it with its measured lines.
+        """
+        rows, cols = config.rows, config.cols
+        return rows + _ceil_div(rows, depth) + _ceil_div(cols, depth) + t - 2
 
     # ------------------------------------------------------------------ #
     @staticmethod

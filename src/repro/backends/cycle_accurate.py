@@ -12,18 +12,31 @@ pair is calibrated once: the backend steps three short full-array probe
 tiles (:attr:`CycleAccurateBackend.PROBE_DEPTHS`), checks each probe's
 product against NumPy, and requires the three cycle counts to be exactly
 collinear with an integer slope (:func:`affine_fit`).  Every layer then
-reads its per-tile cycles off that line — no operands, no matmul.  The
-calibration table lives on the backend instance (and pickles with it),
-so a whole CNN suite costs three short simulations per mode and
-geometry.
+reads its per-tile cycles off that measured line — no operands, no
+matmul.  The calibration table lives on the backend instance (and
+pickles with it), so a whole CNN suite costs three short simulations per
+mode and geometry.
 
-Mode selection still uses the Eq. (6) discrete search — that is the
-policy a deployment would programme — but the cycles, and therefore the
-times and energies, come from simulation.  Because the simulator is
-cycle-exact with respect to Eq. (3) (property-tested in
-``tests/test_sim_systolic.py``), the schedules agree with the analytical
-backend; the value of this path is that the agreement is *established by
-measurement*, and that it keeps holding if either side changes.
+Everything else is the batched engine
+(:class:`~repro.backends.batched.BatchedCachedBackend`): this class only
+overrides its cycle source, so the Eq. (6) mode search runs over the
+*measured* cycles of every supported mode (same shallow-first tie-break)
+and the LRU of decisions, the vectorised pricing and the suite totals
+come with it.  The first use of a geometry therefore calibrates every
+mode of the configuration's menu.  Two consequences:
+
+* the conventional baseline stays closed-form (Eqs. (1)/(2)), as on
+  every backend;
+* a decision store is refused (:func:`repro.backends.attach_store`): its
+  rows carry Eq. (3) cycles, so answering from them would not be
+  measured.  A process-pool sweep instead gives each worker its own copy
+  of the backend, which calibrates its own lines.
+
+Because the simulator is cycle-exact with respect to Eq. (3)
+(property-tested in ``tests/test_sim_systolic.py``), the schedules agree
+with the analytical backend; the value of this path is that the
+agreement is *established by measurement*, and that it keeps holding if
+either side changes.
 """
 
 from __future__ import annotations
@@ -32,10 +45,8 @@ import threading
 
 import numpy as np
 
-from repro.backends.base import ExecutionBackend, LayerResult
+from repro.backends.batched import BatchedCachedBackend
 from repro.core.config import ArrayFlexConfig
-from repro.core.metrics import LayerMetrics
-from repro.nn.gemm_mapping import GemmShape
 from repro.nn.workloads import random_int_matrices
 from repro.obs.trace import get_tracer
 from repro.sim.systolic_sim import CycleAccurateSystolicArray
@@ -65,8 +76,8 @@ def affine_fit(
     return cycles_low - slope * low, slope
 
 
-class CycleAccurateBackend(ExecutionBackend):
-    """Schedules layers from measured (register-stepped) tile cycle counts."""
+class CycleAccurateBackend(BatchedCachedBackend):
+    """The batched engine on measured (register-stepped) tile cycle counts."""
 
     name = "cycle"
 
@@ -94,40 +105,20 @@ class CycleAccurateBackend(ExecutionBackend):
         self._measure_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
-    def schedule_layer(
-        self, gemm: GemmShape, config: ArrayFlexConfig, index: int = 1
-    ) -> LayerResult:
-        parts = self.components(config)
-        decision = parts.optimizer.best_depth(gemm)
-        depth = decision.collapse_depth
-        per_tile = self.measure_tile_cycles(config, gemm.t, depth)
-        cycles = per_tile * parts.latency.tile_count(gemm)
-        time_ns = parts.clock.execution_time_ns(cycles, depth)
-        frequency = parts.clock.frequency_ghz(depth)
-        power, activity, utilization = parts.energy.arrayflex_layer_power(
-            gemm, depth, frequency
-        )
-        return LayerMetrics(
-            index=index,
-            gemm=gemm,
-            collapse_depth=depth,
-            cycles=cycles,
-            clock_frequency_ghz=frequency,
-            execution_time_ns=time_ns,
-            activity=activity,
-            array_utilization=utilization,
-            power=power,
-            analytical_depth=decision.analytical_depth,
-        )
+    def _tile_cycles(
+        self, config: ArrayFlexConfig, depth: int, t: np.ndarray
+    ) -> np.ndarray:
+        return self.measure_tile_cycles(config, t, depth)
 
     # ------------------------------------------------------------------ #
     def measure_tile_cycles(
-        self, config: ArrayFlexConfig, t_rows: int, collapse_depth: int
-    ) -> int:
+        self, config: ArrayFlexConfig, t_rows: int | np.ndarray, collapse_depth: int
+    ) -> int | np.ndarray:
         """Measured cycles of one full (R x C) tile streaming T rows.
 
-        Read off the calibrated line of this (geometry, mode) pair; the
-        first call for the pair calibrates it.
+        Read off the calibrated line of this (geometry, mode) pair (for a
+        NumPy ``t_rows``, element-wise); the first call for the pair
+        calibrates it.
         """
         key = (config.rows, config.cols, collapse_depth)
         line = self._calibration.get(key)

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.backends.analytical import AnalyticalBackend
 from repro.core.config import ArrayFlexConfig
 from repro.core.clock import ClockModel
 from repro.core.energy import EnergyModel
-from repro.core.scheduler import LayerSchedule, ModelSchedule, Scheduler
+from repro.core.metrics import LayerMetrics, ModelSchedule
 from repro.nn.gemm_mapping import GemmShape
 from repro.nn.models import CnnModel
 from repro.sim.tiling import TiledGemmResult, run_tiled_gemm
@@ -46,19 +47,20 @@ class ConventionalAccelerator:
             supported_depths=(1,),
             technology=technology or TechnologyModel.default_28nm(),
         )
-        self.scheduler = Scheduler(self.config)
+        #: The reference backend, used only for its conventional path.
+        self.backend = AnalyticalBackend()
         self.clock = ClockModel(self.config)
         self.energy = EnergyModel(self.config)
         self.area = AreaModel(self.config.technology)
 
     # ------------------------------------------------------------------ #
-    def run_gemm(self, gemm: GemmShape | tuple[int, int, int]) -> LayerSchedule:
+    def run_gemm(self, gemm: GemmShape | tuple[int, int, int]) -> LayerMetrics:
         """Schedule one GEMM on the fixed pipeline at the full clock."""
-        return self.scheduler.schedule_gemm_conventional(1, self._to_gemm(gemm))
+        return self.backend.schedule_layer_conventional(self._to_gemm(gemm), self.config)
 
     def run_model(self, model: CnnModel | list[GemmShape]) -> ModelSchedule:
         """Schedule every layer of a model (no per-layer choices to make)."""
-        return self.scheduler.schedule_model_conventional(model)
+        return self.backend.schedule_model_conventional(model, self.config)
 
     def execute_gemm(self, a_matrix: np.ndarray, b_matrix: np.ndarray) -> TiledGemmResult:
         """Execute ``A @ B`` on the cycle-accurate simulator (always k = 1)."""

@@ -7,16 +7,18 @@ This package layers the ArrayFlex-specific models on top of the substrates:
 * :mod:`repro.core.activity` -- pluggable per-layer activity models
   (constant, tiling-utilization derived).
 * :mod:`repro.core.metrics` -- the structured per-layer result model
-  (:class:`~repro.core.metrics.LayerMetrics`) shared by every backend.
+  (:class:`~repro.core.metrics.LayerMetrics`) and the per-run
+  :class:`~repro.core.metrics.ModelSchedule` shared by every backend.
 * :mod:`repro.core.latency` -- cycle-count models, Eqs. (1)-(4).
 * :mod:`repro.core.clock` -- per-mode operating points, Eq. (5).
 * :mod:`repro.core.optimizer` -- per-layer pipeline-depth selection,
   Eq. (7) and discrete search.
-* :mod:`repro.core.scheduler` -- mapping whole CNNs onto the accelerator,
-  layer by layer.
 * :mod:`repro.core.energy` -- power, energy and energy-delay product.
 * :mod:`repro.core.arrayflex` -- the public accelerator facade
   (:class:`~repro.core.arrayflex.ArrayFlexAccelerator`).
+
+Scheduling whole workloads, layer by layer, is the job of the execution
+backends in :mod:`repro.backends`, which compose these models.
 """
 
 from repro.core.activity import (
@@ -30,9 +32,8 @@ from repro.core.activity import (
 from repro.core.config import ArrayFlexConfig
 from repro.core.clock import ClockModel
 from repro.core.latency import LatencyModel
-from repro.core.metrics import InvalidWorkloadError, LayerMetrics
+from repro.core.metrics import InvalidWorkloadError, LayerMetrics, ModelSchedule
 from repro.core.optimizer import ModeDecision, PipelineOptimizer
-from repro.core.scheduler import LayerSchedule, ModelSchedule, Scheduler
 from repro.core.energy import EnergyModel, LayerEnergyReport, RunEnergyReport
 from repro.core.arrayflex import ArrayFlexAccelerator, ComparisonReport
 from repro.core.design_space import DesignPoint, DesignPointResult, DesignSpaceExplorer
@@ -54,8 +55,6 @@ __all__ = [
     "ClockModel",
     "PipelineOptimizer",
     "ModeDecision",
-    "Scheduler",
-    "LayerSchedule",
     "ModelSchedule",
     "EnergyModel",
     "LayerEnergyReport",

@@ -9,10 +9,10 @@
 >>> round(comparison.latency_saving, 3) > 0
 True
 
-It wraps the configuration, the per-layer optimizer, the scheduler, the
-energy model and (optionally) the cycle-accurate functional simulator, and
-it exposes the conventional fixed-pipeline baseline for side-by-side
-comparisons -- the comparison the whole paper is about.
+It wraps the configuration, the per-layer optimizer, an execution
+backend, the energy model and (optionally) the cycle-accurate functional
+simulator, and it exposes the conventional fixed-pipeline baseline for
+side-by-side comparisons -- the comparison the whole paper is about.
 
 Scheduling is delegated to a pluggable :class:`repro.backends.ExecutionBackend`:
 
@@ -22,7 +22,8 @@ Scheduling is delegated to a pluggable :class:`repro.backends.ExecutionBackend`:
 
 keeps the exact numbers of the default analytical backend while making
 repeated and sweep-style workloads much faster; ``backend="cycle"``
-swaps in the cycle-accurate measured path.
+runs the same engine on cycle counts measured by the cycle-accurate
+simulator.
 """
 
 from __future__ import annotations
@@ -37,12 +38,7 @@ from repro.core.config import ArrayFlexConfig
 from repro.core.clock import ClockModel
 from repro.core.energy import EnergyModel
 from repro.core.optimizer import ModeDecision, PipelineOptimizer
-from repro.core.scheduler import (
-    LayerSchedule,
-    ModelSchedule,
-    Scheduler,
-    WorkloadArgument,
-)
+from repro.core.metrics import LayerMetrics, ModelSchedule, WorkloadArgument
 from repro.nn.gemm_mapping import GemmShape
 from repro.sim.tiling import TiledGemmResult, run_tiled_gemm
 from repro.timing.area_model import AreaModel
@@ -136,23 +132,10 @@ class ArrayFlexAccelerator:
         #: disk-persistent decision store (and implies the batched
         #: backend).
         self.backend = create_backend(attach_store(backend, cache_dir))
-        self._scheduler: Scheduler | None = None
         self.optimizer = PipelineOptimizer(self.config)
         self.clock = ClockModel(self.config)
         self.energy = EnergyModel(self.config)
         self.area = AreaModel(self.config.technology)
-
-    @property
-    def scheduler(self) -> Scheduler:
-        """The pre-backend per-layer scheduler (kept for compatibility).
-
-        Scheduling now routes through :attr:`backend`; this is built
-        lazily for callers that still reach into the scheduler's model
-        stack directly.
-        """
-        if self._scheduler is None:
-            self._scheduler = Scheduler(self.config)
-        return self._scheduler
 
     # ------------------------------------------------------------------ #
     # Analytical execution (latency / power / energy models)
@@ -161,7 +144,7 @@ class ArrayFlexAccelerator:
         """Pick the optimal pipeline mode for one GEMM (Eq. 6 argmin)."""
         return self.optimizer.best_depth(self._to_gemm(gemm))
 
-    def run_gemm(self, gemm: GemmShape | tuple[int, int, int]) -> LayerSchedule:
+    def run_gemm(self, gemm: GemmShape | tuple[int, int, int]) -> LayerMetrics:
         """Schedule one GEMM with the optimal pipeline mode."""
         return self.backend.schedule_layer(self._to_gemm(gemm), self.config, index=1)
 

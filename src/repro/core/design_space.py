@@ -160,10 +160,10 @@ class DesignSpaceExplorer:
     # ------------------------------------------------------------------ #
     def evaluate_point(self, point: DesignPoint) -> DesignPointResult:
         """Evaluate one candidate design point over the workload suite."""
-        from repro.backends import suite_totals
-
         config = self._config_for(point)
-        return self._aggregate(point, config, suite_totals(self.backend, self.models, config))
+        return self._aggregate(
+            point, config, self.backend.schedule_suite_totals(self.models, config)
+        )
 
     def _config_for(self, point: DesignPoint) -> ArrayFlexConfig:
         return ArrayFlexConfig(
@@ -251,10 +251,12 @@ class DesignSpaceExplorer:
         Explicit ``max_workers`` is always honoured; the automatic default
         is conservative, because a process pool imposes requirements a
         previously-serial call never had: the backend must survive
-        pickling (guaranteed for the stock batched backend, not for
-        arbitrary protocol implementations) and the ``spawn`` start
-        method re-imports ``__main__``, which breaks unguarded scripts —
-        so only the ``fork`` method qualifies.
+        pickling (guaranteed for the batched engine, ``batched`` and
+        ``cycle`` alike, not for arbitrary backend subclasses) and the
+        ``spawn`` start method re-imports ``__main__``, which breaks
+        unguarded scripts — so only the ``fork`` method qualifies.  A
+        large ``cycle`` sweep therefore fans out too, and each worker
+        calibrates its own measured lines.
         """
         import multiprocessing
 

@@ -5,18 +5,15 @@ scheduled layer carrying the decision (collapse depth), the timing
 (cycles, frequency, time), the activity inputs of the power model
 (effective datapath activity and the geometric array utilization it was
 derived from) and a per-component :class:`~repro.timing.power_model.
-ArrayPowerBreakdown` instead of a single collapsed scalar.  The
-historical flat ``LayerSchedule`` shape survives as back-compat
-properties (``power_mw``, ``energy_nj``) and as a module-level alias, so
-every consumer of the old record keeps working unchanged.
+ArrayPowerBreakdown` instead of a single collapsed scalar, with the
+collapsed scalars (``power_mw``, ``energy_nj``) as properties.
 
 :class:`ModelSchedule` aggregates the records of one run and now also
 exposes run-level energy composition (:meth:`ModelSchedule.
 energy_breakdown_nj`) and time-weighted activity/utilization averages.
 
 :func:`resolve_workload` — the single normalisation point for "what is a
-model" — also lives here so the backends can consume the data model
-without importing the scheduler facade.
+model" — also lives here, next to the data model every backend builds.
 """
 
 from __future__ import annotations
@@ -60,9 +57,9 @@ def resolve_workload(
     and a ``name`` (the :class:`~repro.workloads.base.Workload`
     protocol), a registry name string (resolved through
     :func:`repro.workloads.get_workload`, including ``@bs<N>`` batch
-    suffixes), or an explicit iterable of GEMM shapes.  Shared by the
-    scheduler and every execution backend so all entry points agree on
-    what a "model" is.
+    suffixes), or an explicit iterable of GEMM shapes.  Shared by every
+    execution backend and the serving protocol, so all entry points agree
+    on what a "model" is.
 
     Raises :class:`ValueError` when the workload resolves to an *empty*
     GEMM list, and :class:`InvalidWorkloadError` (a :class:`TypeError`)
@@ -141,11 +138,6 @@ class LayerMetrics:
             component: power_mw * time / 1000.0
             for component, power_mw in self.power.as_dict().items()
         }
-
-
-#: Back-compat alias: the flat per-layer record every pre-refactor call
-#: site imported.  Same object — old imports keep working.
-LayerSchedule = LayerMetrics
 
 
 @dataclass

@@ -13,7 +13,8 @@ Two selectors are provided, mirroring Section III-C of the paper:
   accurately";
 * the *discrete* search, which evaluates Tabs(k) for every supported
   collapse depth (using the discrete, rounded operating frequencies) and
-  picks the argmin.  This is what the scheduler actually uses, and what a
+  picks the argmin.  This is what the reference backend uses per layer
+  (the batched engine runs the same search vectorised), and what a
   deployment would programme into the accelerator per layer.
 """
 

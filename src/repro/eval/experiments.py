@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.backends import ExecutionBackend, create_backend
+from repro.backends import AnalyticalBackend, ExecutionBackend, create_backend
 from repro.core.arrayflex import ArrayFlexAccelerator, ComparisonReport
 from repro.core.config import ArrayFlexConfig
 from repro.core.clock import ClockModel
@@ -27,7 +27,7 @@ from repro.core.latency import (
     tile_count,
 )
 from repro.core.optimizer import PipelineOptimizer
-from repro.core.scheduler import ModelSchedule, Scheduler
+from repro.core.metrics import ModelSchedule
 from repro.eval.report import format_percent, format_ratio, format_table
 from repro.eval.sweep import DepthSweepPoint, collapse_depth_sweep
 from repro.nn.gemm_mapping import GemmShape
@@ -1066,10 +1066,10 @@ class CsaAblationExperiment:
 
     def run(self) -> CsaAblationResult:
         delay_model = DelayModel(self.technology)
-        scheduler = Scheduler(self.config)
         latency = LatencyModel(self.config)
-        conventional = scheduler.schedule_model_conventional(self.model)
-        arrayflex = scheduler.schedule_model_arrayflex(self.model)
+        conventional = AnalyticalBackend().schedule_model_conventional(
+            self.model, self.config
+        )
 
         entries = []
         for depth in self.config.sorted_depths():
@@ -1093,7 +1093,6 @@ class CsaAblationExperiment:
                     model_saving_without_csa=1.0 - total_without / conventional_total_ns,
                 )
             )
-        del arrayflex
         return CsaAblationResult(entries=entries, model_name=self.model.name)
 
     def render(self, result: CsaAblationResult | None = None) -> str:

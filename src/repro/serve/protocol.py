@@ -43,8 +43,7 @@ from typing import Iterable
 
 from repro.backends import ModelTotals
 from repro.core.config import ArrayFlexConfig
-from repro.core.metrics import ModelSchedule
-from repro.core.scheduler import WorkloadArgument, resolve_workload
+from repro.core.metrics import ModelSchedule, WorkloadArgument, resolve_workload
 from repro.nn.gemm_mapping import GemmShape
 from repro.serve.errors import InvalidRequest, RequestTimeout
 
@@ -82,7 +81,7 @@ class Request:
     of the per-layer optimised ArrayFlex one (a comparison front-end
     submits both and pairs the responses).  ``totals_only`` asks for a
     :class:`~repro.backends.ModelTotals` instead of a full per-layer
-    :class:`~repro.core.scheduler.ModelSchedule` — same numbers, but
+    :class:`~repro.core.metrics.ModelSchedule` — same numbers, but
     sweep-style aggregators skip materialising (and, on the process
     executor, pickling) hundreds of layer objects they would immediately
     collapse to two floats.

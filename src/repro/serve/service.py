@@ -63,14 +63,12 @@ from repro.obs.trace import Tracer, call_with_context, get_tracer
 from repro.backends import (
     BatchedCachedBackend,
     ExecutionBackend,
-    ExecutionBackendProtocol,
     ModelTotals,
     attach_store,
     create_backend,
-    model_totals,
 )
 from repro.core.config import ArrayFlexConfig
-from repro.core.scheduler import ModelSchedule, WorkloadArgument
+from repro.core.metrics import ModelSchedule, WorkloadArgument
 from repro.nn.gemm_mapping import GemmShape
 from repro.serve.errors import InvalidRequest
 from repro.serve.protocol import (
@@ -121,23 +119,23 @@ class TimedOutRequest:
 
 #: Per-worker backend for process-pool execution, installed by the pool
 #: initializer so each worker schedules on its own warm(ing) backend.
-_WORKER_BACKEND: ExecutionBackend | ExecutionBackendProtocol | None = None
+_WORKER_BACKEND: ExecutionBackend | None = None
 
 
-def _init_worker(backend: ExecutionBackend | ExecutionBackendProtocol) -> None:
+def _init_worker(backend: ExecutionBackend) -> None:
     global _WORKER_BACKEND
     _WORKER_BACKEND = backend
 
 
 def _compute_totals(
-    backend: ExecutionBackend | ExecutionBackendProtocol,
+    backend: ExecutionBackend,
     gemms: tuple[GemmShape, ...] | list[GemmShape],
     name: str,
     config: ArrayFlexConfig,
     conventional: bool,
 ) -> ModelTotals:
-    return model_totals(
-        backend, list(gemms), config, conventional=conventional, model_name=name
+    return backend.schedule_model_totals(
+        list(gemms), config, model_name=name, conventional=conventional
     )
 
 
@@ -240,7 +238,7 @@ class SchedulingService:
 
     def __init__(
         self,
-        backend: ExecutionBackend | ExecutionBackendProtocol | str | None = None,
+        backend: ExecutionBackend | str | None = None,
         cache_dir: str | os.PathLike[str] | None = None,
         executor: str = "thread",
         max_workers: int | None = None,
@@ -283,13 +281,10 @@ class SchedulingService:
         self._ctr_submitted = self.registry.counter("service_submitted_total")
         self._ctr_deduplicated = self.registry.counter("service_deduplicated_total")
         self._ctr_timed_out = self.registry.counter("service_timed_out_total")
-        backend_registry = getattr(self.backend, "metrics", None)
-        if isinstance(backend_registry, MetricsRegistry):
-            self.registry.attach(backend_registry)
-        backend_store = getattr(self.backend, "store", None)
-        store_registry = getattr(backend_store, "metrics", None)
-        if isinstance(store_registry, MetricsRegistry):
-            self.registry.attach(store_registry)
+        if isinstance(self.backend, BatchedCachedBackend):
+            self.registry.attach(self.backend.metrics)
+            if self.backend.store is not None:
+                self.registry.attach(self.backend.store.metrics)
         #: Set by the first :meth:`close`; makes closing idempotent and
         #: safe from a signal handler (an Event is set without taking any
         #: lock another thread might hold across the interrupted frame).
@@ -691,11 +686,10 @@ class SchedulingService:
                 "deduplicated": self._ctr_deduplicated.value,
                 "timed_out": self._ctr_timed_out.value,
             }
-        cache_info = getattr(self.backend, "cache_info", None)
-        if cache_info is not None and self.executor_kind == "thread":
+        if isinstance(self.backend, BatchedCachedBackend) and self.executor_kind == "thread":
             # Process workers hold their own backend copies; the parent's
             # counters would be misleading there.
-            counters.update(cache_info())
+            counters.update(self.backend.cache_info())
         return counters
 
     @property
@@ -725,11 +719,9 @@ class SchedulingService:
             return
         self._closed.set()
         self._pool.shutdown(wait=wait, cancel_futures=cancel_futures)
-        flush = getattr(self.backend, "flush_store", None)
-        if flush is not None:
-            # Drain buffered decision-store rows: a closed service leaves
-            # everything it derived on disk for the next process.
-            flush()
+        # Drain buffered decision-store rows: a closed service leaves
+        # everything it derived on disk for the next process.
+        self.backend.flush_store()
 
     def __enter__(self) -> "SchedulingService":
         return self

@@ -24,8 +24,6 @@ from repro.backends import (
     AnalyticalBackend,
     BatchedCachedBackend,
     CycleAccurateBackend,
-    model_totals,
-    suite_totals,
 )
 from repro.core.config import ArrayFlexConfig
 from repro.nn.gemm_mapping import GemmShape
@@ -122,12 +120,12 @@ def assert_backend_parity(backend, workload, config, reference=None) -> None:
     single = backend.schedule_layer(workload[0], config, index=1)
     assert single == reference.schedule_layer(workload[0], config, index=1)
 
-    totals = model_totals(backend, workload, config, model_name=name)
+    totals = backend.schedule_model_totals(workload, config, model_name=name)
     assert totals.time_ns == expected.total_time_ns
     assert totals.energy_nj == expected.total_energy_nj
 
-    [(arrayflex, baseline)] = suite_totals(backend, [workload], config)
+    [(arrayflex, baseline)] = backend.schedule_suite_totals([workload], config)
     assert arrayflex == totals
-    assert baseline == model_totals(
-        reference, workload, config, conventional=True, model_name=name
+    assert baseline == reference.schedule_model_totals(
+        workload, config, conventional=True, model_name=name
     )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import ArrayFlexAccelerator, ConventionalAccelerator, GemmShape
+from repro.core.latency import LatencyModel
 from repro.nn.models import mobilenet_v1
 from repro.nn.workloads import random_int_matrices
 
@@ -46,6 +47,6 @@ class TestBaselineBehaviour:
 
     def test_gemm_shape_object_accepted(self, baseline):
         layer = baseline.run_gemm(GemmShape(m=64, n=64, t=64))
-        assert layer.cycles == baseline.scheduler.latency.conventional_total_cycles(
+        assert layer.cycles == LatencyModel(baseline.config).conventional_total_cycles(
             GemmShape(m=64, n=64, t=64)
         )

@@ -102,10 +102,11 @@ class TestBackendFlag:
     def test_compare_batched_matches_analytical(self, capsys):
         assert main(["--backend", "analytical", "compare", "--model", "resnet34"]) == 0
         reference = capsys.readouterr().out
-        assert main(["--backend", "batched", "compare", "--model", "resnet34"]) == 0
-        fast = capsys.readouterr().out
-        # Identical numbers, only the backend tag in the header differs.
-        assert fast.replace("batched backend", "analytical backend") == reference
+        for backend in ("batched", "cycle"):
+            assert main(["--backend", backend, "compare", "--model", "resnet34"]) == 0
+            fast = capsys.readouterr().out
+            # Identical numbers, only the backend tag in the header differs.
+            assert fast.replace(f"{backend} backend", "analytical backend") == reference
 
     def test_compare_cycle_backend_small_array(self, capsys):
         assert (

@@ -129,14 +129,14 @@ class TestExecution:
         return tiny_study().run()
 
     def test_metrics_match_direct_backend_totals(self, outcome):
-        from repro.backends import create_backend, model_totals
+        from repro.backends import create_backend
 
         backend = create_backend("batched")
         for geometry, run_id in (((16, 16), "baseline"), ((32, 32), "geometry=32x32")):
             config = ArrayFlexConfig(
                 rows=geometry[0], cols=geometry[1], activity_model="constant"
             )
-            direct = model_totals(backend, "mobilenet_v1", config)
+            direct = backend.schedule_model_totals("mobilenet_v1", config)
             run = outcome.run(run_id)
             assert run.time_ns == direct.time_ns
             assert run.energy_nj == direct.energy_nj

@@ -27,7 +27,6 @@ from repro.backends import (
 from repro.core.activity import ConstantActivity, UtilizationActivity
 from repro.core.config import ArrayFlexConfig
 from repro.core.metrics import InvalidWorkloadError, LayerMetrics, resolve_workload
-from repro.core.scheduler import LayerSchedule, Scheduler
 from repro.nn.gemm_mapping import GemmShape
 from repro.nn.models import convnext_tiny, mobilenet_v1, resnet34
 from repro.timing.power_model import ArrayPowerBreakdown
@@ -96,20 +95,6 @@ class TestPreRefactorGoldenParity:
         measured = CycleAccurateBackend().schedule_model(gemms, config, model_name="s")
         modelled = analytical.schedule_model(gemms, config, model_name="s")
         assert measured.layers == modelled.layers
-
-    def test_scheduler_facade_matches_backend(self, analytical):
-        """Scheduler is now a facade: same records, same objects API."""
-        config = ArrayFlexConfig.paper_128x128()
-        scheduler = Scheduler(config)
-        model = mobilenet_v1()
-        assert (
-            scheduler.schedule_model_arrayflex(model).layers
-            == analytical.schedule_model(model, config).layers
-        )
-        assert (
-            scheduler.schedule_model_conventional(model).layers
-            == analytical.schedule_model_conventional(model, config).layers
-        )
 
 
 class TestUtilizationActivityPlumbing:
@@ -210,7 +195,6 @@ class TestLayerMetricsRecord:
             resnet34().gemm(28), ArrayFlexConfig.paper_128x128()
         )
         assert isinstance(layer, LayerMetrics)
-        assert LayerSchedule is LayerMetrics
         assert layer.power_mw == layer.power.total_mw
         assert layer.energy_nj == pytest.approx(
             layer.power_mw * layer.execution_time_ns / 1000.0

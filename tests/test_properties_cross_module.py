@@ -18,10 +18,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.arch.dataflow import WeightStationaryDataflow
+from repro.backends import AnalyticalBackend
+from repro.core.clock import ClockModel
 from repro.core.config import ArrayFlexConfig
-from repro.core.latency import arrayflex_tile_cycles, arrayflex_total_cycles, tile_count
+from repro.core.energy import EnergyModel
+from repro.core.latency import (
+    LatencyModel,
+    arrayflex_tile_cycles,
+    arrayflex_total_cycles,
+    tile_count,
+)
 from repro.core.optimizer import PipelineOptimizer
-from repro.core.scheduler import Scheduler
 from repro.nn.gemm_mapping import GemmShape, layer_to_gemm
 from repro.nn.layers import Conv2dLayer
 from repro.nn.workloads import random_int_matrices
@@ -87,9 +94,9 @@ class TestOptimizerInvariants:
     @given(gemm_shapes)
     def test_arrayflex_cycles_never_exceed_conventional(self, gemm):
         config = ArrayFlexConfig(rows=128, cols=128)
-        scheduler = Scheduler(config)
-        arrayflex = scheduler.schedule_gemm_arrayflex(1, gemm)
-        conventional = scheduler.schedule_gemm_conventional(1, gemm)
+        backend = AnalyticalBackend()
+        arrayflex = backend.schedule_layer(gemm, config)
+        conventional = backend.schedule_layer_conventional(gemm, config)
         assert arrayflex.cycles <= conventional.cycles
 
     @settings(max_examples=60)
@@ -98,10 +105,9 @@ class TestOptimizerInvariants:
         """Adaptive mode selection can lose to the 2 GHz conventional design on
         large-T layers, but it can never lose to ArrayFlex pinned at k = 1."""
         config = ArrayFlexConfig(rows=128, cols=128)
-        scheduler = Scheduler(config)
-        adaptive = scheduler.schedule_gemm_arrayflex(1, gemm)
-        pinned_cycles = scheduler.latency.total_cycles(gemm, 1)
-        pinned_time = scheduler.clock.execution_time_ns(pinned_cycles, 1)
+        adaptive = AnalyticalBackend().schedule_layer(gemm, config)
+        pinned_cycles = LatencyModel(config).total_cycles(gemm, 1)
+        pinned_time = ClockModel(config).execution_time_ns(pinned_cycles, 1)
         assert adaptive.execution_time_ns <= pinned_time + 1e-9
 
     @settings(max_examples=40)
@@ -116,8 +122,9 @@ class TestEnergyInvariants:
     @settings(max_examples=30)
     @given(st.lists(gemm_shapes, min_size=1, max_size=8))
     def test_schedule_energy_identities(self, gemms):
-        scheduler = Scheduler(ArrayFlexConfig(rows=128, cols=128))
-        schedule = scheduler.schedule_model_arrayflex(list(gemms), model_name="random")
+        schedule = AnalyticalBackend().schedule_model(
+            list(gemms), ArrayFlexConfig(rows=128, cols=128), model_name="random"
+        )
         assert schedule.total_energy_nj == pytest.approx(
             sum(l.energy_nj for l in schedule.layers)
         )
@@ -136,10 +143,12 @@ class TestEnergyInvariants:
         """The run-average ArrayFlex power always lies between the cheapest and
         the most expensive per-mode power."""
         config = ArrayFlexConfig(rows=128, cols=128)
-        scheduler = Scheduler(config)
-        schedule = scheduler.schedule_model_arrayflex(list(gemms), model_name="random")
+        schedule = AnalyticalBackend().schedule_model(
+            list(gemms), config, model_name="random"
+        )
+        energy, clock = EnergyModel(config), ClockModel(config)
         mode_powers = [
-            scheduler.energy.arrayflex_power_mw(k, scheduler.clock.frequency_ghz(k))
+            energy.arrayflex_power_mw(k, clock.frequency_ghz(k))
             for k in config.sorted_depths()
         ]
         assert min(mode_powers) - 1e-6 <= schedule.average_power_mw <= max(mode_powers) + 1e-6

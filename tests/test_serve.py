@@ -49,8 +49,10 @@ class TestConstruction:
             assert service.max_workers == default_max_workers("thread")
 
     def test_cache_dir_requires_batched_backend(self, tmp_path):
-        with pytest.raises(ValueError):
-            SchedulingService(backend="analytical", cache_dir=tmp_path)
+        # cycle runs the batched engine, but the store's rows are not measured.
+        for backend in ("analytical", "cycle"):
+            with pytest.raises(ValueError):
+                SchedulingService(backend=backend, cache_dir=tmp_path)
 
     def test_cache_dir_attaches_store(self, tmp_path):
         with SchedulingService(cache_dir=tmp_path) as service:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.backends import AnalyticalBackend
 from repro.core.config import ArrayFlexConfig
-from repro.core.scheduler import resolve_workload
+from repro.core.metrics import resolve_workload
 from repro.nn.gemm_mapping import GemmShape
 from repro.nn.models import resnet34
 from repro.workloads import (

@@ -8,7 +8,7 @@ workloads, so any change to the trace is a deliberate, visible diff.
 
 import pytest
 
-from repro.backends import AnalyticalBackend, BatchedCachedBackend, model_totals
+from repro.backends import AnalyticalBackend, BatchedCachedBackend
 from repro.core.config import ArrayFlexConfig
 from repro.workloads import (
     TransformerConfig,
@@ -184,7 +184,7 @@ class TestBackendParity:
     def test_totals_match_schedule_sums(self, config, conventional):
         workload = get_workload("gpt2_decode")
         backend = BatchedCachedBackend()
-        totals = model_totals(backend, workload, config, conventional=conventional)
+        totals = backend.schedule_model_totals(workload, config, conventional=conventional)
         scheduler = (
             backend.schedule_model_conventional if conventional else backend.schedule_model
         )
