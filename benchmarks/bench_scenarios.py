@@ -152,7 +152,7 @@ ABLATION_SUITE = "cnn"
 ABLATION_SIZE = 64
 
 
-def ablation_study(executor: str = "thread"):
+def ablation_study():
     """A fresh study object of the ablation-sweep scenario."""
     from repro.eval.ablation import AblationStudy, Component
 
@@ -167,13 +167,12 @@ def ablation_study(executor: str = "thread"):
             Component("depths", (1, 2, 4), ((1, 2),)),
         ],
         fixed={"suite": ABLATION_SUITE},
-        executor=executor,
     )
 
 
-def run_ablation_sweep(executor: str = "thread"):
+def run_ablation_sweep():
     """Run the ablation-sweep scenario once; returns the StudyResult."""
-    return ablation_study(executor=executor).run()
+    return ablation_study().run()
 
 
 #: The observability-overhead scenario (``test_bench_obs.py`` and the

@@ -30,8 +30,8 @@ Architecture with Configurable Transparent Pipelining* (DATE 2023):
   (:mod:`repro.backends.store`).
 * :mod:`repro.serve` -- the serving layer: the versioned
   :class:`~repro.serve.protocol.Request`/``Response`` protocol, the
-  deduplicating ``submit()`` service over thread/process executors, and
-  the HTTP/JSON scheduler daemon (``python -m repro serve``).
+  deduplicating ``submit()`` service over a thread pool, and the
+  HTTP/JSON scheduler daemon (``python -m repro serve``).
 * :mod:`repro.eval` -- the experiment harness regenerating every figure of
   the paper's evaluation.
 
@@ -65,7 +65,7 @@ from repro.core.config import ArrayFlexConfig
 from repro.core.metrics import LayerMetrics
 from repro.baselines.conventional import ConventionalAccelerator
 from repro.nn.gemm_mapping import GemmShape
-from repro.serve import Request, Response, ScheduleRequest, SchedulingService
+from repro.serve import Request, Response, SchedulingService
 from repro.timing.technology import TechnologyModel
 from repro.workloads import (
     TransformerConfig,
@@ -96,7 +96,6 @@ __all__ = [
     "create_activity_model",
     "Request",
     "Response",
-    "ScheduleRequest",
     "SchedulingService",
     "TechnologyModel",
     "TransformerConfig",

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 
 import numpy as np
 
@@ -77,22 +77,82 @@ from repro.timing.power_model import ArrayPowerBreakdown, PowerModel
 #: :meth:`PipelineOptimizer.best_depth`).
 _TIE_EPS = 1e-12
 
+#: Largest count the engine's int64 arithmetic holds.
+_INT64_MAX = np.iinfo(np.int64).max
+
 
 def _ceil_div(a: np.ndarray | int, b: np.ndarray | int) -> np.ndarray | int:
     return -(-a // b)
 
 
-def _conventional_cycles_vector(
-    rows: int, cols: int, m: np.ndarray, n: np.ndarray, t: np.ndarray
-) -> np.ndarray:
+def _layer_cycles(
+    gemms: list[GemmShape],
+    config: ArrayFlexConfig,
+    per_tile_cycles: Callable[[np.ndarray], np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(m, n, t, cycles)`` layer vectors: per-tile cycles x Eq. (4) tiles.
+
+    ``per_tile_cycles(t)`` gives the (layers, modes) per-tile cycles.
+    NumPy's int64 arithmetic wraps silently, so a layer whose dimensions
+    or counts do not fit int64 is refused with a :class:`ValueError`
+    naming it.  The tile plane (tiles x R x C, which bounds the
+    utilization's N x M) is held to the same bound.
+    """
+    rows, cols = config.rows, config.cols
+    try:
+        m = np.array([g.m for g in gemms], dtype=np.int64)
+        n = np.array([g.n for g in gemms], dtype=np.int64)
+        t = np.array([g.t for g in gemms], dtype=np.int64)
+        row_tiles, col_tiles = _ceil_div(n, rows), _ceil_div(m, cols)
+        pes = np.int64(rows * cols)
+        per_tile = per_tile_cycles(t)
+    except OverflowError:  # a dimension, or the geometry itself
+        too_large = [max(g.m, g.n, g.t) > _INT64_MAX for g in gemms]
+        raise _overflow(gemms, config, too_large) from None
+    tiles = row_tiles * col_tiles
+    cycles = per_tile * tiles[:, None]
+    # Every product here is at most ``bound`` (exact Python ints), and a
+    # wrapped per-tile count (T plus fill and drain) comes out negative.
+    # Only then are the layers checked one by one: every operand is
+    # positive, so a wrapped product does not divide back into its factor.
+    bound = int(row_tiles.max()) * int(col_tiles.max()) * max(int(per_tile.max()), int(pes))
+    if bound > _INT64_MAX or per_tile.min() < 1:
+        wrapped = (
+            (tiles // row_tiles != col_tiles)
+            | (tiles * pes // np.maximum(tiles, 1) != pes)
+            | (per_tile < t[:, None]).any(axis=1)
+            | (cycles // np.maximum(per_tile, 1) != tiles[:, None]).any(axis=1)
+        )
+        if wrapped.any():
+            raise _overflow(gemms, config, wrapped)
+    return m, n, t, cycles
+
+
+def _overflow(gemms: list[GemmShape], config: ArrayFlexConfig, wrapped) -> ValueError:
+    """The refusal of the first ``wrapped`` layer (the first layer if none)."""
+    gemm = gemms[int(np.argmax(wrapped))]
+    return ValueError(
+        f"layer {gemm} on a {config.rows}x{config.cols} array: a dimension or "
+        f"cycle count does not fit int64"
+    )
+
+
+def _conventional_cycles(
+    gemms: list[GemmShape], config: ArrayFlexConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Eq. (2) over layer vectors: per-tile Eq. (1) cycles x tile count.
 
     The scalar reference lives in
     :func:`repro.core.latency.conventional_total_cycles`; this is its only
     vectorised restatement, shared by every conventional-path call site of
     this backend, and the parity tests pin the two against each other.
+    Returns ``(m, n, t, cycles)`` like :func:`_layer_cycles`.
     """
-    return (2 * rows + cols + t - 2) * (_ceil_div(n, rows) * _ceil_div(m, cols))
+    rows, cols = config.rows, config.cols
+    m, n, t, cycles = _layer_cycles(
+        gemms, config, lambda t: (2 * rows + cols + t - 2)[:, None]
+    )
+    return m, n, t, cycles[:, 0]
 
 
 def _effective_activity_vector(
@@ -346,10 +406,7 @@ class BatchedCachedBackend(ExecutionBackend):
         period_ns = parts.clock.conventional_period_ns()
         frequency = parts.clock.conventional_frequency_ghz()
 
-        m = np.array([g.m for g in gemms], dtype=np.int64)
-        n = np.array([g.n for g in gemms], dtype=np.int64)
-        t = np.array([g.t for g in gemms], dtype=np.int64)
-        cycles = _conventional_cycles_vector(rows, cols, m, n, t)
+        m, n, t, cycles = _conventional_cycles(gemms, config)
         times_ns = cycles * period_ns
         activity = _effective_activity_vector(config, m, n, t)
         utilization = tiling_utilization_vector(m, n, rows, cols)
@@ -447,13 +504,9 @@ class BatchedCachedBackend(ExecutionBackend):
     ) -> ModelTotals:
         if conventional:
             parts = self.components(config)
-            rows, cols = config.rows, config.cols
             period_ns = parts.clock.conventional_period_ns()
             frequency = parts.clock.conventional_frequency_ghz()
-            t = np.array([g.t for g in gemms], dtype=np.int64)
-            n = np.array([g.n for g in gemms], dtype=np.int64)
-            m = np.array([g.m for g in gemms], dtype=np.int64)
-            cycles = _conventional_cycles_vector(rows, cols, m, n, t)
+            m, n, t, cycles = _conventional_cycles(gemms, config)
             activity = _effective_activity_vector(config, m, n, t)
             powers = _conventional_power_vectors(
                 config,
@@ -591,14 +644,12 @@ class BatchedCachedBackend(ExecutionBackend):
         rows, cols = config.rows, config.cols
         depths = config.sorted_depths()
 
-        m = np.array([g.m for g in gemms], dtype=np.int64)
-        n = np.array([g.n for g in gemms], dtype=np.int64)
-        t = np.array([g.t for g in gemms], dtype=np.int64)
-        tiles = _ceil_div(n, rows) * _ceil_div(m, cols)
-
         # Per-tile cycles x Eq. (4) tile count, every layer at every depth.
-        per_tile = np.stack([self._tile_cycles(config, d, t) for d in depths], axis=1)
-        cycles = per_tile * tiles[:, None]
+        m, n, t, cycles = _layer_cycles(
+            gemms,
+            config,
+            lambda t: np.stack([self._tile_cycles(config, d, t) for d in depths], axis=1),
+        )
 
         # Eq. (6): absolute time under each mode's discrete operating point.
         periods_ns = np.array([parts.clock.period_ns(d) for d in depths])

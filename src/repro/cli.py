@@ -291,16 +291,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="supported collapse depths (default: 1 2 4)",
     )
     batch.add_argument(
-        "--executor",
-        choices=["thread", "process"],
-        default="thread",
-        help="service executor (default: thread)",
-    )
-    batch.add_argument(
         "--workers",
         type=int,
         default=None,
-        help="service worker count (default: auto from CPU count)",
+        help="service thread count (default: auto from CPU count)",
     )
     batch.add_argument(
         "--no-cache",
@@ -355,16 +349,10 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     serve.add_argument(
-        "--executor",
-        choices=["thread", "process"],
-        default="thread",
-        help="service executor (default: thread)",
-    )
-    serve.add_argument(
         "--workers",
         type=int,
         default=None,
-        help="service worker count (default: auto from CPU count)",
+        help="service thread count (default: auto from CPU count)",
     )
     serve.add_argument(
         "--no-cache",
@@ -535,16 +523,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="primary importance-ranking metric (default: edp)",
     )
     ablate.add_argument(
-        "--executor",
-        choices=["thread", "process"],
-        default="thread",
-        help="service executor the runs fan out on (default: thread)",
-    )
-    ablate.add_argument(
         "--workers",
         type=int,
         default=None,
-        help="service worker count (default: auto from CPU count)",
+        help="service thread count the runs fan out on (default: auto from CPU count)",
     )
     ablate.add_argument(
         "--timeout",
@@ -782,9 +764,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         for rows, cols in sizes
     ]
     name_width = max(18, max(len(w.name) for w, _ in grid))
-    service = SchedulingService(
-        cache_dir=cache_dir, executor=args.executor, max_workers=args.workers
-    )
+    service = SchedulingService(cache_dir=cache_dir, max_workers=args.workers)
     try:
         pairs = service.compare(grid, timeout=args.timeout)
         print(
@@ -818,15 +798,12 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         service.close(wait=not abandoned, cancel_futures=abandoned)
     print(
         f"served {stats['requests']} requests "
-        f"({stats['deduplicated']} deduplicated) on {stats['executor']} x "
-        f"{stats['max_workers']} workers"
+        f"({stats['deduplicated']} deduplicated) on {stats['max_workers']} threads"
     )
-    if "misses" in stats:  # thread mode; process workers keep their own counters
-        print(
-            f"decision cache: {stats.get('hits', 0)} hits, "
-            f"{stats.get('store_hits', 0)} from disk, "
-            f"{stats.get('misses', 0)} solved"
-        )
+    print(
+        f"decision cache: {stats['hits']} hits, {stats['store_hits']} from disk, "
+        f"{stats['misses']} solved"
+    )
     if cache_dir is not None:
         print(f"persistent cache: {cache_dir}")
     timed_out = int(stats.get("timed_out", 0))
@@ -859,7 +836,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         cache_dir=cache_dir,
-        executor=args.executor,
         max_workers=args.workers,
         max_inflight=args.max_inflight,
         rate_limit=args.rate_limit,
@@ -1061,7 +1037,6 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
         fixed=fixed,
         pairwise=args.pairwise,
         metric=args.metric,
-        executor=args.executor,
         max_workers=args.workers,
         timeout=args.timeout,
     )

@@ -13,8 +13,8 @@ data:
   alternative of each component, every other knob at baseline), plus the
   optional pairwise grid for interaction checks;
 * the runs fan out through :class:`~repro.serve.SchedulingService`
-  (request dedup, thread/process pools, per-run timeouts and ``obs``
-  spans for free), one service per backend;
+  (request dedup, a thread pool, per-run timeouts and ``obs`` spans for
+  free), one service per backend;
 * per-component **importance** is the largest relative delta any of its
   alternatives causes on each metric (latency / energy / EDP), ranked on
   the study's primary metric.  Every backend is exact, so every nonzero
@@ -22,7 +22,7 @@ data:
 
 The run set, run ids, rankings and JSON payload are deterministic
 functions of the declaration: the same study produces the same report
-under either executor kind and any submission order.
+for any thread count and any submission order.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from repro.core.metrics import ModelSchedule
 from repro.eval.report import format_table
 from repro.obs.trace import get_tracer
 from repro.serve.protocol import Request, Response
-from repro.serve.service import EXECUTORS, SchedulingService
+from repro.serve.service import SchedulingService
 
 #: Metrics every study scores, in report order.
 METRICS = ("latency", "energy", "edp")
@@ -282,7 +282,6 @@ class AblationStudy:
     metric: str = "edp"
     totals_only: bool = True
     conventional: bool = False
-    executor: str = "thread"
     max_workers: int | None = None
     timeout: float | None = None
 
@@ -296,10 +295,6 @@ class AblationStudy:
         if self.metric not in METRICS:
             raise ValueError(
                 f"metric must be one of {METRICS}, got {self.metric!r}"
-            )
-        if self.executor not in EXECUTORS:
-            raise ValueError(
-                f"executor must be one of {EXECUTORS}, got {self.executor!r}"
             )
         self.fixed = {
             name: _normalize(name, value) for name, value in dict(self.fixed).items()
@@ -394,7 +389,7 @@ def execute_study(
 
     Runs are grouped by backend name; each group goes through one
     :class:`SchedulingService` as a single ``submit_many`` batch, so the
-    whole group runs with full executor concurrency, deduplicated
+    whole group runs with full thread-pool concurrency, deduplicated
     requests (e.g. the shared conventional baselines of a pairwise grid)
     are computed once, and per-run deadlines (``study.timeout``) can
     never hang the study.  ``order`` optionally permutes the *submission*
@@ -444,15 +439,10 @@ def execute_study(
         "ablation.study",
         runs=len(specs),
         components=len(study.components),
-        executor=study.executor,
     ):
         for key, backend in groups.items():
             group = [plan for plan in plans if plan[2] == key]
-            service = SchedulingService(
-                backend=backend,
-                executor=study.executor,
-                max_workers=study.max_workers,
-            )
+            service = SchedulingService(backend=backend, max_workers=study.max_workers)
             try:
                 flat = [request for plan in group for request in plan[4]]
                 responses = service.submit_many(flat, timeout=study.timeout)
@@ -710,7 +700,6 @@ def _format_delta(value: float, signed: bool = True) -> str:
 def default_study(
     backend=None,
     suite: str = "cnn",
-    executor: str = "thread",
     timeout: float | None = None,
 ) -> AblationStudy:
     """The stock "which knob mattered" study over the paper's CNN suite.
@@ -731,6 +720,5 @@ def default_study(
         ],
         fixed=fixed,
         metric="edp",
-        executor=executor,
         timeout=timeout,
     )

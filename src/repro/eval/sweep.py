@@ -108,7 +108,7 @@ def array_size_sweep(
         for model in models
     ]
     with SchedulingService(
-        backend=resolved, executor="thread", max_workers=max_workers or 1
+        backend=resolved, max_workers=max_workers or 1
     ) as service, get_tracer().span(
         "sweep.array_size", models=len(models), sizes=len(sizes)
     ):

@@ -14,11 +14,10 @@ workers): locks are dropped and re-created, and attached child
 registries are *not* carried along — the pickle is the owner's own
 instruments only.
 
-Design constraints inherited from the pre-registry stores this replaces
-(``DaemonMetrics`` dicts, ``ServiceStats`` ints, backend ``_hits``
-counters): increments must stay cheap (one lock, one add) and the legacy
-snapshot shapes must be reconstructible bit-identically — see each
-component's ``snapshot()``/``stats()``/``counters()``.
+Design constraints: increments must stay cheap (one lock, one add), and
+each component's legacy snapshot shape (``DaemonMetrics.snapshot()``,
+``SchedulingService.stats()``, the backends' ``cache_info()``) must be
+reconstructible bit-identically from its instruments.
 """
 
 from __future__ import annotations
@@ -107,8 +106,7 @@ class Gauge:
 
 
 #: The latency buckets the daemon has always exposed (ms, roughly
-#: log-spaced).  Kept as the registry default so migrated histograms are
-#: bit-identical to the pre-registry ``LatencyHistogram``.
+#: log-spaced); the registry default.
 DEFAULT_BUCKETS_MS = (
     0.5, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000,
 )
@@ -117,8 +115,7 @@ DEFAULT_BUCKETS_MS = (
 class Histogram:
     """A log-bucketed histogram (counts per upper-edge, plus sum/count).
 
-    Generalises the daemon's ``LatencyHistogram``: same cumulative
-    ``buckets_le`` read shape, arbitrary bucket edges.
+    Cumulative ``buckets_le`` read shape over arbitrary bucket edges.
     """
 
     __slots__ = ("name", "labels", "buckets", "_counts", "_sum", "_count", "_lock")

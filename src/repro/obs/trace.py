@@ -3,9 +3,10 @@
 One process-local :class:`Tracer` owns every span of a process.  Spans
 are context-managed and nest through a :mod:`contextvars` variable, so
 the hierarchy follows the logical flow of a request — including across
-the thread pools of :class:`~repro.serve.service.SchedulingService`
+the thread pool of :class:`~repro.serve.service.SchedulingService`
 (``contextvars`` propagate automatically through
-``contextvars.copy_context``) and across its *process* pools, where a
+``contextvars.copy_context``) and across the process pool of
+:class:`~repro.core.design_space.DesignSpaceExplorer`, where a
 picklable :class:`SpanContext` ships with the task and the worker's
 spans come back in the result for re-parenting (see
 :func:`call_with_context`).

@@ -7,8 +7,10 @@ The public surface is deliberately small and versioned:
   dataclasses every entry point speaks (``PROTOCOL_VERSION`` stamps the
   wire form);
 * :class:`~repro.serve.service.SchedulingService` — the in-process
-  server; ``submit(Request) -> Response`` is the single core, with
-  ``submit_many``/``submit_future``/``compare`` as thin adapters;
+  server over one thread pool; ``submit(Request) -> Response`` is the
+  single core, with ``submit_many``/``submit_future``/``compare`` as
+  thin adapters, and a request that can never succeed raises
+  :class:`~repro.serve.errors.InvalidRequest`;
 * :class:`~repro.serve.daemon.SchedulerDaemon` /
   :class:`~repro.serve.daemon.DaemonClient` — the same service behind a
   stdlib HTTP/JSON front door (``python -m repro serve``);
@@ -24,10 +26,6 @@ The public surface is deliberately small and versioned:
 ...     )
 >>> response.unwrap().model_name
 'ResNet-34'
-
-``ScheduleRequest``, ``schedule_many``, ``schedule_all``,
-``schedule_suite`` and ``compare_many`` are deprecated pre-protocol
-aliases kept for one release; see ``docs/serve-api-migration.md``.
 """
 
 from repro.serve.daemon import DaemonClient, SchedulerDaemon
@@ -38,12 +36,7 @@ from repro.serve.errors import (
     RequestTimeout,
     ServeError,
 )
-from repro.serve.middleware import (
-    AdmissionGate,
-    DaemonMetrics,
-    LatencyHistogram,
-    TokenBucket,
-)
+from repro.serve.middleware import AdmissionGate, DaemonMetrics, TokenBucket
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
     Request,
@@ -54,14 +47,7 @@ from repro.serve.protocol import (
     response_to_wire,
     suite_requests,
 )
-from repro.serve.service import (
-    EXECUTORS,
-    ScheduleRequest,  # deprecated alias of Request (one release of grace)
-    SchedulingService,
-    ServiceStats,
-    TimedOutRequest,
-    default_max_workers,
-)
+from repro.serve.service import SchedulingService, default_max_workers
 
 __all__ = [
     # protocol
@@ -74,9 +60,7 @@ __all__ = [
     "response_to_wire",
     "suite_requests",
     # service
-    "EXECUTORS",
     "SchedulingService",
-    "ServiceStats",
     "default_max_workers",
     # daemon
     "DaemonClient",
@@ -84,7 +68,6 @@ __all__ = [
     # middleware
     "AdmissionGate",
     "DaemonMetrics",
-    "LatencyHistogram",
     "TokenBucket",
     # errors
     "ServeError",
@@ -92,7 +75,4 @@ __all__ = [
     "AdmissionRejected",
     "RateLimited",
     "RequestTimeout",
-    # deprecated (one release of grace)
-    "ScheduleRequest",
-    "TimedOutRequest",
 ]

@@ -12,7 +12,7 @@ Endpoints
 ``POST /v1/schedule``  one request body -> one response body (a missed
                        deadline is HTTP 504, ``request_timeout``).
 ``POST /v1/batch``     ``{"v": 1, "requests": [...]}`` -> ``{"responses":
-                       [...]}``; submitted together (full executor
+                       [...]}``; submitted together (full thread-pool
                        concurrency + dedup), per-item timeouts reported
                        per item, never failing the batch.
 ``POST /v1/compare``   like batch, but each request becomes an
@@ -29,7 +29,11 @@ Endpoints
 
 What a daemon needs that a library doesn't
 ------------------------------------------
-*Backpressure*: at most ``max_inflight`` requests are admitted at once
+*Typed refusals*: input that can never succeed — malformed JSON, an
+unknown workload name, a non-finite number (``json`` accepts
+``Infinity`` and ``NaN``), a layer whose cycle count does not fit int64
+— is HTTP 400 ``invalid_request``, never a 500.  *Backpressure*: at
+most ``max_inflight`` requests are admitted at once
 (:class:`~repro.serve.middleware.AdmissionGate`); beyond that the daemon
 sheds load with HTTP 429 + ``Retry-After`` instead of queueing without
 bound.  A request's body is read and decoded before it takes a rate-limit
@@ -105,12 +109,12 @@ _ACCESS_LOG = logging.getLogger("repro.serve.access")
 class SchedulerDaemon:
     """One scheduling service behind a threaded HTTP/JSON front door.
 
-    ``service`` defaults to a fresh thread-executor
-    :class:`SchedulingService` built from ``backend``/``cache_dir``/
-    ``max_workers``; pass an existing service to share its warmth (the
-    daemon then also owns closing it on drain).  ``max_inflight`` bounds
-    the admission queue, ``rate_limit``/``rate_burst`` configure the
-    per-client token bucket (``None`` disables it), and
+    ``service`` defaults to a fresh :class:`SchedulingService` built
+    from ``backend``/``cache_dir``/``max_workers``; pass an existing
+    service to share its warmth (the daemon then also owns closing it on
+    drain).  ``max_inflight`` bounds the admission queue,
+    ``rate_limit``/``rate_burst`` configure the per-client token bucket
+    (``None`` disables it), and
     ``default_timeout`` is the per-request deadline applied when a wire
     request carries none (``None``: wait forever).
     """
@@ -123,7 +127,6 @@ class SchedulerDaemon:
         port: int = 8537,
         backend=None,
         cache_dir=None,
-        executor: str = "thread",
         max_workers: int | None = None,
         max_inflight: int = 64,
         rate_limit: float | None = None,
@@ -133,10 +136,7 @@ class SchedulerDaemon:
     ) -> None:
         if service is None:
             service = SchedulingService(
-                backend=backend,
-                cache_dir=cache_dir,
-                executor=executor,
-                max_workers=max_workers,
+                backend=backend, cache_dir=cache_dir, max_workers=max_workers
             )
         elif backend is not None or cache_dir is not None:
             raise InvalidRequest(
@@ -379,8 +379,8 @@ class _Handler(BaseHTTPRequestHandler):
         client = self.headers.get("X-Client-Id") or self.client_address[0]
         started = self._started
         # The request ID doubles as the trace ID, so every span a request
-        # opens — here, in the service, in a pool worker — and every log
-        # record it emits carry the same correlation ID.
+        # opens — here or on a service thread — and every log record it
+        # emits carry the same correlation ID.
         with bind_request_id(rid), get_tracer().span(
             "daemon.request", trace_id=rid, endpoint=endpoint, client=client
         ) as span:

@@ -71,9 +71,10 @@ class InvalidRequest(ServeError, ValueError):
     """A request (or service/daemon argument) that can never succeed.
 
     Malformed JSON, an unknown workload name, an illegal configuration,
-    a bad executor kind — retrying without changing the request is
-    pointless.  Subclasses :class:`ValueError` for compatibility with the
-    pre-daemon serving API, which raised bare ``ValueError`` here.
+    a layer whose cycle count does not fit int64 — retrying without
+    changing the request is pointless.  Subclasses :class:`ValueError`
+    for compatibility with the pre-daemon serving API, which raised bare
+    ``ValueError`` here.
     """
 
     code = "invalid_request"

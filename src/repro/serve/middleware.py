@@ -18,14 +18,12 @@ and :class:`~repro.serve.service.SchedulingService`:
   request with an empty bucket is refused with
   :class:`~repro.serve.errors.RateLimited` carrying the *exact* seconds
   until a whole token exists again.
-* :class:`LatencyHistogram` / :class:`DaemonMetrics` — the ``/metrics``
-  counters: per-endpoint request/outcome counts, rejection counts, and
-  per-backend latency histograms over log-spaced buckets (fixed bucket
-  edges keep the histogram mergeable across scrapes — no quantile state
-  to decay).  Since the unified observability layer, both are thin
-  views over :class:`repro.obs.MetricsRegistry` instruments — the
-  snapshot shapes are unchanged, but the daemon can now merge these
-  counters with the service's and store's through one registry.
+* :class:`DaemonMetrics` — the ``/metrics`` counters: per-endpoint
+  request/outcome counts, rejection counts, and per-backend latency
+  histograms over log-spaced buckets (fixed bucket edges keep the
+  histogram mergeable across scrapes — no quantile state to decay).
+  They are :class:`repro.obs.MetricsRegistry` instruments, so the daemon
+  merges them with the service's and store's through one registry.
 
 Everything takes an injectable clock so the tests never sleep to move
 time forward.
@@ -44,7 +42,6 @@ from repro.serve.errors import AdmissionRejected, InvalidRequest, RateLimited
 __all__ = [
     "AdmissionGate",
     "DaemonMetrics",
-    "LatencyHistogram",
     "TokenBucket",
 ]
 
@@ -180,30 +177,6 @@ def _histogram_snapshot(histogram: Histogram) -> dict:
     }
 
 
-class LatencyHistogram:
-    """Cumulative latency histogram over fixed log-spaced millisecond buckets.
-
-    A view over one :class:`repro.obs.Histogram` instrument; standalone
-    construction (no registry) keeps the historical API for direct
-    users, while :class:`DaemonMetrics` builds them on its registry.
-    """
-
-    #: Upper bucket edges in milliseconds (the last bucket is +inf).
-    BUCKETS_MS = DEFAULT_BUCKETS_MS
-
-    def __init__(self, instrument: Histogram | None = None) -> None:
-        self._instrument = instrument or Histogram(
-            "latency_ms", {}, buckets=self.BUCKETS_MS
-        )
-
-    def observe(self, latency_ms: float) -> None:
-        self._instrument.observe(latency_ms)
-
-    def snapshot(self) -> dict:
-        """count / sum / mean plus cumulative ``le`` bucket counts."""
-        return _histogram_snapshot(self._instrument)
-
-
 class DaemonMetrics:
     """The /metrics counters: requests, rejections, latency histograms.
 
@@ -233,7 +206,7 @@ class DaemonMetrics:
             "daemon_outcomes_total", endpoint=endpoint, outcome=outcome
         ).inc()
         self.registry.histogram(
-            "daemon_latency_ms", buckets=LatencyHistogram.BUCKETS_MS, backend=backend
+            "daemon_latency_ms", buckets=DEFAULT_BUCKETS_MS, backend=backend
         ).observe(latency_ms)
 
     def reject(self, endpoint: str, code: str) -> None:

@@ -38,8 +38,8 @@ results add cycle counts, the depth histogram and activity aggregates.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field, replace
-from typing import Iterable
 
 from repro.backends import ModelTotals
 from repro.core.config import ArrayFlexConfig
@@ -82,13 +82,13 @@ class Request:
     submits both and pairs the responses).  ``totals_only`` asks for a
     :class:`~repro.backends.ModelTotals` instead of a full per-layer
     :class:`~repro.core.metrics.ModelSchedule` — same numbers, but
-    sweep-style aggregators skip materialising (and, on the process
-    executor, pickling) hundreds of layer objects they would immediately
-    collapse to two floats.
+    sweep-style aggregators skip materialising hundreds of layer objects
+    they would immediately collapse to two floats.
 
     ``timeout`` bounds, in seconds, how long :meth:`SchedulingService.
     submit` (and the blocking collection helpers) waits for this
-    request's result; expiry yields a ``status="timeout"``
+    request's result: a finite number in ``(0, threading.TIMEOUT_MAX]``.
+    Expiry yields a ``status="timeout"``
     :class:`Response` instead of hanging the caller.  It is *not* part of
     the request's dedup identity — the same workload with a different
     deadline is still the same computation.  The configured activity
@@ -105,8 +105,12 @@ class Request:
     timeout: float | None = None
 
     def __post_init__(self) -> None:
-        if self.timeout is not None and self.timeout <= 0:
-            raise InvalidRequest("timeout must be positive (or None for no deadline)")
+        # Written so that NaN fails too; past TIMEOUT_MAX a wait overflows.
+        if self.timeout is not None and not 0 < self.timeout <= threading.TIMEOUT_MAX:
+            raise InvalidRequest(
+                f"timeout must be a positive number of seconds up to "
+                f"{threading.TIMEOUT_MAX:g} (or None for no deadline), got {self.timeout}"
+            )
         if not isinstance(self.config, ArrayFlexConfig):
             raise InvalidRequest(
                 f"config must be an ArrayFlexConfig, got {type(self.config).__name__}"
@@ -206,7 +210,8 @@ def config_from_wire(payload: object) -> ArrayFlexConfig:
             ),
             activity_model=payload.get("activity_model", "constant"),
         )
-    except (TypeError, ValueError) as exc:
+    # OverflowError: int() of an infinite float (JSON's Infinity).
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidRequest(f"invalid config: {exc}") from exc
 
 
@@ -224,7 +229,7 @@ def _model_from_wire(payload: object) -> str | tuple[GemmShape, ...]:
                 )
             try:
                 m, n, t = (int(value) for value in item[:3])
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise InvalidRequest(
                     f"model entry {index} has non-integer dimensions"
                 ) from exc
@@ -277,13 +282,18 @@ def request_from_wire(payload: object) -> Request:
     model_name = payload.get("model_name")
     if model_name is not None and not isinstance(model_name, str):
         raise InvalidRequest("model_name must be a string or null")
+    if timeout is not None:
+        try:
+            timeout = float(timeout)
+        except OverflowError:  # an integer too large for a float
+            raise InvalidRequest("timeout is out of range") from None
     return Request(
         model=_model_from_wire(payload["model"]),
         config=config_from_wire(payload.get("config", {})),
         conventional=payload.get("conventional", False),
         totals_only=payload.get("totals_only", False),
         model_name=model_name,
-        timeout=float(timeout) if timeout is not None else None,
+        timeout=timeout,
     )
 
 
@@ -417,10 +427,3 @@ def coerce_request(
         "requests must be Request objects or (model, config) tuples, "
         f"got {type(request).__name__}"
     )
-
-
-def as_requests(
-    requests: Iterable[Request | tuple[WorkloadArgument, ArrayFlexConfig]],
-) -> list[Request]:
-    """Coerce a request stream (see :func:`coerce_request`)."""
-    return [coerce_request(request) for request in requests]

@@ -12,11 +12,11 @@ for callers that overlap their own work with collection).
 The public API is **one core**: :meth:`SchedulingService.submit` takes a
 :class:`Request` and returns a :class:`Response`; everything else —
 :meth:`submit_many`, :meth:`compare`, the HTTP daemon
-(:mod:`repro.serve.daemon`), the CLI ``batch`` command, and the four
-deprecated pre-protocol aliases (``schedule_many``/``schedule_all``/
-``schedule_suite``/``compare_many``) — is a thin adapter over it, so
-library callers, the CLI and wire clients all speak the same typed
-surface.
+(:mod:`repro.serve.daemon`) and the CLI ``batch`` command — is a thin
+adapter over it, so library callers, the CLI and wire clients all speak
+the same typed surface.  A request that can never succeed (an unknown
+workload name, a layer the engine cannot count in int64) raises
+:class:`~repro.serve.errors.InvalidRequest`.
 
 Three layers of work elimination stack up:
 
@@ -33,32 +33,25 @@ Three layers of work elimination stack up:
   :class:`~repro.backends.store.DecisionStore`, so a new process starts
   warm.
 
-Execution fans out over a thread pool (default: cheap, shares one warm
-backend; the backend's cache bookkeeping is lock-serialised but the NumPy
-solve and schedule construction run concurrently) or a process pool
-(``executor="process"``: true parallelism for very large sweeps; workers
-share warmth through the disk store).  ``max_workers`` is auto-sized from
-:func:`os.cpu_count`.
+Execution fans out over a thread pool that shares one warm backend: the
+backend's cache bookkeeping is lock-serialised, but the NumPy solve and
+schedule construction run concurrently.  ``max_workers`` is auto-sized
+from :func:`os.cpu_count`.  Large design-space sweeps fan out over
+:class:`~repro.core.design_space.DesignSpaceExplorer`'s own process pool
+instead.
 """
 
 from __future__ import annotations
 
 import contextvars
 import os
-import warnings
 from collections.abc import Iterable
-from concurrent.futures import (
-    CancelledError,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import dataclass
 from threading import Event, RLock
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Tracer, call_with_context, get_tracer
+from repro.obs.trace import get_tracer
 
 from repro.backends import (
     BatchedCachedBackend,
@@ -71,165 +64,27 @@ from repro.core.config import ArrayFlexConfig
 from repro.core.metrics import ModelSchedule, WorkloadArgument
 from repro.nn.gemm_mapping import GemmShape
 from repro.serve.errors import InvalidRequest
-from repro.serve.protocol import (
-    Request,
-    Response,
-    coerce_request,
-    suite_requests,
-)
-
-#: Executor kinds accepted by :class:`SchedulingService`.
-EXECUTORS = ("thread", "process")
-
-#: Deprecated name of :class:`repro.serve.protocol.Request`, kept for one
-#: release so pre-daemon call sites keep importing; constructing one IS
-#: constructing a protocol Request (same class, keyword-only fields).
-ScheduleRequest = Request
+from repro.serve.protocol import Request, Response, coerce_request
 
 
-def default_max_workers(executor: str = "thread") -> int:
-    """Worker-count default, auto-sized from the machine's CPU count."""
-    cpus = os.cpu_count() or 1
-    if executor == "process":
-        return max(1, cpus)
-    # Threads mostly overlap object construction and (NumPy) solves; the
-    # stdlib's own heuristic works well here.
-    return min(32, cpus + 4)
+def default_max_workers() -> int:
+    """Thread-count default, auto-sized from the machine's CPU count.
 
-
-@dataclass(frozen=True)
-class TimedOutRequest:
-    """Legacy result marker for a request whose future missed its deadline.
-
-    Returned (in place of a schedule / totals object) by the deprecated
-    blocking collection helpers (``schedule_all``/``compare_many``); the
-    protocol-typed API reports the same situation as a
-    ``status="timeout"`` :class:`~repro.serve.protocol.Response`.
-    ``cancelled`` records whether the underlying computation was still
-    queued and could be cancelled outright; when False it kept running in
-    the background and only this *wait* was abandoned.
+    Threads mostly overlap object construction and (NumPy) solves; the
+    stdlib's own heuristic works well here.
     """
-
-    model_name: str
-    conventional: bool
-    totals_only: bool
-    timeout_s: float
-    cancelled: bool
-
-
-#: Per-worker backend for process-pool execution, installed by the pool
-#: initializer so each worker schedules on its own warm(ing) backend.
-_WORKER_BACKEND: ExecutionBackend | None = None
-
-
-def _init_worker(backend: ExecutionBackend) -> None:
-    global _WORKER_BACKEND
-    _WORKER_BACKEND = backend
+    return min(32, (os.cpu_count() or 1) + 4)
 
 
 def _compute_totals(
     backend: ExecutionBackend,
-    gemms: tuple[GemmShape, ...] | list[GemmShape],
+    gemms: list[GemmShape],
     name: str,
     config: ArrayFlexConfig,
     conventional: bool,
 ) -> ModelTotals:
     return backend.schedule_model_totals(
-        list(gemms), config, model_name=name, conventional=conventional
-    )
-
-
-def _worker_schedule(
-    gemms: tuple[GemmShape, ...],
-    name: str,
-    config: ArrayFlexConfig,
-    conventional: bool,
-    totals_only: bool,
-) -> ModelSchedule | ModelTotals:
-    assert _WORKER_BACKEND is not None, "process-pool initializer did not run"
-    if totals_only:
-        return _compute_totals(_WORKER_BACKEND, gemms, name, config, conventional)
-    scheduler = (
-        _WORKER_BACKEND.schedule_model_conventional
-        if conventional
-        else _WORKER_BACKEND.schedule_model
-    )
-    return scheduler(list(gemms), config, model_name=name)
-
-
-@dataclass
-class ServiceStats:
-    """Serving counters (dedup effectiveness and submission volume).
-
-    Kept as the read *shape* of the service's counters; since the
-    unified observability layer the live counts are
-    ``service_*_total`` instruments on the service's
-    :class:`~repro.obs.MetricsRegistry` and this dataclass is what
-    :meth:`SchedulingService.stats` folds them back into.
-    """
-
-    requests: int = 0
-    submitted: int = 0
-    deduplicated: int = 0
-    timed_out: int = 0
-
-
-class _SpanRelayFuture(Future):
-    """A future that unwraps a worker's ``(result, spans)`` pair.
-
-    Process-pool tasks submitted under an enabled tracer run through
-    :func:`repro.obs.call_with_context` and resolve to their result
-    *plus* the spans the worker recorded.  This wrapper is what callers
-    (and the dedup map) hold instead: on inner completion it merges the
-    spans into the submitting process's tracer and completes itself with
-    the bare result, so every consumer — ``result()``, done-callbacks,
-    ``Response`` construction — sees exactly what an untraced future
-    would have carried.
-
-    Only the relay callback ever transitions this future's state
-    (``cancel()`` merely forwards to the inner pool future), so the
-    inner future's single done-callback fire is the single source of
-    truth and no state race exists.
-    """
-
-    def __init__(self, inner: Future, tracer: Tracer) -> None:
-        super().__init__()
-        self._inner = inner
-        self._tracer = tracer
-        inner.add_done_callback(self._relay)
-
-    def cancel(self) -> bool:
-        return self._inner.cancel()
-
-    def _relay(self, inner: Future) -> None:
-        if inner.cancelled():
-            super().cancel()
-            self.set_running_or_notify_cancel()
-            return
-        exc = inner.exception()
-        if exc is not None:
-            self.set_exception(exc)
-            return
-        result, spans = inner.result()
-        self._tracer.extend(spans)
-        self.set_result(result)
-
-
-#: Aliases whose one-shot deprecation warning already fired (one warning
-#: per alias per process: loud enough to be seen, quiet enough that a
-#: sweep calling an alias ten thousand times stays readable).
-_WARNED_ALIASES: set[str] = set()
-
-
-def _warn_deprecated_alias(old: str, new: str) -> None:
-    if old in _WARNED_ALIASES:
-        return
-    _WARNED_ALIASES.add(old)
-    warnings.warn(
-        f"SchedulingService.{old}() is a deprecated alias and will be removed "
-        f"in the next release; use {new} (see docs/serve-api-migration.md)",
-        DeprecationWarning,
-        stacklevel=3,
+        gemms, config, model_name=name, conventional=conventional
     )
 
 
@@ -240,15 +95,10 @@ class SchedulingService:
         self,
         backend: ExecutionBackend | str | None = None,
         cache_dir: str | os.PathLike[str] | None = None,
-        executor: str = "thread",
         max_workers: int | None = None,
         cache_size: int = 65536,
         dedup_size: int = 4096,
     ) -> None:
-        if executor not in EXECUTORS:
-            raise InvalidRequest(
-                f"executor must be one of {EXECUTORS}, got {executor!r}"
-            )
         if max_workers is not None and max_workers < 1:
             raise InvalidRequest("max_workers must be at least 1")
         if dedup_size < 1:
@@ -256,8 +106,7 @@ class SchedulingService:
         if backend is None:
             backend = BatchedCachedBackend(cache_size=cache_size)
         self.backend = attach_store(create_backend(backend, default="batched"), cache_dir)
-        self.executor_kind = executor
-        self.max_workers = max_workers or default_max_workers(executor)
+        self.max_workers = max_workers or default_max_workers()
         #: Bound on the dedup map: completed futures (and their results)
         #: beyond this are dropped oldest-first, so a long-lived service
         #: over a stream of distinct requests cannot grow without limit.
@@ -289,17 +138,9 @@ class SchedulingService:
         #: safe from a signal handler (an Event is set without taking any
         #: lock another thread might hold across the interrupted frame).
         self._closed = Event()
-        if executor == "process":
-            self._pool: ThreadPoolExecutor | ProcessPoolExecutor = ProcessPoolExecutor(
-                max_workers=self.max_workers,
-                initializer=_init_worker,
-                initargs=(self.backend,),
-            )
-        else:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.max_workers,
-                thread_name_prefix="repro-serve",
-            )
+        self._pool = ThreadPoolExecutor(
+            max_workers=self.max_workers, thread_name_prefix="repro-serve"
+        )
 
     # ------------------------------------------------------------------ #
     # The serving API: one submit(Request) -> Response core
@@ -329,7 +170,7 @@ class SchedulingService:
         """Submit a stream of requests and block for all responses (in order).
 
         Every request is submitted before any result is awaited, so a
-        batch runs with full executor concurrency regardless of
+        batch runs with full thread-pool concurrency regardless of
         collection order.  ``timeout`` bounds the wait per request; a
         request's own ``timeout`` field takes precedence over this
         call-level default.  Requests that miss their deadline come back
@@ -389,103 +230,16 @@ class SchedulingService:
         ]
 
     # ------------------------------------------------------------------ #
-    # Deprecated pre-protocol aliases (one release of grace)
-    # ------------------------------------------------------------------ #
-    def schedule_many(
-        self,
-        requests: Iterable[Request | tuple[WorkloadArgument, ArrayFlexConfig]],
-    ) -> list[Future[ModelSchedule | ModelTotals]]:
-        """Deprecated: use :meth:`submit_future` (or :meth:`submit_many`).
-
-        One future per request, in order; duplicates share one future.
-        """
-        _warn_deprecated_alias("schedule_many", "submit_future()/submit_many()")
-        return [self.submit_future(request) for request in requests]
-
-    def schedule_all(
-        self,
-        requests: Iterable[Request | tuple[WorkloadArgument, ArrayFlexConfig]],
-        timeout: float | None = None,
-    ) -> list[ModelSchedule | ModelTotals | TimedOutRequest]:
-        """Deprecated: use :meth:`submit_many`.
-
-        Same blocking semantics, but bare results with
-        :class:`TimedOutRequest` markers instead of typed responses.
-        """
-        _warn_deprecated_alias("schedule_all", "submit_many()")
-        return [
-            self._legacy_result(response)
-            for response in self.submit_many(requests, timeout=timeout)
-        ]
-
-    def schedule_suite(
-        self,
-        suite: str,
-        config: ArrayFlexConfig,
-        batch: int = 1,
-        conventional: bool = False,
-        totals_only: bool = False,
-    ) -> list[Future[ModelSchedule | ModelTotals]]:
-        """Deprecated: use :func:`~repro.serve.protocol.suite_requests`
-        with :meth:`submit_many` (or :meth:`submit_future`)."""
-        _warn_deprecated_alias(
-            "schedule_suite", "suite_requests() + submit_many()"
-        )
-        return [
-            self.submit_future(request)
-            for request in suite_requests(
-                suite,
-                config,
-                batch=batch,
-                conventional=conventional,
-                totals_only=totals_only,
-            )
-        ]
-
-    def compare_many(
-        self,
-        workloads: Iterable[tuple[WorkloadArgument, ArrayFlexConfig]],
-        totals_only: bool = False,
-        timeout: float | None = None,
-    ) -> list[
-        tuple[
-            ModelSchedule | ModelTotals | TimedOutRequest,
-            ModelSchedule | ModelTotals | TimedOutRequest,
-        ]
-    ]:
-        """Deprecated: use :meth:`compare` (typed response pairs)."""
-        _warn_deprecated_alias("compare_many", "compare()")
-        return [
-            (self._legacy_result(arrayflex), self._legacy_result(conventional))
-            for arrayflex, conventional in self.compare(
-                workloads, totals_only=totals_only, timeout=timeout
-            )
-        ]
-
-    @staticmethod
-    def _legacy_result(
-        response: Response,
-    ) -> ModelSchedule | ModelTotals | TimedOutRequest:
-        """A typed response as the pre-protocol result-or-marker shape."""
-        if response.status == "timeout":
-            return TimedOutRequest(
-                model_name=response.model_name,
-                conventional=response.conventional,
-                totals_only=response.totals_only,
-                timeout_s=response.timeout_s if response.timeout_s is not None else 0.0,
-                cancelled=response.cancelled,
-            )
-        assert response.result is not None
-        return response.result
-
-    # ------------------------------------------------------------------ #
     # Submission / collection internals
     # ------------------------------------------------------------------ #
     def _submit_keyed(
         self, request: Request
     ) -> tuple[tuple, Future[ModelSchedule | ModelTotals], bool]:
         """Submit one request; its dedup key, shared future and dedup flag."""
-        gemms, name = request.resolve()
+        try:
+            gemms, name = request.resolve()
+        except ValueError as exc:  # e.g. an unknown workload name
+            raise InvalidRequest(str(exc)) from exc
         dims = tuple((g.m, g.n, g.t) for g in gemms)
         key = (
             name,
@@ -506,12 +260,7 @@ class SchedulingService:
                     self._waiters[id(future)] = self._waiters.get(id(future), 1) + 1
                 return key, future, True
             self._ctr_submitted.inc()
-            if self.executor_kind == "process":
-                future = self._submit_process(
-                    tuple(gemms), name, request.config,
-                    request.conventional, request.totals_only,
-                )
-            elif request.totals_only:
+            if request.totals_only:
                 future = self._submit_traced(
                     _compute_totals, self.backend, gemms, name, request.config,
                     request.conventional,
@@ -550,40 +299,12 @@ class SchedulingService:
             return self._pool.submit(context.run, fn, *args, **kwargs)
         return self._pool.submit(fn, *args, **kwargs)
 
-    def _submit_process(
-        self,
-        gemms: tuple[GemmShape, ...],
-        name: str,
-        config: ArrayFlexConfig,
-        conventional: bool,
-        totals_only: bool,
-    ) -> Future:
-        """Submit to the process pool, shipping the span context along.
-
-        Context variables don't cross processes, so with tracing enabled
-        the task wraps in :func:`repro.obs.call_with_context`: the
-        picklable span context travels with the arguments, the worker
-        records its spans on a local tracer, and the returned
-        ``(result, spans)`` pair comes back through a
-        :class:`_SpanRelayFuture` that re-parents the spans here and
-        resolves to the bare result.
-        """
-        tracer = get_tracer()
-        args = (gemms, name, config, conventional, totals_only)
-        if tracer.enabled:
-            inner = self._pool.submit(
-                call_with_context, tracer.current_context(), _worker_schedule, *args
-            )
-            return _SpanRelayFuture(inner, tracer)
-        return self._pool.submit(_worker_schedule, *args)
-
     def _forget_failed(self, key: tuple, future: Future) -> None:
         """Drop a failed/cancelled future from the dedup map.
 
-        A transient error (disk full during a store flush, a killed pool
-        worker) must not poison its request key for the service's
-        lifetime — the next identical request recomputes instead of
-        re-raising the stale exception.
+        A transient error (disk full during a store flush) must not poison
+        its request key for the service's lifetime — the next identical
+        request recomputes instead of re-raising the stale exception.
         """
         try:
             failed = future.cancelled() or future.exception() is not None
@@ -627,6 +348,10 @@ class SchedulingService:
                     result = future.result()
                 else:
                     result = future.result(timeout=timeout)
+        except ValueError as exc:
+            # A layer the engine refuses (e.g. a cycle count past int64):
+            # the request, not the service, is at fault.
+            raise InvalidRequest(str(exc)) from exc
         except (FutureTimeoutError, CancelledError) as exc:
             # Queued-but-not-started work is cancelled outright — but only
             # when this waiter holds the future's sole issued handle, so a
@@ -671,24 +396,21 @@ class SchedulingService:
     # ------------------------------------------------------------------ #
     # Introspection / lifecycle
     # ------------------------------------------------------------------ #
-    def stats(self) -> dict[str, int | str]:
-        """Serving and (thread-mode) backend cache counters.
+    def stats(self) -> dict[str, int]:
+        """Serving and backend cache counters.
 
         Touches no disk, so a live ``/metrics`` can call it per scrape;
         :meth:`DecisionStore.stats` is the on-disk report.
         """
         with self._lock:
-            counters: dict[str, int | str] = {
-                "executor": self.executor_kind,
+            counters = {
                 "max_workers": self.max_workers,
                 "requests": self._ctr_requests.value,
                 "submitted": self._ctr_submitted.value,
                 "deduplicated": self._ctr_deduplicated.value,
                 "timed_out": self._ctr_timed_out.value,
             }
-        if isinstance(self.backend, BatchedCachedBackend) and self.executor_kind == "thread":
-            # Process workers hold their own backend copies; the parent's
-            # counters would be misleading there.
+        if isinstance(self.backend, BatchedCachedBackend):
             counters.update(self.backend.cache_info())
         return counters
 
@@ -698,7 +420,7 @@ class SchedulingService:
         return self._closed.is_set()
 
     def close(self, wait: bool = True, cancel_futures: bool = False) -> None:
-        """Shut the executor down (idempotent; signal-handler safe).
+        """Shut the thread pool down (idempotent; signal-handler safe).
 
         Only the first call does anything — the daemon's graceful drain
         may race a ``with``-block exit or a second signal, and a double
@@ -728,11 +450,3 @@ class SchedulingService:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _coerce(
-        request: Request | tuple[WorkloadArgument, ArrayFlexConfig],
-    ) -> Request:
-        """Deprecated internal shim; see :func:`protocol.coerce_request`."""
-        return coerce_request(request)

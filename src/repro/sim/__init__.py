@@ -14,8 +14,6 @@ Modules
 * :mod:`repro.sim.tiling` -- decomposition of an arbitrary (T, N, M) GEMM
   into array-sized tiles (Fig. 1(c)) and the tiled execution driver with
   south-edge accumulation.
-* :mod:`repro.sim.engine` -- a small phase-based simulation engine
-  (weight load, streaming, drain) with hooks for tracing.
 * :mod:`repro.sim.trace` -- per-cycle traces of array activity.
 * :mod:`repro.sim.stats` -- aggregated simulation statistics.
 """
@@ -24,7 +22,6 @@ from repro.sim.stats import SimulationStats
 from repro.sim.systolic_sim import CycleAccurateSystolicArray, TileSimResult
 from repro.sim.tiling import TileSpec, TiledGemmResult, TilingPlan, run_tiled_gemm
 from repro.sim.trace import CycleTrace, TraceEvent
-from repro.sim.engine import SimulationEngine, SimulationPhase
 
 __all__ = [
     "CycleAccurateSystolicArray",
@@ -36,6 +33,4 @@ __all__ = [
     "SimulationStats",
     "CycleTrace",
     "TraceEvent",
-    "SimulationEngine",
-    "SimulationPhase",
 ]

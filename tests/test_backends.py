@@ -195,6 +195,52 @@ class TestBatchedParity:
         )
 
 
+class TestInt64Bounds:
+    """The engine counts in int64, which wraps silently: a layer that does
+    not fit is refused by name instead of coming back wrong."""
+
+    LAYERS = [
+        GemmShape(m=64, n=64, t=64, name="small"),
+        GemmShape(m=2**26, n=2**26, t=2**26, name="huge"),
+    ]
+
+    @pytest.mark.parametrize("backend_class", [BatchedCachedBackend, CycleAccurateBackend])
+    @pytest.mark.parametrize("conventional", [False, True])
+    def test_cycle_count_past_int64_is_refused(self, config, backend_class, conventional):
+        backend = backend_class()
+        schedule = (
+            backend.schedule_model_conventional if conventional else backend.schedule_model
+        )
+        with pytest.raises(ValueError, match="huge.*does not fit int64"):
+            schedule(self.LAYERS, config)
+        with pytest.raises(ValueError, match="huge.*does not fit int64"):
+            backend.schedule_model_totals(self.LAYERS, config, conventional=conventional)
+
+    def test_dimension_past_int64_is_refused(self, config):
+        wide = GemmShape(m=2**63, n=64, t=64, name="wide")
+        with pytest.raises(ValueError, match="wide.*does not fit int64"):
+            BatchedCachedBackend().schedule_model([wide], config)
+
+    def test_geometry_past_int64_is_refused(self):
+        config = ArrayFlexConfig(rows=2**62, cols=2**62)
+        with pytest.raises(ValueError, match="does not fit int64"):
+            BatchedCachedBackend().schedule_model(self.LAYERS[:1], config)
+
+    @pytest.mark.parametrize(
+        "layers",
+        [
+            [GemmShape(m=2**24, n=2**24, t=2**24, name="big")],
+            # Each fits, though the product of their largest factors does not.
+            [GemmShape(m=1, n=2**40, t=1, name="tall"), GemmShape(m=2**40, n=1, t=1, name="wide")],
+        ],
+    )
+    def test_layers_that_fit_match_the_reference(self, config, analytical, layers):
+        for conventional in (False, True):
+            assert BatchedCachedBackend().schedule_model_totals(
+                layers, config, conventional=conventional
+            ) == analytical.schedule_model_totals(layers, config, conventional=conventional)
+
+
 class TestBatchedCache:
     def test_repeat_model_hits_cache(self, config):
         backend = BatchedCachedBackend()

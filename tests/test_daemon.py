@@ -38,6 +38,7 @@ from repro.serve import (
     ServeError,
     response_to_wire,
 )
+from repro.serve.daemon import READ_TIMEOUT_S
 from repro.workloads import get_workload
 
 #: Small explicit GEMM workloads: fast to schedule, wire-travelable.
@@ -247,6 +248,46 @@ class TestWireErrors:
         assert body["error"]["code"] == "invalid_request"
 
 
+    @pytest.mark.parametrize(
+        ("endpoint", "body"),
+        [
+            ("/v1/schedule", '{"v": 1, "model": "nope"}'),
+            ("/v1/schedule", '{"v": 1, "model": "nope@bsX"}'),
+            ("/v1/schedule", '{"v": 1, "model": "resnet34@bs0"}'),
+            ("/v1/schedule", '{"v": 1, "model": "resnet34@bs99999999999999999999"}'),
+            ("/v1/schedule", '{"v": 1, "model": "resnet34", "config": {"rows": Infinity}}'),
+            ("/v1/schedule", '{"v": 1, "model": "resnet34", "config": {"rows": 1e30}}'),
+            (
+                "/v1/schedule",
+                '{"v": 1, "model": "resnet34", '
+                '"config": {"rows": 4611686018427387904, "cols": 4611686018427387904}}',
+            ),
+            ("/v1/schedule", '{"v": 1, "model": [[Infinity, 64, 64]]}'),
+            ("/v1/schedule", '{"v": 1, "model": [[10000000000000000000, 64, 64]]}'),
+            ("/v1/schedule", '{"v": 1, "model": [[67108864, 67108864, 67108864]]}'),
+            ("/v1/schedule", '{"v": 1, "model": [[1099511627776, 1099511627776, 1099511627776]]}'),
+            ("/v1/schedule", '{"v": 1, "model": "resnet34", "timeout": Infinity}'),
+            ("/v1/schedule", '{"v": 1, "model": "resnet34", "timeout": NaN}'),
+            (
+                "/v1/batch",
+                '{"v": 1, "requests": [{"v": 1, "model": "resnet34", '
+                '"config": {"cols": -Infinity}}]}',
+            ),
+        ],
+    )
+    def test_bad_client_input_is_400_never_500(self, daemon, endpoint, body):
+        """Unknown names, non-finite or out-of-range numbers and layers
+        the engine cannot count in int64 are the client's fault."""
+        connection = HTTPConnection("127.0.0.1", daemon.address[1], timeout=30)
+        try:
+            connection.request("POST", endpoint, body=body.encode())
+            response = connection.getresponse()
+            reply = json.loads(response.read())
+        finally:
+            connection.close()
+        assert (response.status, reply["error"]["code"]) == (400, "invalid_request")
+
+
 class TestBackpressure:
     def test_saturated_queue_sheds_with_429(self):
         """Beyond max_inflight the daemon rejects instead of deadlocking."""
@@ -331,6 +372,50 @@ class TestStalledBody:
         finally:
             stalled.close()
         assert daemon.metrics.snapshot()["rejections"] == {}
+
+
+class TestStdlibHttpLimits:
+    """Limits the daemon inherits from :mod:`http.server`, pinned."""
+
+    @staticmethod
+    def _status_line(daemon, payload: bytes) -> bytes:
+        with socket.create_connection(daemon.address, timeout=10) as sock:
+            sock.sendall(payload)
+            return sock.makefile("rb").readline()
+
+    def test_long_request_line_is_414(self, daemon):
+        line = b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\nHost: x\r\n\r\n"
+        assert self._status_line(daemon, line).startswith(b"HTTP/1.1 414 ")
+
+    def test_too_many_headers_is_431(self, daemon):
+        headers = b"".join(b"X-H%d: v\r\n" % i for i in range(101))
+        request = b"GET /healthz HTTP/1.1\r\n" + headers + b"\r\n"
+        assert self._status_line(daemon, request) == b"HTTP/1.1 431 Too many headers\r\n"
+
+    def test_long_header_line_is_431(self, daemon):
+        request = b"GET /healthz HTTP/1.1\r\nX-Long: " + b"a" * 70_000 + b"\r\n\r\n"
+        assert self._status_line(daemon, request) == b"HTTP/1.1 431 Line too long\r\n"
+
+    @pytest.mark.parametrize("stalled", [False, True])
+    def test_open_connection_delays_drain_at_most_the_read_deadline(self, stalled):
+        """An idle keep-alive connection, or one stalled mid-headers, holds
+        no admission slot: the drain finishes within ``READ_TIMEOUT_S``."""
+        daemon = SchedulerDaemon(port=0)
+        daemon.start()
+        sock = socket.create_connection(daemon.address, timeout=10)
+        try:
+            if stalled:
+                sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n")
+            else:
+                sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+                assert sock.makefile("rb").readline().startswith(b"HTTP/1.1 200 ")
+            time.sleep(0.1)  # the handler is now blocked reading
+            started = time.monotonic()
+            daemon.request_drain()
+            assert daemon.drain(timeout=10)
+            assert time.monotonic() - started < READ_TIMEOUT_S
+        finally:
+            sock.close()
 
 
 class TestRateLimit:

@@ -5,9 +5,8 @@ Covers the three pillars the harness promises:
 * run-set generation is a pure, validated function of the declaration
   (baseline plus one-off, optional pairwise grid, stable run ids);
 * execution fans out through :class:`~repro.serve.SchedulingService`
-  with results identical to direct backend calls, under either executor
-  kind and any submission order (determinism), and without tripping the
-  deprecated serve aliases (``-W error::DeprecationWarning`` clean);
+  with results identical to direct backend calls, under any submission
+  order (determinism), and ``-W error::DeprecationWarning`` clean;
 * importance math: per-component deltas relative to the baseline.
 """
 
@@ -119,8 +118,6 @@ class TestDeclaration:
     def test_unknown_metric_and_executor_rejected(self):
         with pytest.raises(ValueError, match="metric"):
             tiny_study(metric="throughput")
-        with pytest.raises(ValueError, match="executor"):
-            tiny_study(executor="fleet")
 
 
 class TestExecution:
@@ -196,11 +193,6 @@ class TestDeterminism:
         first = tiny_study().run().to_json()
         second = tiny_study().run().to_json()
         assert first == second
-
-    def test_executor_kind_does_not_change_the_report(self):
-        thread = tiny_study(executor="thread").run().to_json()
-        process = tiny_study(executor="process").run().to_json()
-        assert thread == process
 
     def test_submission_order_does_not_change_the_report(self):
         study = tiny_study(pairwise=True)

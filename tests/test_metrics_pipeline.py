@@ -306,18 +306,21 @@ class TestCustomActivityModelValidation:
 
 class TestServingActivityIdentity:
     def test_activity_models_do_not_dedup_together(self):
-        from repro.serve import ScheduleRequest, SchedulingService
+        from repro.serve import Request, SchedulingService
 
         constant = ArrayFlexConfig.paper_128x128()
         derated = constant.with_activity_model("utilization")
         with SchedulingService(max_workers=2) as service:
-            results = service.schedule_all(
-                [
-                    ScheduleRequest(model="mobilenet_v1", config=constant),
-                    ScheduleRequest(model="mobilenet_v1", config=derated),
-                    ScheduleRequest(model="mobilenet_v1", config=constant),
-                ]
-            )
+            results = [
+                response.unwrap()
+                for response in service.submit_many(
+                    [
+                        Request(model="mobilenet_v1", config=constant),
+                        Request(model="mobilenet_v1", config=derated),
+                        Request(model="mobilenet_v1", config=constant),
+                    ]
+                )
+            ]
             stats = service.stats()
         assert stats["submitted"] == 2  # constant + derated, third deduped
         assert stats["deduplicated"] == 1

@@ -1,8 +1,7 @@
 """Cross-layer tests of the observability pillars.
 
 Exercises what the unit tests cannot: span context shipped across the
-scheduling service's and the design-space explorer's *process* pools and
-re-parented on return,
+design-space explorer's *process* pool and re-parented on return,
 the daemon's X-Request-Id round trip (response header, trace identity,
 JSON log records), the >= 3-level span hierarchy one HTTP schedule call
 produces, and the ``/metrics`` endpoint reading everything from the one
@@ -94,31 +93,9 @@ def _wait_for_span(tracer, trace_id, name="daemon.request", timeout=5.0):
 
 
 # ---------------------------------------------------------------------- #
-# Span propagation across the process-pool executor
+# Span propagation across the explorer's process pool and the service's
+# thread pool
 # ---------------------------------------------------------------------- #
-def test_process_pool_spans_reparent_under_the_request(tracer):
-    with SchedulingService(executor="process", max_workers=2) as service:
-        with tracer.span("daemon.request", trace_id="req-pool") as request:
-            response = service.submit(request_from_wire(wire_request(totals_only=True)))
-            assert response.ok
-    spans = [span for span in tracer.spans() if span.trace_id == "req-pool"]
-    by_id = {span.span_id: span for span in spans}
-    assert len(by_id) == len(spans), "span ids must be unique after merging"
-
-    worker_spans = [span for span in spans if span.pid != request.pid]
-    assert worker_spans, "worker-side spans must come back with the result"
-    assert all(span.trace_id == "req-pool" for span in worker_spans)
-    # Every worker span chains up to the submitting request span.
-    roots = {
-        span.parent_id for span in worker_spans if span.parent_id not in by_id
-    }
-    assert roots <= {request.span_id} or all(
-        _span_depth(span, by_id) >= 2 for span in worker_spans
-    )
-    totals = next(s for s in spans if s.name == "backend.model_totals")
-    assert totals.parent_id == request.span_id
-
-
 def test_parallel_explore_spans_reparent_under_the_sweep(tracer):
     points = [
         DesignPoint(rows=size, cols=size, supported_depths=(1, 2, 4))
@@ -142,7 +119,7 @@ def test_parallel_explore_spans_reparent_under_the_sweep(tracer):
 
 
 def test_thread_pool_spans_nest_under_the_request(tracer):
-    with SchedulingService(executor="thread", max_workers=2) as service:
+    with SchedulingService(max_workers=2) as service:
         with tracer.span("daemon.request", trace_id="req-thread"):
             assert service.submit(request_from_wire(wire_request())).ok
     spans = [span for span in tracer.spans() if span.trace_id == "req-thread"]

@@ -10,10 +10,10 @@ from repro.core.config import ArrayFlexConfig
 from repro.nn.gemm_mapping import GemmShape
 from repro.nn.models import mobilenet_v1, resnet34
 from repro.serve import (
-    ScheduleRequest,
+    Request,
     SchedulingService,
-    TimedOutRequest,
     default_max_workers,
+    suite_requests,
 )
 from repro.workloads import get_workload
 
@@ -34,19 +34,14 @@ def reference(config):
 
 
 class TestConstruction:
-    def test_invalid_executor_rejected(self):
-        with pytest.raises(ValueError):
-            SchedulingService(executor="rocket")
-
     def test_invalid_worker_count_rejected(self):
         with pytest.raises(ValueError):
             SchedulingService(max_workers=0)
 
     def test_max_workers_auto_sized_from_cpu_count(self):
-        assert default_max_workers("process") >= 1
-        assert default_max_workers("thread") >= 1
+        assert default_max_workers() >= 1
         with SchedulingService() as service:
-            assert service.max_workers == default_max_workers("thread")
+            assert service.max_workers == default_max_workers()
 
     def test_cache_dir_requires_batched_backend(self, tmp_path):
         # cycle runs the batched engine, but the store's rows are not measured.
@@ -75,31 +70,31 @@ class TestConstruction:
 class TestScheduleMany:
     def test_futures_in_request_order(self, config, reference):
         with SchedulingService() as service:
-            futures = service.schedule_many(
-                [(resnet34(), config), (mobilenet_v1(), config)]
-            )
+            futures = [
+                service.submit_future(request)
+                for request in [(resnet34(), config), (mobilenet_v1(), config)]
+            ]
             assert futures[0].result().layers == reference[("ResNet-34", False)].layers
             assert futures[1].result().layers == reference[("MobileNetV1", False)].layers
 
     def test_conventional_requests(self, config, reference):
         with SchedulingService() as service:
-            [schedule] = service.schedule_all(
-                [ScheduleRequest(model=resnet34(), config=config, conventional=True)]
+            [response] = service.submit_many(
+                [Request(model=resnet34(), config=config, conventional=True)]
             )
+        schedule = response.unwrap()
         assert schedule.accelerator == "Conventional"
         assert schedule.layers == reference[("ResNet-34", True)].layers
 
     def test_gemm_list_requests(self, config):
         gemms = [GemmShape(m=64, n=64, t=64, name="g")]
         with SchedulingService() as service:
-            [schedule] = service.schedule_all([(gemms, config)])
-        assert len(schedule.layers) == 1
+            response = service.submit((gemms, config))
+        assert len(response.unwrap().layers) == 1
 
     def test_duplicates_share_one_future(self, config):
         with SchedulingService() as service:
-            futures = service.schedule_many(
-                [(resnet34(), config), (resnet34(), config), (resnet34(), config)]
-            )
+            futures = [service.submit_future((resnet34(), config)) for _ in range(3)]
             assert futures[0] is futures[1] is futures[2]
             stats = service.stats()
         assert stats["requests"] == 3
@@ -108,27 +103,20 @@ class TestScheduleMany:
 
     def test_dedup_spans_calls(self, config):
         with SchedulingService() as service:
-            [first] = service.schedule_many([(resnet34(), config)])
-            [second] = service.schedule_many([(resnet34(), config)])
+            first = service.submit_future((resnet34(), config))
+            second = service.submit_future((resnet34(), config))
             assert first is second
 
     def test_distinct_configs_not_deduplicated(self, config):
         other = config.with_size(64, 64)
         with SchedulingService() as service:
-            futures = service.schedule_many([(resnet34(), config), (resnet34(), other)])
+            futures = [
+                service.submit_future(request)
+                for request in [(resnet34(), config), (resnet34(), other)]
+            ]
             assert futures[0] is not futures[1]
             assert futures[0].result().rows == 128
             assert futures[1].result().rows == 64
-
-    def test_process_executor_matches_thread_executor(self, config, reference):
-        requests = [
-            ScheduleRequest(model=resnet34(), config=config),
-            ScheduleRequest(model=resnet34(), config=config, conventional=True),
-        ]
-        with SchedulingService(executor="process", max_workers=2) as service:
-            schedules = service.schedule_all(requests)
-        assert schedules[0].layers == reference[("ResNet-34", False)].layers
-        assert schedules[1].layers == reference[("ResNet-34", True)].layers
 
 
 class TestConcurrency:
@@ -141,9 +129,10 @@ class TestConcurrency:
         def hammer():
             try:
                 for cfg in configs:
-                    futures = service.schedule_many(
-                        [(resnet34(), cfg), (mobilenet_v1(), cfg)]
-                    )
+                    futures = [
+                        service.submit_future(request)
+                        for request in [(resnet34(), cfg), (mobilenet_v1(), cfg)]
+                    ]
                     for future in futures:
                         future.result(timeout=60)
             except Exception as exc:  # pragma: no cover - failure reporting
@@ -156,7 +145,7 @@ class TestConcurrency:
             thread.join()
         try:
             assert not errors
-            [schedule] = service.schedule_all([(resnet34(), config)])
+            schedule = service.submit((resnet34(), config)).unwrap()
             assert schedule.layers == reference[("ResNet-34", False)].layers
         finally:
             service.close()
@@ -168,7 +157,7 @@ class TestConcurrency:
 
         def run_service():
             with SchedulingService(cache_dir=tmp_path, max_workers=4) as service:
-                service.schedule_all(
+                service.submit_many(
                     [(model(), cfg) for model in (resnet34, mobilenet_v1) for cfg in configs]
                 )
 
@@ -186,18 +175,10 @@ class TestConcurrency:
 class TestStats:
     def test_thread_stats_include_backend_cache(self, config):
         with SchedulingService() as service:
-            service.schedule_all([(resnet34(), config)])
+            service.submit((resnet34(), config))
             stats = service.stats()
-        assert stats["executor"] == "thread"
         assert stats["submitted"] == 1
         assert "misses" in stats and "store_hits" in stats
-
-    def test_process_stats_omit_backend_cache(self, config):
-        with SchedulingService(executor="process", max_workers=1) as service:
-            service.schedule_all([(resnet34(), config)])
-            stats = service.stats()
-        assert stats["executor"] == "process"
-        assert "misses" not in stats
 
     def test_stats_leave_buffered_store_rows_alone(self, config, tmp_path):
         """stats() is cheap enough for every /metrics scrape: it neither
@@ -215,7 +196,7 @@ class TestStats:
 
     def test_stats_without_cache_dir_have_no_disk_counters(self, config):
         with SchedulingService() as service:
-            service.schedule_all([(resnet34(), config)])
+            service.submit((resnet34(), config))
             stats = service.stats()
         assert not any(key.startswith("disk_") for key in stats)
 
@@ -238,72 +219,52 @@ class TestStats:
         service.close()
         assert DecisionStore(tmp_path).stats()["entries"] == 3
 
-    def test_process_workers_write_buffered_rows_on_exit(self, config, tmp_path):
-        """A pool worker's store buffers resnet34's few fresh rows behind
-        mobilenet's merged shard; the worker writes them when it exits."""
-        requests = [(mobilenet_v1(), config), (resnet34(), config)]
-        with SchedulingService(
-            cache_dir=tmp_path, executor="process", max_workers=1
-        ) as service:
-            for request in requests:
-                service.submit(request)
-        with SchedulingService(cache_dir=tmp_path) as restarted:
-            restarted.submit_many(requests)
-            assert restarted.stats()["misses"] == 0
-
 
 class TestTotalsOnly:
     def test_totals_match_schedule_sums(self, config):
         with SchedulingService() as service:
-            totals, schedule = service.schedule_all(
-                [
-                    ScheduleRequest(model=resnet34(), config=config, totals_only=True),
-                    ScheduleRequest(model=resnet34(), config=config),
-                ]
+            totals, schedule = (
+                response.unwrap()
+                for response in service.submit_many(
+                    [
+                        Request(model=resnet34(), config=config, totals_only=True),
+                        Request(model=resnet34(), config=config),
+                    ]
+                )
             )
         assert totals.time_ns == schedule.total_time_ns
         assert totals.energy_nj == schedule.total_energy_nj
 
     def test_totals_and_schedule_requests_not_conflated(self, config):
         with SchedulingService() as service:
-            futures = service.schedule_many(
-                [
-                    ScheduleRequest(model=resnet34(), config=config, totals_only=True),
-                    ScheduleRequest(model=resnet34(), config=config),
-                ]
-            )
+            futures = [
+                service.submit_future(Request(model=resnet34(), config=config, totals_only=True)),
+                service.submit_future(Request(model=resnet34(), config=config)),
+            ]
             assert futures[0] is not futures[1]
-
-    def test_totals_through_process_pool(self, config):
-        request = ScheduleRequest(
-            model=resnet34(), config=config, conventional=True, totals_only=True
-        )
-        with SchedulingService(executor="process", max_workers=1) as service:
-            [totals] = service.schedule_all([request])
-        reference = AnalyticalBackend().schedule_model_conventional(resnet34(), config)
-        assert totals.time_ns == reference.total_time_ns
-        assert totals.energy_nj == reference.total_energy_nj
 
 
 class TestRegistryWorkloads:
     def test_string_request_resolves_through_registry(self, config, reference):
         with SchedulingService() as service:
-            [schedule] = service.schedule_all([("resnet34", config)])
+            schedule = service.submit(("resnet34", config)).unwrap()
         assert schedule.model_name == "ResNet-34"
         assert schedule.layers == reference[("ResNet-34", False)].layers
 
     def test_string_and_object_requests_share_one_future(self, config):
         with SchedulingService() as service:
-            futures = service.schedule_many(
-                [("resnet34", config), (resnet34(), config)]
-            )
+            futures = [
+                service.submit_future(request)
+                for request in [("resnet34", config), (resnet34(), config)]
+            ]
             assert futures[0] is futures[1]
 
     def test_batch_suffix_is_a_distinct_identity(self, config):
         with SchedulingService() as service:
-            futures = service.schedule_many(
-                [("gpt2_decode", config), ("gpt2_decode@bs8", config)]
-            )
+            futures = [
+                service.submit_future(request)
+                for request in [("gpt2_decode", config), ("gpt2_decode@bs8", config)]
+            ]
             assert futures[0] is not futures[1]
             assert futures[1].result().model_name == "GPT-2-decode@bs8"
 
@@ -311,13 +272,13 @@ class TestRegistryWorkloads:
         workload = get_workload("bert_base")
         reference = AnalyticalBackend().schedule_model(workload, config)
         with SchedulingService() as service:
-            [schedule] = service.schedule_all([(workload, config)])
+            schedule = service.submit((workload, config)).unwrap()
         assert schedule.layers == reference.layers
 
     def test_schedule_suite_futures_in_suite_order(self, config):
         with SchedulingService() as service:
-            futures = service.schedule_suite("transformers", config)
-            names = [future.result().model_name for future in futures]
+            responses = service.submit_many(suite_requests("transformers", config))
+            names = [response.unwrap().model_name for response in responses]
         assert names == ["BERT-Base", "GPT-2-decode", "ViT-B/16"]
 
 
@@ -338,12 +299,10 @@ class TestTimeouts:
         gate = threading.Event()
         with SchedulingService(backend=_StallingBackend(gate)) as service:
             try:
-                [result] = service.schedule_all(
-                    [(resnet34(), config)], timeout=0.05
-                )
+                [result] = service.submit_many([(resnet34(), config)], timeout=0.05)
             finally:
                 gate.set()
-            assert isinstance(result, TimedOutRequest)
+            assert result.status == "timeout"
             assert result.model_name == "ResNet-34"
             assert result.timeout_s == 0.05
             assert service.stats()["timed_out"] == 1
@@ -352,36 +311,34 @@ class TestTimeouts:
         gate = threading.Event()
         with SchedulingService(backend=_StallingBackend(gate)) as service:
             try:
-                request = ScheduleRequest(
-                    model=resnet34(), config=config, timeout=0.05
-                )
-                [result] = service.schedule_all([request])  # no call-level default
+                request = Request(model=resnet34(), config=config, timeout=0.05)
+                [result] = service.submit_many([request])  # no call-level default
             finally:
                 gate.set()
-            assert isinstance(result, TimedOutRequest)
+            assert result.status == "timeout"
 
     def test_timeout_does_not_poison_the_dedup_key(self, config, reference):
         """A retry after a timeout recomputes instead of re-awaiting."""
         gate = threading.Event()
         with SchedulingService(backend=_StallingBackend(gate)) as service:
-            [first] = service.schedule_all([(resnet34(), config)], timeout=0.05)
-            assert isinstance(first, TimedOutRequest)
+            [first] = service.submit_many([(resnet34(), config)], timeout=0.05)
+            assert first.status == "timeout"
             gate.set()
-            [second] = service.schedule_all([(resnet34(), config)], timeout=60)
-            assert second.layers == reference[("ResNet-34", False)].layers
+            [second] = service.submit_many([(resnet34(), config)], timeout=60)
+            assert second.unwrap().layers == reference[("ResNet-34", False)].layers
 
     def test_compare_many_timeout_yields_marker_pairs(self, config):
         gate = threading.Event()
         with SchedulingService(backend=_StallingBackend(gate)) as service:
             try:
-                [(arrayflex, conventional)] = service.compare_many(
+                [(arrayflex, conventional)] = service.compare(
                     [(resnet34(), config)], timeout=0.05
                 )
             finally:
                 gate.set()
             # Only the ArrayFlex side routes through the stalled
-            # schedule_model; the marker carries which side timed out.
-            assert isinstance(arrayflex, TimedOutRequest)
+            # schedule_model; the response carries which side timed out.
+            assert arrayflex.status == "timeout"
             assert arrayflex.conventional is False
 
     def test_timeout_never_cancels_a_shared_future(self, config, reference):
@@ -391,13 +348,13 @@ class TestTimeouts:
         with SchedulingService(backend=backend, max_workers=1) as service:
             # Occupy the only worker so the next submission stays queued
             # (a queued future is the one cancel() could actually kill).
-            [blocker] = service.schedule_many([(mobilenet_v1(), config)])
+            blocker = service.submit_future((mobilenet_v1(), config))
             # First caller: no deadline, plans to wait for the result.
-            [patient] = service.schedule_many([(resnet34(), config)])
+            patient = service.submit_future((resnet34(), config))
             # Second caller: deduplicated onto the same queued future,
             # times out while everything is still gated.
-            [result] = service.schedule_all([(resnet34(), config)], timeout=0.05)
-            assert isinstance(result, TimedOutRequest)
+            [result] = service.submit_many([(resnet34(), config)], timeout=0.05)
+            assert result.status == "timeout"
             assert result.cancelled is False  # shared handle: not cancelled
             gate.set()
             assert patient.result(timeout=60).layers == (
@@ -411,29 +368,27 @@ class TestTimeouts:
         with SchedulingService(
             backend=_StallingBackend(gate), max_workers=1
         ) as service:
-            [blocker] = service.schedule_many([(mobilenet_v1(), config)])
+            blocker = service.submit_future((mobilenet_v1(), config))
             try:
-                [result] = service.schedule_all(
-                    [(resnet34(), config)], timeout=0.05
-                )
+                [result] = service.submit_many([(resnet34(), config)], timeout=0.05)
             finally:
                 gate.set()
-            assert isinstance(result, TimedOutRequest)
+            assert result.status == "timeout"
             assert result.cancelled is True
             blocker.result(timeout=60)
 
     def test_generous_timeout_returns_results(self, config, reference):
         with SchedulingService() as service:
-            [schedule] = service.schedule_all([(resnet34(), config)], timeout=60)
-        assert schedule.layers == reference[("ResNet-34", False)].layers
+            [response] = service.submit_many([(resnet34(), config)], timeout=60)
+        assert response.unwrap().layers == reference[("ResNet-34", False)].layers
 
     def test_close_after_timeout_does_not_block_on_abandoned_work(self, config):
         """What the CLI does after a timeout: walk away, cancel the queue."""
         gate = threading.Event()
         service = SchedulingService(backend=_StallingBackend(gate), max_workers=1)
         try:
-            [running] = service.schedule_many([(mobilenet_v1(), config)])
-            [queued] = service.schedule_many([(resnet34(), config)])
+            running = service.submit_future((mobilenet_v1(), config))
+            queued = service.submit_future((resnet34(), config))
             start = time.monotonic()
             service.close(wait=False, cancel_futures=True)
             assert time.monotonic() - start < 5.0  # did not join the gated task
@@ -445,20 +400,18 @@ class TestTimeouts:
     def test_waiter_bookkeeping_does_not_leak(self, config):
         """Dedup hits on completed futures must not recreate waiter entries."""
         with SchedulingService() as service:
-            [future] = service.schedule_many([(resnet34(), config)])
+            future = service.submit_future((resnet34(), config))
             future.result(timeout=60)
             for _ in range(3):  # dedup hits on the (memoised) done future
-                service.schedule_all([(resnet34(), config)])
+                service.submit_many([(resnet34(), config)])
             assert service._waiters == {}
 
     def test_timeout_field_not_part_of_dedup_identity(self, config):
         with SchedulingService() as service:
-            futures = service.schedule_many(
-                [
-                    ScheduleRequest(model=resnet34(), config=config, timeout=1.0),
-                    ScheduleRequest(model=resnet34(), config=config, timeout=2.0),
-                ]
-            )
+            futures = [
+                service.submit_future(Request(model=resnet34(), config=config, timeout=1.0)),
+                service.submit_future(Request(model=resnet34(), config=config, timeout=2.0)),
+            ]
             assert futures[0] is futures[1]
             time.sleep(0)  # keep the futures referenced until both resolve
 
@@ -510,13 +463,6 @@ class TestSubmitCore:
             assert response.status == "timeout"
             with pytest.raises(RequestTimeout):
                 response.unwrap()
-
-    def test_legacy_aliases_agree_with_submit_core(self, config):
-        """One alias round-trip: same numbers through old and new surface."""
-        with SchedulingService() as service:
-            [legacy] = service.schedule_all([(resnet34(), config)])
-            response = service.submit((resnet34(), config))
-        assert legacy.layers == response.unwrap().layers
 
 
 class TestCloseLifecycle:
@@ -587,9 +533,9 @@ class TestFailureRecovery:
                 return super().schedule_model(model, cfg, model_name=model_name)
 
         with SchedulingService(backend=FlakyBackend()) as service:
-            [first] = service.schedule_many([(resnet34(), config)])
+            first = service.submit_future((resnet34(), config))
             with pytest.raises(OSError):
                 first.result(timeout=60)
-            [second] = service.schedule_many([(resnet34(), config)])
+            second = service.submit_future((resnet34(), config))
             assert second is not first
             assert second.result(timeout=60).model_name == "ResNet-34"

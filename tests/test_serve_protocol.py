@@ -1,9 +1,11 @@
-"""Tests for the serve protocol, error hierarchy and deprecation surface."""
+"""Tests for the serve protocol, error hierarchy and public surface."""
 
 import json
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.serve
 from repro.core.config import ArrayFlexConfig
@@ -166,6 +168,84 @@ class TestWireCodecs:
         assert wire["timeout_s"] == 0.5 and wire["cancelled"] is True
 
 
+#: A valid wire body, and every field a fuzzed client may replace.
+_VALID_BODY = {
+    "v": 1,
+    "model": [[64, 64, 64, "g"]],
+    "config": {"rows": 16, "cols": 16, "depths": [1, 2, 4], "activity_model": "constant"},
+    "conventional": False,
+    "totals_only": True,
+    "model_name": None,
+    "timeout": 30,
+}
+_FIELDS = (
+    *[(key,) for key in _VALID_BODY],
+    *[("config", key) for key in _VALID_BODY["config"]],
+    *[("model", 0, index) for index in range(4)],
+)
+_EDGES = st.sampled_from(
+    [
+        float("inf"),  # json.loads accepts Infinity, -Infinity and NaN
+        float("-inf"),
+        float("nan"),
+        0,
+        -1,
+        2**26,
+        2**60,
+        2**63,
+        10**30,
+        10**400,
+        1e30,
+        "",
+        "nope",
+        "nope@bsX",
+        "resnet34@bs0",
+        "resnet34@bs99999999999999999999",
+    ]
+)
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.floats()
+    | st.integers()
+    | st.integers(min_value=2**62, max_value=2**80).flatmap(lambda n: st.sampled_from([n, -n]))
+    | st.text(max_size=12)
+)
+_JSON_VALUES = _EDGES | st.recursive(
+    _SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=8,
+)
+
+
+@pytest.fixture(scope="module")
+def fuzzed_service():
+    with SchedulingService(max_workers=2) as service:
+        yield service
+
+
+@settings(max_examples=300, deadline=None)
+@given(field=st.sampled_from(_FIELDS), value=_JSON_VALUES)
+def test_any_field_replacement_is_a_response_or_invalid_request(
+    fuzzed_service, field, value
+):
+    """Whatever JSON value a client puts in one field of a valid body,
+    decoding and serving it gives a Response or an InvalidRequest (HTTP
+    400), never another exception (HTTP 500)."""
+    body = json.loads(json.dumps(_VALID_BODY))
+    target = body
+    for key in field[:-1]:
+        target = target[key]
+    target[field[-1]] = value
+    body = json.loads(json.dumps(body))  # as the daemon receives it
+    try:
+        response = fuzzed_service.submit(request_from_wire(body))
+    except InvalidRequest:
+        return
+    assert isinstance(response, Response)
+
+
 class TestErrorHierarchy:
     """Each serve error carries a distinct wire code, HTTP status and CLI
     exit code (the satellite's triple identity)."""
@@ -220,44 +300,11 @@ class TestPublicSurface:
             "RequestTimeout",
         } <= exported
 
-    def test_deprecated_names_still_importable(self):
-        assert repro.serve.ScheduleRequest is Request
-        assert "TimedOutRequest" in repro.serve.__all__
 
-
-class TestDeprecatedAliases:
-    @pytest.fixture(autouse=True)
-    def _reset_warned(self, monkeypatch):
-        from repro.serve import service as service_module
-
-        monkeypatch.setattr(service_module, "_WARNED_ALIASES", set())
-
-    def test_alias_warns_exactly_once(self, config):
-        """The one-shot warning: first call warns, the rest stay quiet."""
+def test_new_api_never_warns(config):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
         with SchedulingService() as service:
-            with pytest.warns(DeprecationWarning, match="schedule_many"):
-                service.schedule_many([("resnet34", config)])
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", DeprecationWarning)
-                service.schedule_many([("resnet34", config)])  # silent now
-
-    @pytest.mark.parametrize(
-        "alias", ["schedule_many", "schedule_all", "schedule_suite", "compare_many"]
-    )
-    def test_each_alias_warns_with_migration_pointer(self, alias, config):
-        with SchedulingService() as service:
-            with pytest.warns(DeprecationWarning, match="serve-api-migration"):
-                if alias == "schedule_suite":
-                    service.schedule_suite("transformers", config)
-                elif alias == "compare_many":
-                    service.compare_many([("resnet34", config)])
-                else:
-                    getattr(service, alias)([("resnet34", config)])
-
-    def test_new_api_never_warns(self, config):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            with SchedulingService() as service:
-                service.submit(Request(model="resnet34", config=config))
-                service.submit_many([("resnet34", config)])
-                service.compare([("resnet34", config)])
+            service.submit(Request(model="resnet34", config=config))
+            service.submit_many([("resnet34", config)])
+            service.compare([("resnet34", config)])

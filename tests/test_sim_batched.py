@@ -3,7 +3,7 @@
 ``CycleAccurateSystolicArray.simulate_tiles`` replays the value
 datapath's closed-form trajectory (one integer matmul per batch) instead
 of stepping registers cycle by cycle; functional GEMM execution
-(``SimulationEngine``, ``run_tiled_gemm``) routes through it, while the
+(``run_tiled_gemm``) routes through it, while the
 cycle backend calibrates on the scalar ``simulate_tile``.  These property
 tests pin the contract both paths rely on: for random ``(T, n, m, k, R, C)``
 batches the batched path is **bit-identical** to a scalar

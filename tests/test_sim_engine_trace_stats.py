@@ -1,10 +1,5 @@
-"""Tests for the simulation engine, traces and statistics containers."""
+"""Tests for the simulation trace and statistics containers."""
 
-import numpy as np
-import pytest
-
-from repro.nn.workloads import random_int_matrices
-from repro.sim.engine import SimulationEngine, SimulationPhase
 from repro.sim.stats import SimulationStats
 from repro.sim.trace import CycleTrace, TraceEvent
 
@@ -84,45 +79,3 @@ class TestCycleTrace:
         trace = CycleTrace()
         trace.record(0, "a")
         assert [e.kind for e in trace] == ["a"]
-
-
-class TestSimulationEngine:
-    @pytest.fixture()
-    def engine(self):
-        return SimulationEngine(rows=8, cols=8, collapse_depth=2)
-
-    def test_run_gemm_matches_numpy(self, engine):
-        a_matrix, b_matrix = random_int_matrices(6, 20, 10, seed=1)
-        output, stats = engine.run_gemm(a_matrix, b_matrix)
-        assert np.array_equal(output, a_matrix @ b_matrix)
-        assert stats.tiles_executed == 6
-
-    def test_phase_log_structure(self, engine):
-        a_matrix, b_matrix = random_int_matrices(4, 8, 8, seed=2)
-        engine.run_gemm(a_matrix, b_matrix)
-        phases = [record.phase for record in engine.phase_log]
-        assert phases[:3] == [
-            SimulationPhase.WEIGHT_LOAD,
-            SimulationPhase.STREAM,
-            SimulationPhase.DRAIN,
-        ]
-
-    def test_global_cycle_accumulates_all_phases(self, engine):
-        a_matrix, b_matrix = random_int_matrices(4, 8, 8, seed=3)
-        _, stats = engine.run_gemm(a_matrix, b_matrix)
-        assert engine.global_cycle == stats.total_cycles
-
-    def test_phase_cycles_sum(self, engine):
-        a_matrix, b_matrix = random_int_matrices(4, 16, 8, seed=4)
-        _, stats = engine.run_gemm(a_matrix, b_matrix)
-        total = sum(engine.phase_cycles(phase) for phase in SimulationPhase)
-        assert total == stats.total_cycles
-
-    def test_on_phase_callback(self):
-        seen = []
-        engine = SimulationEngine(rows=4, cols=4, on_phase=seen.append)
-        a_matrix, b_matrix = random_int_matrices(3, 4, 4, seed=5)
-        engine.run_gemm(a_matrix, b_matrix)
-        assert len(seen) == 3
-        assert seen[0].start_cycle == 0
-        assert seen[1].start_cycle == seen[0].end_cycle
