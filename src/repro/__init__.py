@@ -27,7 +27,7 @@ Architecture with Configurable Transparent Pipelining* (DATE 2023):
   batched/cached engine (one vectorised mode search, identical numbers)
   and the same engine on cycle counts measured by the cycle-accurate
   simulator; plus the disk-persistent decision cache
-  (:mod:`repro.backends.store`).
+  (:mod:`repro.backends.store`) behind design-space sweeps.
 * :mod:`repro.serve` -- the serving layer: the versioned
   :class:`~repro.serve.protocol.Request`/``Response`` protocol, the
   deduplicating ``submit()`` service over a thread pool, and the
@@ -52,7 +52,6 @@ from repro.backends import (
     DecisionStore,
     ExecutionBackend,
     create_backend,
-    default_cache_dir,
 )
 from repro.core.activity import (
     ActivityModel,
@@ -100,7 +99,6 @@ __all__ = [
     "TechnologyModel",
     "TransformerConfig",
     "create_backend",
-    "default_cache_dir",
     "get_suite",
     "get_workload",
     "list_suites",

@@ -28,12 +28,7 @@ from repro.backends.analytical import AnalyticalBackend
 from repro.backends.base import ExecutionBackend, ModelTotals
 from repro.backends.batched import BatchedCachedBackend
 from repro.backends.cycle_accurate import CycleAccurateBackend
-from repro.backends.store import (
-    CACHE_VERSION,
-    DecisionStore,
-    ShardView,
-    default_cache_dir,
-)
+from repro.backends.store import CACHE_VERSION, DecisionStore, ShardView
 
 #: Registry of backend constructors, keyed by their CLI names.
 BACKENDS: dict[str, type[ExecutionBackend]] = {
@@ -49,11 +44,11 @@ def attach_store(
 ) -> ExecutionBackend | str | None:
     """Attach a disk-persistent :class:`DecisionStore` for ``cache_dir``.
 
-    The one place every ``cache_dir=`` entry point (accelerator facade,
-    serving front-end, design-space explorer, size sweep) funnels
-    through, so they all validate identically: ``cache_dir`` requires the
-    decision-cache-owning ``batched`` backend (the default it implies)
-    and refuses to clobber a store the caller already configured.  The
+    What :class:`~repro.core.design_space.DesignSpaceExplorer`'s
+    ``cache_dir=``, the store's one entry point, does with its backend:
+    ``cache_dir`` requires the decision-cache-owning ``batched`` backend
+    (the default it implies) and refuses to clobber a store the caller
+    already configured.  The
     ``cycle`` backend shares the batched engine but is refused too: the
     store's rows carry Eq. (3) cycles, so answering from them would not
     be measured.  With ``cache_dir=None`` the backend argument passes
@@ -112,7 +107,6 @@ __all__ = [
     "DecisionStore",
     "ShardView",
     "CACHE_VERSION",
-    "default_cache_dir",
     "ExecutionBackend",
     "ModelTotals",
     "BACKENDS",

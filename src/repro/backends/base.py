@@ -120,8 +120,8 @@ class ExecutionBackend(abc.ABC):
         No-op for backends without an attached
         :class:`~repro.backends.store.DecisionStore` (or without one at
         all).  The store buffers rows between shard merges; long-lived
-        callers (the serving front-end's ``close``) call this as a final
-        drain.
+        callers (the serving front-end's ``close``, for a backend its
+        caller gave it) call this as a final drain.
         """
         store = getattr(self, "store", None)
         if store is not None:

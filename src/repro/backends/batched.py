@@ -33,7 +33,7 @@ additionally spilled to disk: every freshly solved decision goes to the
 store, which buffers it until its shard's next merge (at the latest, when
 the process exits or its owner closes), and memory misses consult the
 store before falling back to the NumPy solve, so a new process (a rerun
-CLI invocation, a CI job, a pool worker) starts warm.  The store's shards
+design-space sweep, a pool worker) starts warm.  The store's shards
 are memory-mapped columnar arrays read through a zero-copy
 :class:`~repro.backends.store.ShardView` — all pool workers share one
 page-cache copy, and a stored row is only materialised into a

@@ -1,13 +1,15 @@
 """Disk-persistent decision cache (v2: columnar, memory-mapped shards).
 
 :class:`DecisionStore` spills the batched backend's LRU decision cache
-to an on-disk store so repeated CLI / CI invocations skip re-deriving
-mode decisions entirely.  One *shard* holds every cached decision of one
-accelerator configuration; shards are named by a digest of ``(store
-version, config key)``, so decisions computed under a different array
-geometry, mode set, activity factor, activity model or technology model
-can never be confused — the technology model's full parameter set is
-part of :meth:`~repro.core.config.ArrayFlexConfig.cache_key`.
+to an on-disk store so a rerun design-space sweep
+(``DesignSpaceExplorer(cache_dir=...)``, the store's one entry point)
+skips re-deriving mode decisions entirely.  One *shard* holds every
+cached decision of one accelerator configuration; shards are named by a
+digest of ``(store version, config key)``, so decisions computed under a
+different array geometry, mode set, activity factor, activity model or
+technology model can never be confused — the technology model's full
+parameter set is part of
+:meth:`~repro.core.config.ArrayFlexConfig.cache_key`.
 
 The v2 on-disk format is columnar:
 
@@ -22,10 +24,6 @@ The v2 on-disk format is columnar:
   backend actually misses its in-memory LRU.
 * ``decisions-<digest>.meta.json`` — a small sidecar recording the shard's
   store version, configuration key and row count.
-* ``decisions-<digest>.hits`` — an append-only use counter (one byte per
-  warm start, written with an atomic ``O_APPEND`` append): hits = file
-  size, recency = file mtime.  These drive the eviction score without
-  putting a read-modify-replace cycle on the read path.
 
 Within one process, unchanged shard files additionally resolve through a
 global view registry validated by ``stat`` signatures, so however many
@@ -52,14 +50,13 @@ correctness.  A merge rewrites the whole shard, so
 at least the rows this instance last saw on disk for it: a new shard is
 written at once, a shard of n rows costs O(log n) merges, and each row is
 rewritten O(1) times on average.  :meth:`~DecisionStore.flush`, pickling,
-:meth:`~DecisionStore.stats`, :meth:`~DecisionStore.prune` and the normal
-exit of the process (or pool worker) holding buffered rows write them
-all; a killed process loses at most the rows buffered since each shard's
-last merge.  Corrupt shards are never silently swallowed: unreadable
-payloads are surfaced through a ``warnings.warn`` naming the file and
-counted in :meth:`~DecisionStore.stats`.  The store never writes inside
-the repository tree: the default location honours ``REPRO_CACHE_DIR``
-and ``XDG_CACHE_HOME`` and falls back to ``~/.cache/repro-arrayflex``.
+:meth:`~DecisionStore.stats` and the normal exit of the process (or pool
+worker) holding buffered rows write them all; a killed process loses at
+most the rows buffered since each shard's last merge.  Corrupt shards are
+never silently swallowed: unreadable payloads are surfaced through a
+``warnings.warn`` naming the file and counted in
+:meth:`~DecisionStore.stats`.  The store has no default location: it
+writes only into the directory its caller names.
 """
 
 from __future__ import annotations
@@ -83,7 +80,6 @@ from repro.backends.decisions import (
     records_index,
     rows_to_records,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import get_tracer
 
 #: Bump when the on-disk shard layout changes.  v2: JSON payloads replaced
@@ -108,7 +104,6 @@ _VERSION_MARKER = "VERSION"
 _SHARD_PREFIX = "decisions-"
 _SHARD_SUFFIX = ".npy"
 _SIDECAR_SUFFIX = ".meta.json"
-_HITS_SUFFIX = ".hits"
 
 #: Process-global shard-view registry: the shared read path.  Every
 #: DecisionStore instance in this process resolves an unchanged shard
@@ -179,23 +174,6 @@ def _map_shard(path: Path) -> np.ndarray:
         return np.memmap(handle, dtype=dtype, mode="r", shape=shape, offset=handle.tell())
 
 
-def default_cache_dir() -> Path:
-    """The user-level cache directory (never inside the repository tree).
-
-    Resolution order: ``$REPRO_CACHE_DIR``, ``$XDG_CACHE_HOME/repro-arrayflex``,
-    ``~/.cache/repro-arrayflex``.
-    """
-    explicit = os.environ.get("REPRO_CACHE_DIR")
-    if explicit:
-        # expanduser: env files and CI yaml set these without a shell, so
-        # a literal '~' must not become a directory in the cwd (possibly
-        # inside the repository tree).
-        return Path(explicit).expanduser()
-    xdg = os.environ.get("XDG_CACHE_HOME")
-    base = Path(xdg).expanduser() if xdg else Path.home() / ".cache"
-    return base / "repro-arrayflex"
-
-
 class ShardView:
     """Zero-copy read view of one columnar shard.
 
@@ -252,22 +230,11 @@ class DecisionStore:
 
     def __init__(
         self,
-        directory: str | os.PathLike[str] | None = None,
+        directory: str | os.PathLike[str],
         version: str = CACHE_VERSION,
-        max_bytes: int | None = None,
     ) -> None:
-        if max_bytes is not None and max_bytes <= 0:
-            raise ValueError("max_bytes must be positive (or None for no cap)")
-        self.directory = (
-            Path(directory).expanduser() if directory is not None else default_cache_dir()
-        )
+        self.directory = Path(directory).expanduser()
         self.version = version
-        #: Opt-in size cap: every merge prunes the lowest-value shards
-        #: (fewest recorded hits, least recently used) until the on-disk
-        #: footprint fits, so long-lived caches (CI runners, shared dev
-        #: machines) cannot grow unboundedly.  ``None`` (the default)
-        #: keeps the historical unbounded behaviour.
-        self.max_bytes = max_bytes
         self._init_transient()
 
     def _init_transient(self) -> None:
@@ -281,22 +248,13 @@ class DecisionStore:
         #: The exit-time flush, registered only while rows are buffered
         #: (it holds this store alive).
         self._exit_flush: util.Finalize | None = None
-        self._init_metrics()
-
-    def _init_metrics(self) -> None:
-        """The activity counters, as instruments on this store's registry.
-
-        The serving layer attaches :attr:`metrics` to its own registry so
-        ``/metrics`` reads them merged; :meth:`counters` keeps the
-        historical dict shape over the same instruments.
-        """
-        self.metrics = MetricsRegistry()
+        #: In-process activity counters (see :meth:`counters`), updated
+        #: under the lock.
+        self._shard_loads = 0
+        self._merges = 0
+        self._rows_merged = 0
         #: Unreadable shards encountered by this instance's loads.
-        self._corrupt_loads = self.metrics.counter("store_corrupt_loads_total")
-        #: Cheap in-process activity counters (see :meth:`counters`).
-        self._shard_loads = self.metrics.counter("store_shard_loads_total")
-        self._merges = self.metrics.counter("store_merges_total")
-        self._rows_merged = self.metrics.counter("store_rows_merged_total")
+        self._corrupt_loads = 0
 
     # ------------------------------------------------------------------ #
     # Pickling (process-pool workers reopen the same directory)
@@ -305,16 +263,11 @@ class DecisionStore:
         # Flush first: rows buffered here must be on disk before a pool
         # worker opens the same directory expecting to start warm.
         self.flush()
-        return {
-            "directory": self.directory,
-            "version": self.version,
-            "max_bytes": self.max_bytes,
-        }
+        return {"directory": self.directory, "version": self.version}
 
     def __setstate__(self, state: dict) -> None:
         self.directory = state["directory"]
         self.version = state["version"]
-        self.max_bytes = state.get("max_bytes")
         self._init_transient()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -332,9 +285,6 @@ class DecisionStore:
 
     def _sidecar_path(self, digest: str) -> Path:
         return self.directory / f"{_SHARD_PREFIX}{digest}{_SIDECAR_SUFFIX}"
-
-    def _hits_path(self, digest: str) -> Path:
-        return self.directory / f"{_SHARD_PREFIX}{digest}{_HITS_SUFFIX}"
 
     @staticmethod
     def gemm_key(m: int, n: int, t: int) -> tuple[int, int, int]:
@@ -360,9 +310,7 @@ class DecisionStore:
                     view = self._read_shard(digest, config_key)
                     span.set(rows=len(view))
                 self._shards[digest] = view
-                self._shard_loads.inc()
-                if len(view):
-                    self._count_shard_use(digest)
+                self._shard_loads += 1
             return view
 
     def get(self, config_key: tuple, m: int, n: int, t: int) -> list | None:
@@ -424,7 +372,7 @@ class DecisionStore:
         return view
 
     def _note_corrupt(self, path: Path, error: Exception) -> None:
-        self._corrupt_loads.inc()
+        self._corrupt_loads += 1
         warnings.warn(
             f"DecisionStore: skipping corrupt shard file {path} ({error}); "
             f"its decisions will be re-derived and the file overwritten on "
@@ -432,34 +380,6 @@ class DecisionStore:
             RuntimeWarning,
             stacklevel=4,
         )
-
-    def _count_shard_use(self, digest: str) -> None:
-        """Bump the shard's persistent hit/recency counters (best effort).
-
-        Called once per (store instance, shard) on the first disk load, so
-        the hit count approximates "how many fresh consumers started warm
-        from this shard" — the value signal the eviction score ranks by.
-        The counter is an append-only ``.hits`` file: one byte per warm
-        start (``O_APPEND`` writes are atomic, so concurrent readers never
-        race), hits = file size, recency = file mtime — keeping the hot
-        read path free of read-modify-replace cycles.  Failures are
-        swallowed: use counting must never break a read-only consumer.
-        """
-        try:
-            with open(self._hits_path(digest), "ab") as handle:
-                handle.write(b"+")
-        except OSError:  # pragma: no cover - depends on filesystem state
-            pass
-
-    def _shard_use(self, digest: str, fallback_mtime: float) -> tuple[int, float]:
-        """The shard's (hits, last-used) eviction score inputs."""
-        try:
-            stat = self._hits_path(digest).stat()
-        except OSError:
-            return (0, fallback_mtime)
-        # A merge is a use too: recency is the later of last warm start
-        # (hits-file mtime) and last write (payload mtime).
-        return (stat.st_size, max(stat.st_mtime, fallback_mtime))
 
     def _read_sidecar(self, digest: str) -> dict | None:
         try:
@@ -531,8 +451,8 @@ class DecisionStore:
     def _merge_locked_traced(
         self, digest: str, config_key: tuple, decisions: dict
     ) -> None:
-        self._merges.inc()
-        self._rows_merged.inc(len(decisions))
+        self._merges += 1
+        self._rows_merged += len(decisions)
         self._ensure_directory()
         fresh = rows_to_records(decisions)
         # Merge with concurrent writers' flushes before replacing: re-read
@@ -569,8 +489,6 @@ class DecisionStore:
             )
         except OSError:  # pragma: no cover - racing writer replaced the pair
             _view_cache_discard(path)
-        if self.max_bytes is not None:
-            self._prune_locked(self.max_bytes, protect=digest)
 
     def _atomic_write_array(self, path: Path, array: np.ndarray) -> None:
         self._atomic_write(path, lambda handle: np.save(handle, array, allow_pickle=False))
@@ -615,9 +533,10 @@ class DecisionStore:
     def _purge_shards(self) -> None:
         self._shards.clear()
         for shard in self.directory.glob(f"{_SHARD_PREFIX}*"):
-            # Payloads, sidecars and hit counters of any era (.npy,
-            # .meta.json, .hits, and the v1 format's .json shards);
-            # in-flight *.tmp files belong to live writers and stay.
+            # Payloads and sidecars of any era (.npy, .meta.json, the v1
+            # format's .json shards, and the .hits use counters earlier
+            # stores kept); in-flight *.tmp files belong to live writers
+            # and stay.
             if shard.suffix not in (".npy", ".json", ".hits"):
                 continue
             _view_cache_discard(shard)
@@ -627,142 +546,34 @@ class DecisionStore:
                 pass
 
     # ------------------------------------------------------------------ #
-    # Maintenance / introspection
+    # Introspection
     # ------------------------------------------------------------------ #
-    def prune(self, max_bytes: int | None = None) -> dict[str, int]:
-        """Evict the lowest-value shards until the store fits ``max_bytes``.
-
-        The explicit maintenance entry point behind the opt-in
-        ``max_bytes`` cap (which calls this after every merge).  Eviction
-        is whole-shard, ranked by the sidecar's persistent use counters:
-        fewest warm-start hits first, ties broken by least-recent use
-        (file mtime when a sidecar is missing) — a shard is one
-        configuration's decisions, and the configurations no process has
-        started warm from in a long time are the likeliest to be dead
-        design points.  Evicting only costs re-derivation on re-encounter;
-        correctness never depends on the store's contents.
-
-        Returns ``{"removed_shards", "removed_bytes", "total_bytes"}``.
-        """
-        limit = max_bytes if max_bytes is not None else self.max_bytes
-        if limit is None:
-            raise ValueError("prune needs max_bytes (argument or constructor cap)")
-        if limit <= 0:
-            raise ValueError("max_bytes must be positive")
-        with self._lock:
-            self._flush_locked()
-            return self._prune_locked(limit)
-
-    def _scan_shards(self) -> list[tuple[str, Path, int, float]]:
-        """One directory scan: ``(digest, payload path, bytes, mtime)`` rows.
-
-        The single glob every maintenance operation shares — size
-        accounting, eviction ordering and stats reuse these entries
-        instead of re-walking the directory per concern.  Byte counts
-        include each shard's sidecar.
-        """
-        entries: list[tuple[str, Path, int, float]] = []
-        if not self.directory.is_dir():
-            return entries
-        for path in self.directory.glob(f"{_SHARD_PREFIX}*{_SHARD_SUFFIX}"):
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            digest = path.name[len(_SHARD_PREFIX):-len(_SHARD_SUFFIX)]
-            size = stat.st_size
-            for companion in (self._sidecar_path(digest), self._hits_path(digest)):
-                try:
-                    size += companion.stat().st_size
-                except OSError:
-                    pass
-            entries.append((digest, path, size, stat.st_mtime))
-        return entries
-
-    def _eviction_order(
-        self, entries: list[tuple[str, Path, int, float]]
-    ) -> list[tuple[str, Path, int, float]]:
-        """Entries sorted least-valuable first: (hits, last-used) ascending."""
-
-        def score(entry: tuple[str, Path, int, float]) -> tuple[int, float]:
-            return self._shard_use(entry[0], entry[3])
-
-        return sorted(entries, key=score)
-
-    def _prune_locked(self, max_bytes: int, protect: str | None = None) -> dict[str, int]:
-        """Shared eviction loop; ``protect`` keeps the shard just merged.
-
-        Protecting the active shard means a cap smaller than one shard
-        degrades to "keep only the current configuration" instead of
-        deleting the bytes the caller just paid to write.
-        """
-        entries = self._scan_shards()
-        total = sum(size for _, _, size, _ in entries)
-        removed_shards = 0
-        removed_bytes = 0
-        for digest, path, size, _ in self._eviction_order(entries):
-            if total <= max_bytes:
-                break
-            if digest == protect:
-                continue
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            for companion in (self._sidecar_path(digest), self._hits_path(digest)):
-                try:
-                    companion.unlink()
-                except OSError:
-                    pass
-            _view_cache_discard(path)
-            self._shards.pop(digest, None)
-            total -= size
-            removed_shards += 1
-            removed_bytes += size
-        return {
-            "removed_shards": removed_shards,
-            "removed_bytes": removed_bytes,
-            "total_bytes": total,
-        }
-
-    def clear(self) -> None:
-        """Remove every shard (and the memo / write buffer); the directory stays."""
-        with self._lock:
-            self._pending.clear()
-            self._pending_rows = 0
-            self._sync_exit_flush_locked()
-            if self.directory.is_dir():
-                self._purge_shards()
-            self._shards.clear()
-
     def counters(self) -> dict[str, int]:
         """This instance's in-process activity counters, lock-cheap.
 
-        Unlike :meth:`stats` (a full directory scan plus a flush — the
-        right tool for a CLI report, the wrong one for a live ``/metrics``
-        endpoint scraped every few seconds), this reads a handful of
-        integers under the lock and touches no disk: shards mapped by
-        this instance, merges written, rows merged, rows still buffered,
-        and corrupt loads tripped over.
+        Unlike :meth:`stats` (a full directory scan plus a flush), this
+        reads a handful of integers under the lock and touches no disk:
+        shards mapped by this instance, merges written, rows merged, rows
+        still buffered, and corrupt loads tripped over.
         """
         with self._lock:
             return {
-                "shard_loads": self._shard_loads.value,
-                "merges": self._merges.value,
-                "rows_merged": self._rows_merged.value,
+                "shard_loads": self._shard_loads,
+                "merges": self._merges,
+                "rows_merged": self._rows_merged,
                 "pending_rows": self._pending_rows,
-                "corrupt_loads": self._corrupt_loads.value,
+                "corrupt_loads": self._corrupt_loads,
             }
 
     def stats(self) -> dict[str, int]:
         """What is currently on disk, from one directory scan.
 
         ``shards`` / ``entries`` / ``total_bytes`` count the readable
-        columnar shards (of any version), ``hits`` sums their persistent
-        warm-start counters, and ``corrupt_shards`` counts shard files
-        present on disk that cannot be read back (truncated or garbled
-        payloads, unreadable sidecars) — plus any corrupt files this
-        instance's loads already tripped over and warned about.
+        columnar shards (of any version; bytes include each sidecar), and
+        ``corrupt_shards`` counts shard files present on disk that cannot
+        be read back (truncated or garbled payloads, unreadable sidecars)
+        — plus any corrupt files this instance's loads already tripped
+        over and warned about.
         """
         with self._lock:
             self._flush_locked()
@@ -770,10 +581,19 @@ class DecisionStore:
             entries = 0
             total_bytes = 0
             corrupt = 0
-            hits = 0
-            for digest, path, size, _ in self._scan_shards():
-                meta = self._read_sidecar(digest)
-                if meta is None and self._sidecar_path(digest).exists():
+            # A missing directory globs to nothing.
+            for path in self.directory.glob(f"{_SHARD_PREFIX}*{_SHARD_SUFFIX}"):
+                try:
+                    size = path.stat().st_size
+                except OSError:
+                    continue
+                digest = path.name[len(_SHARD_PREFIX):-len(_SHARD_SUFFIX)]
+                sidecar = self._sidecar_path(digest)
+                try:
+                    size += sidecar.stat().st_size
+                except OSError:
+                    pass
+                if self._read_sidecar(digest) is None and sidecar.exists():
                     corrupt += 1
                     continue
                 try:
@@ -784,11 +604,9 @@ class DecisionStore:
                 shards += 1
                 entries += len(array)
                 total_bytes += size
-                hits += self._shard_use(digest, 0.0)[0]
             return {
                 "shards": shards,
                 "entries": entries,
                 "total_bytes": total_bytes,
-                "hits": hits,
-                "corrupt_shards": corrupt + self._corrupt_loads.value,
+                "corrupt_shards": corrupt + self._corrupt_loads,
             }

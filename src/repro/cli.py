@@ -12,14 +12,13 @@ Commands
 ``compare``     Latency / power / EDP of one workload versus the
                 conventional SA.
 ``batch``       Serve a whole (workload x array size) grid through the
-                batch front-end, with the disk-persistent decision cache
-                warm by default across invocations.
+                batch front-end.
 ``serve``       Run the long-lived HTTP/JSON scheduler daemon
                 (:mod:`repro.serve.daemon`): the batch front-end behind
                 ``POST /v1/schedule|batch|compare`` plus ``GET
                 /metrics`` and ``GET /healthz``, with bounded-queue
                 backpressure, optional per-client rate limits, and a
-                graceful SIGTERM drain that flushes the decision store.
+                graceful SIGTERM drain.
 ``client``      Talk to a running daemon (``client healthz|metrics|
                 schedule|compare``) — the smoke-test counterpart of
                 ``serve``; typed daemon errors map to distinct exit
@@ -27,9 +26,6 @@ Commands
                 timeout 5).
 ``workloads``   List the workload registry (built-in CNN and transformer
                 workloads, grouped by suite).
-``cache``       Inspect (``cache stats``) or manually prune
-                (``cache prune --max-bytes N``) the disk-persistent
-                decision cache, honouring ``--cache-dir``.
 ``experiment``  Run one of the paper experiments (fig5, fig6, fig7, fig8,
                 fig9, eq7, clock, abl_csa, abl_dirs) or the beyond-paper
                 ``transformers`` suite / ``activity`` sensitivity /
@@ -70,12 +66,10 @@ validation)::
     python -m repro --backend batched compare --model resnet34
     python -m repro --backend cycle compare --model resnet34
 
-The global ``--cache-dir`` flag points the batched backend's decision
-cache at a persistent directory (default for ``batch``: the user cache
-directory per ``XDG_CACHE_HOME``; never inside the repository), so
-repeated invocations skip re-deriving decisions::
-
-    python -m repro batch --models resnet34 --sizes 128x128 256x256
+No command keeps a decision cache on disk: each process recomputes its
+decisions, which the batched engine does faster than a disk cache loads
+them (``DesignSpaceExplorer(cache_dir=...)`` is the library's one
+persistent store).
 
 ``--activity-model {constant,utilization}`` (on ``info``, ``decide``,
 ``compare`` and ``batch``) selects the per-layer power activity model:
@@ -95,7 +89,7 @@ import os
 import sys
 from collections.abc import Sequence
 
-from repro.backends import BACKENDS, default_cache_dir
+from repro.backends import BACKENDS
 from repro.core.activity import ACTIVITY_MODELS
 from repro.core.arrayflex import ArrayFlexAccelerator
 from repro.core.config import ArrayFlexConfig
@@ -194,16 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help=(
-            "directory for the disk-persistent decision cache (batched "
-            "backend); default: no persistence, except for 'batch' and "
-            "'serve', which use the user cache directory (XDG_CACHE_HOME "
-            "aware)"
-        ),
-    )
-    parser.add_argument(
         "--log-level",
         default=None,
         help=(
@@ -296,11 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="service thread count (default: auto from CPU count)",
     )
-    batch.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the disk-persistent decision cache",
-    )
     _add_backend_argument(batch)
     _add_activity_model_argument(batch)
 
@@ -353,11 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="service thread count (default: auto from CPU count)",
-    )
-    serve.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the disk-persistent decision cache",
     )
     _add_backend_argument(serve)
 
@@ -423,32 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--suite",
         default=None,
         help="only list one suite, e.g. cnn or transformers (default: all)",
-    )
-
-    cache = subparsers.add_parser(
-        "cache", help="inspect or prune the disk-persistent decision cache"
-    )
-    cache_actions = cache.add_subparsers(dest="cache_action", required=True)
-    cache_actions.add_parser(
-        "stats",
-        help=(
-            "shard/row/byte counts plus the warm-start hit and corrupt-"
-            "shard counters of the cache directory (--cache-dir, or the "
-            "user cache directory)"
-        ),
-    )
-    cache_prune = cache_actions.add_parser(
-        "prune",
-        help=(
-            "evict the least-valuable shards (fewest warm-start hits, "
-            "least recently used first) until the cache fits --max-bytes"
-        ),
-    )
-    cache_prune.add_argument(
-        "--max-bytes",
-        type=int,
-        required=True,
-        help="target on-disk size of the cache directory, in bytes",
     )
 
     experiment = subparsers.add_parser("experiment", help="run one paper experiment")
@@ -583,15 +531,11 @@ def build_parser() -> argparse.ArgumentParser:
 # Command implementations
 # ---------------------------------------------------------------------- #
 def _build_accelerator(args: argparse.Namespace) -> ArrayFlexAccelerator:
-    # cache_dir validation is the facade's job (shared attach_store rules):
-    # --cache-dir with a backend that owns no decision cache is an error,
-    # never a no-op.
     return ArrayFlexAccelerator(
         rows=args.rows,
         cols=args.cols,
         supported_depths=tuple(args.depths),
         backend=args.backend,
-        cache_dir=args.cache_dir,
         activity_model=args.activity_model,
     )
 
@@ -733,10 +677,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
     Always runs on the batched backend (it owns the decision cache being
     served); requesting any other backend is an error, not a silent
-    override.  The disk-persistent cache is on by default — point it
-    elsewhere with ``--cache-dir`` or turn it off with ``--no-cache``.
-    Returns a non-zero exit code when ``--timeout`` expired on any
-    request (the timed-out rows are reported, not hung on).
+    override.  Returns a non-zero exit code when ``--timeout`` expired on
+    any request (the timed-out rows are reported, not hung on).
     """
     from repro.serve import SchedulingService
 
@@ -745,11 +687,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             f"the 'batch' command always uses the batched backend; "
             f"--backend {args.backend} is not supported here"
         )
-    if args.no_cache and args.cache_dir:
-        raise ValueError("--no-cache and --cache-dir are mutually exclusive")
     sizes = [_parse_size(size) for size in args.sizes]
     depths = tuple(args.depths)
-    cache_dir = None if args.no_cache else (args.cache_dir or default_cache_dir())
     grid = [
         (
             workload,
@@ -764,7 +703,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         for rows, cols in sizes
     ]
     name_width = max(18, max(len(w.name) for w, _ in grid))
-    service = SchedulingService(cache_dir=cache_dir, max_workers=args.workers)
+    service = SchedulingService(max_workers=args.workers)
     try:
         pairs = service.compare(grid, timeout=args.timeout)
         print(
@@ -800,12 +739,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         f"served {stats['requests']} requests "
         f"({stats['deduplicated']} deduplicated) on {stats['max_workers']} threads"
     )
-    print(
-        f"decision cache: {stats['hits']} hits, {stats['store_hits']} from disk, "
-        f"{stats['misses']} solved"
-    )
-    if cache_dir is not None:
-        print(f"persistent cache: {cache_dir}")
+    print(f"decision cache: {stats['hits']} hits, {stats['misses']} solved")
     timed_out = int(stats.get("timed_out", 0))
     if timed_out:
         print(f"WARNING: {timed_out} requests timed out after {args.timeout}s")
@@ -817,9 +751,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the HTTP/JSON scheduler daemon until drained.
 
     Like ``batch``, always the batched backend (the daemon serves its
-    decision cache) with disk persistence on by default.  SIGTERM and
-    SIGINT (Ctrl-C) trigger a graceful drain: the listening socket
-    closes, in-flight requests finish, the decision store flushes, and
+    decision cache).  SIGTERM and SIGINT (Ctrl-C) trigger a graceful
+    drain: the listening socket closes, in-flight requests finish, and
     the process exits 0.
     """
     from repro.serve import SchedulerDaemon
@@ -829,13 +762,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"the 'serve' command always uses the batched backend; "
             f"--backend {args.backend} is not supported here"
         )
-    if args.no_cache and args.cache_dir:
-        raise ValueError("--no-cache and --cache-dir are mutually exclusive")
-    cache_dir = None if args.no_cache else (args.cache_dir or default_cache_dir())
     daemon = SchedulerDaemon(
         host=args.host,
         port=args.port,
-        cache_dir=cache_dir,
         max_workers=args.workers,
         max_inflight=args.max_inflight,
         rate_limit=args.rate_limit,
@@ -849,10 +778,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         "  POST /v1/schedule  /v1/batch  /v1/compare   GET /metrics  /healthz",
         flush=True,
     )
-    if cache_dir is not None:
-        print(f"  persistent cache: {cache_dir}", flush=True)
     daemon.serve_forever()
-    print("drained: in-flight requests finished, decision store flushed")
+    print("drained: in-flight requests finished")
     return 0
 
 
@@ -860,7 +787,6 @@ def _cmd_client(args: argparse.Namespace) -> int:
     """Talk to a running daemon; typed errors become distinct exit codes."""
     from repro.serve import DaemonClient, Request, ServeError
 
-    _reject_cache_dir(args)
     _reject_backend(
         args,
         "talks to a running daemon (whose backend was chosen by 'serve')",
@@ -932,7 +858,6 @@ def _print_client_result(body: dict) -> None:
 
 def _cmd_workloads(args: argparse.Namespace) -> int:
     """List the workload registry, grouped by suite."""
-    _reject_cache_dir(args)
     _reject_backend(args, "only lists the registry, it schedules nothing")
     suites = list_suites()
     if args.suite is not None:
@@ -960,7 +885,6 @@ def _cmd_workloads(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    _reject_cache_dir(args)
     for experiment in EXPERIMENT_FACTORIES[args.id](args.backend):
         print(experiment.render())
         print()
@@ -988,7 +912,6 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     """Run a declarative ablation study and print the importance ranking."""
     from repro.eval.ablation import AblationStudy, Component
 
-    _reject_cache_dir(args)
     if args.batch_size < 1:
         raise ValueError("--batch-size must be at least 1")
     if args.component:
@@ -1055,18 +978,6 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _reject_cache_dir(args: argparse.Namespace) -> None:
-    """--cache-dir must never be a silent no-op: commands that do not
-    route through the batched decision cache refuse it outright.  The
-    message names the subcommand from ``args.command`` itself, so it can
-    never drift from what the user actually typed."""
-    if args.cache_dir:
-        raise ValueError(
-            f"--cache-dir is not supported by the {args.command!r} command "
-            f"(use it with info/decide/compare/batch/serve)"
-        )
-
-
 def _reject_backend(args: argparse.Namespace, reason: str) -> None:
     """Refuse ``--backend`` on commands that never execute a backend.
 
@@ -1081,42 +992,9 @@ def _reject_backend(args: argparse.Namespace, reason: str) -> None:
         )
 
 
-def _cmd_cache(args: argparse.Namespace) -> int:
-    """Inspect or prune the disk-persistent decision cache.
-
-    Pure store maintenance — no backend ever executes, so an explicit
-    ``--backend`` is an error, never a silent no-op.  ``--cache-dir``
-    selects the directory; the default is the same user cache directory
-    the ``batch`` command persists into.
-    """
-    _reject_backend(args, "only touches the on-disk store")
-    from repro.backends import DecisionStore
-
-    directory = args.cache_dir or default_cache_dir()
-    store = DecisionStore(directory)
-    if args.cache_action == "prune":
-        result = store.prune(max_bytes=args.max_bytes)
-        print(
-            f"pruned {result['removed_shards']} shards "
-            f"({result['removed_bytes']} bytes) from {directory}"
-        )
-        print(f"remaining: {result['total_bytes']} bytes")
-        return 0
-    stats = store.stats()
-    print(f"cache directory: {directory}")
-    print(f"  store version  : {store.version}")
-    print(f"  shards         : {stats['shards']}")
-    print(f"  rows           : {stats['entries']}")
-    print(f"  bytes          : {stats['total_bytes']}")
-    print(f"  warm-start hits: {stats['hits']}")
-    print(f"  corrupt shards : {stats['corrupt_shards']}")
-    return 0
-
-
 def _cmd_trace(args: argparse.Namespace) -> int:
     """Trace one workload comparison, or summarise a written trace file."""
     if args.trace_action == "summary":
-        _reject_cache_dir(args)
         _reject_backend(
             args, "summarises an already-written trace file, it runs nothing"
         )
@@ -1161,7 +1039,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    _reject_cache_dir(args)
     _reject_backend(
         args, "regenerates EXPERIMENTS.md with each experiment's own backend"
     )
@@ -1180,7 +1057,6 @@ _HANDLERS = {
     "serve": _cmd_serve,
     "client": _cmd_client,
     "workloads": _cmd_workloads,
-    "cache": _cmd_cache,
     "experiment": _cmd_experiment,
     "ablate": _cmd_ablate,
     "report": _cmd_report,

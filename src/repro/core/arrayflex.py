@@ -103,7 +103,6 @@ class ArrayFlexAccelerator:
         technology: TechnologyModel | None = None,
         config: ArrayFlexConfig | None = None,
         backend: ExecutionBackend | str | None = None,
-        cache_dir: str | None = None,
         activity_model: "ActivityModel | str | None" = None,
     ) -> None:
         if config is not None:
@@ -123,15 +122,13 @@ class ArrayFlexAccelerator:
                 #: the GEMM-to-array tiling (see repro.core.activity).
                 activity_model=create_activity_model(activity_model),
             )
-        from repro.backends import attach_store, create_backend
+        from repro.backends import create_backend
 
         #: The execution backend scheduling runs on this accelerator.  May
         #: be an :class:`~repro.backends.ExecutionBackend` instance or a
         #: registry name ("analytical", "batched", "cycle"); defaults to
-        #: the reference analytical backend.  ``cache_dir`` attaches the
-        #: disk-persistent decision store (and implies the batched
-        #: backend).
-        self.backend = create_backend(attach_store(backend, cache_dir))
+        #: the reference analytical backend.
+        self.backend = create_backend(backend)
         self.optimizer = PipelineOptimizer(self.config)
         self.clock = ClockModel(self.config)
         self.energy = EnergyModel(self.config)

@@ -16,7 +16,7 @@ Evaluation runs on a pluggable execution backend (default: the batched /
 cached backend, numerically identical to the analytical reference; it
 scores a whole point — every GEMM of every workload — in one mode search).
 Pass ``cache_dir`` to persist those decisions on disk, so a rerun sweep —
-another CLI invocation, a CI job — starts warm and skips the mode search
+another process, a CI job — starts warm and skips the mode search
 entirely.
 
 Multi-point sweeps fan out over a process pool, one task per design
@@ -227,6 +227,8 @@ class DesignSpaceExplorer:
         """
         if not points:
             raise ValueError("no design points to explore")
+        if max_workers is not None and max_workers < 1:
+            raise ValueError("max_workers must be at least 1")
         workers = max_workers if max_workers is not None else self.max_workers
         if (
             workers is None

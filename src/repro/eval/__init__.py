@@ -42,7 +42,7 @@ from repro.eval.experiments import (
     all_experiments,
 )
 from repro.eval.report import format_ratio, format_table, normalize_series
-from repro.eval.sweep import collapse_depth_sweep, array_size_sweep
+from repro.eval.sweep import collapse_depth_sweep
 
 __all__ = [
     "Fig5Experiment",
@@ -64,5 +64,4 @@ __all__ = [
     "format_ratio",
     "normalize_series",
     "collapse_depth_sweep",
-    "array_size_sweep",
 ]

@@ -1,7 +1,7 @@
 """The observability layer: tracing, metrics, and structured logging.
 
 Three pillars, all stdlib-only, threaded through every layer of the
-stack (daemon → service → backends → engine → store):
+stack (daemon → service → backends → engine):
 
 * :mod:`repro.obs.trace` — hierarchical spans with a no-op fast path,
   propagated across thread and process pools, exported as Chrome

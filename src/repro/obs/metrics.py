@@ -2,7 +2,7 @@
 
 Counters, gauges and bucketed histograms live as *instruments* inside a
 :class:`MetricsRegistry`.  Each component (daemon middleware, scheduling
-service, cached backends, decision store) owns instruments in its own
+service, cached backends) owns instruments in its own
 registry; the daemon :meth:`~MetricsRegistry.attach`\\ es those child
 registries to one root, so ``/metrics`` — JSON or Prometheus text — is a
 single merged read with no component knowing about any other.

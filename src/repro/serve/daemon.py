@@ -5,7 +5,7 @@ A long-running, stdlib-only (:mod:`http.server`) process boundary around
 versioned JSON protocol of :mod:`repro.serve.protocol`, and every
 request routes through the same ``submit(Request) -> Response`` core a
 library caller uses — so daemon results are bit-identical to in-process
-ones, dedup/decision-cache/disk-store warmth included.
+ones, dedup and decision-cache warmth included.
 
 Endpoints
 ---------
@@ -20,8 +20,8 @@ Endpoints
                        [[flex, conv], ...]}``.
 ``GET /metrics``       request/outcome/rejection counters, per-backend
                        latency histograms, the service's dedup counters
-                       and the decision store's hit/flush counters —
-                       all read from one unified metrics registry; with
+                       and the backend's decision-cache counters — all
+                       read from one unified metrics registry; with
                        ``Accept: text/plain`` the same registry is served
                        as Prometheus text exposition instead of JSON.
 ``GET /healthz``       liveness: status (``ok``/``draining``), uptime,
@@ -44,8 +44,8 @@ client that stalls mid-body holds neither and is simply disconnected.
 or peer host) refuses over-rate clients with HTTP 503 + the exact
 refill time.  *Graceful drain*: SIGTERM/SIGINT (or
 :meth:`SchedulerDaemon.request_drain`) stops accepting work, finishes
-everything in flight, flushes the decision store via the service's
-idempotent ``close()``, then lets the process exit 0.
+everything in flight, closes the service (idempotent ``close()``), then
+lets the process exit 0.
 
 >>> daemon = SchedulerDaemon(port=0)          # ephemeral port
 >>> thread = daemon.start()
@@ -110,7 +110,7 @@ class SchedulerDaemon:
     """One scheduling service behind a threaded HTTP/JSON front door.
 
     ``service`` defaults to a fresh :class:`SchedulingService` built
-    from ``backend``/``cache_dir``/``max_workers``; pass an existing
+    from ``backend``/``max_workers``; pass an existing
     service to share its warmth (the daemon then also owns closing it on
     drain).  ``max_inflight`` bounds the admission queue,
     ``rate_limit``/``rate_burst`` configure the per-client token bucket
@@ -126,7 +126,6 @@ class SchedulerDaemon:
         host: str = "127.0.0.1",
         port: int = 8537,
         backend=None,
-        cache_dir=None,
         max_workers: int | None = None,
         max_inflight: int = 64,
         rate_limit: float | None = None,
@@ -135,12 +134,10 @@ class SchedulerDaemon:
         drain_timeout: float = 30.0,
     ) -> None:
         if service is None:
-            service = SchedulingService(
-                backend=backend, cache_dir=cache_dir, max_workers=max_workers
-            )
-        elif backend is not None or cache_dir is not None:
+            service = SchedulingService(backend=backend, max_workers=max_workers)
+        elif backend is not None:
             raise InvalidRequest(
-                "pass either a ready service or backend/cache_dir arguments, not both"
+                "pass either a ready service or a backend argument, not both"
             )
         self.service = service
         self.gate = AdmissionGate(max_inflight)
@@ -148,8 +145,8 @@ class SchedulerDaemon:
         self.metrics = DaemonMetrics()
         #: The unified registry behind ``/metrics``: the daemon's own
         #: middleware counters plus the service's (which in turn carries
-        #: the backend's cache counters and the decision store's) — one
-        #: merged read, no component knowing about any other.
+        #: the backend's cache counters) — one merged read, no component
+        #: knowing about any other.
         self.registry = MetricsRegistry()
         self.registry.attach(self.metrics.registry)
         self.registry.attach(self.service.registry)
@@ -192,8 +189,7 @@ class SchedulerDaemon:
         tests use :meth:`start` for a background thread).  When
         :meth:`request_drain` fires — directly or via a signal — the
         loop exits, the listening socket closes, in-flight requests
-        finish behind the admission gate, and the service closes
-        (flushing buffered decision-store rows).
+        finish behind the admission gate, and the service closes.
         """
         try:
             self._server.serve_forever(poll_interval=0.1)
@@ -276,9 +272,6 @@ class SchedulerDaemon:
                 "burst": self.limiter.burst,
                 "clients": self.limiter.clients(),
             }
-        counters = getattr(getattr(self.service.backend, "store", None), "counters", None)
-        if counters is not None:
-            payload["store"] = counters()
         return payload
 
     def prometheus_payload(self) -> str:
@@ -290,7 +283,7 @@ class SchedulerDaemon:
 
 
 def _hit_rates(stats: dict) -> dict:
-    """Dedup / decision-cache / disk-store hit rates from raw counters."""
+    """Dedup and decision-cache hit rates from raw counters."""
     rates: dict[str, float] = {}
     requests = int(stats.get("requests", 0) or 0)
     if requests:
@@ -298,10 +291,7 @@ def _hit_rates(stats: dict) -> dict:
     hits = stats.get("hits")
     misses = stats.get("misses")
     if hits is not None and misses is not None and (hits + misses):
-        lookups = hits + misses
-        rates["decision_cache"] = round(hits / lookups, 4)
-        store_hits = int(stats.get("store_hits", 0) or 0)
-        rates["store"] = round(store_hits / lookups, 4)
+        rates["decision_cache"] = round(hits / (hits + misses), 4)
     return rates
 
 

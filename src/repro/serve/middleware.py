@@ -23,7 +23,7 @@ and :class:`~repro.serve.service.SchedulingService`:
   histograms over log-spaced buckets (fixed bucket edges keep the
   histogram mergeable across scrapes — no quantile state to decay).
   They are :class:`repro.obs.MetricsRegistry` instruments, so the daemon
-  merges them with the service's and store's through one registry.
+  merges them with the service's through one registry.
 
 Everything takes an injectable clock so the tests never sleep to move
 time forward.
@@ -44,6 +44,9 @@ __all__ = [
     "DaemonMetrics",
     "TokenBucket",
 ]
+
+#: Bucket count below which :class:`TokenBucket` runs no sweep.
+_SWEEP_MIN = 256
 
 
 class AdmissionGate:
@@ -115,7 +118,13 @@ class TokenBucket:
     default, so a single-user deployment needs no configuration.  Client
     ids are whatever the caller keys on (the daemon uses the
     ``X-Client-Id`` header, falling back to the peer host).  Buckets are
-    created full, so a new client can burst immediately.
+    created full, so a new client can burst immediately — and a bucket
+    that has refilled to ``burst`` is the same as none.  Such buckets are
+    dropped in a sweep that runs once the bucket count passes twice what
+    the last sweep kept (and :data:`_SWEEP_MIN`).  A stream of distinct
+    ids then costs amortised O(1) per request, and the limiter holds about
+    twice the buckets partly spent at the last sweep, not one per id ever
+    seen.
     """
 
     def __init__(
@@ -134,6 +143,8 @@ class TokenBucket:
         self._lock = threading.Lock()
         #: client id -> (tokens, last refill timestamp)
         self._buckets: dict[str, tuple[float, float]] = {}
+        #: Bucket count at which the next sweep of refilled buckets runs.
+        self._sweep_at = _SWEEP_MIN
 
     @property
     def enabled(self) -> bool:
@@ -155,8 +166,21 @@ class TokenBucket:
                     retry_after_s=math.ceil(100 * (1.0 - tokens) / self.rate) / 100,
                 )
             self._buckets[client] = (tokens - 1.0, now)
+            if len(self._buckets) > self._sweep_at:
+                self._sweep_locked(now)
+
+    def _sweep_locked(self, now: float) -> None:
+        """Drop every bucket that has refilled to ``burst`` by ``now``."""
+        self._buckets = {
+            client: (tokens, stamp)
+            for client, (tokens, stamp) in self._buckets.items()
+            if tokens + (now - stamp) * self.rate < self.burst
+        }
+        self._sweep_at = max(_SWEEP_MIN, 2 * len(self._buckets))
 
     def clients(self) -> int:
+        """Buckets held: every client whose bucket is partly spent, plus
+        refilled ones the next sweep drops."""
         with self._lock:
             return len(self._buckets)
 
@@ -184,7 +208,7 @@ class DaemonMetrics:
     answered request; rejections (shed before any backend work) are
     recorded by ``reject(endpoint, code)``.  ``snapshot()`` returns one
     JSON-ready dict; the daemon merges it with the service's serving and
-    store counters.
+    decision-cache counters.
 
     Every count lives on :attr:`registry` (one
     :class:`repro.obs.MetricsRegistry`, injectable so the daemon can

@@ -18,7 +18,7 @@ the same typed surface.  A request that can never succeed (an unknown
 workload name, a layer the engine cannot count in int64) raises
 :class:`~repro.serve.errors.InvalidRequest`.
 
-Three layers of work elimination stack up:
+Two layers of work elimination stack up:
 
 * **request dedup** — identical requests (same workload, same
   configuration identity per :meth:`ArrayFlexConfig.cache_key`, which
@@ -28,10 +28,12 @@ Three layers of work elimination stack up:
   share one future, across ``submit`` calls;
 * **decision cache** — distinct requests still share per-layer mode
   decisions through the backend's LRU (CNN suites repeat GEMM shapes
-  heavily);
-* **disk persistence** — with a ``cache_dir`` the LRU is spilled to a
-  :class:`~repro.backends.store.DecisionStore`, so a new process starts
-  warm.
+  heavily).
+
+The service keeps nothing on disk: recomputing a decision is cheaper
+than loading it.  A caller may still hand it a backend that carries a
+:class:`~repro.backends.store.DecisionStore`; :meth:`close` then flushes
+that store's buffered rows.
 
 Execution fans out over a thread pool that shares one warm backend: the
 backend's cache bookkeeping is lock-serialised, but the NumPy solve and
@@ -57,7 +59,6 @@ from repro.backends import (
     BatchedCachedBackend,
     ExecutionBackend,
     ModelTotals,
-    attach_store,
     create_backend,
 )
 from repro.core.config import ArrayFlexConfig
@@ -94,7 +95,6 @@ class SchedulingService:
     def __init__(
         self,
         backend: ExecutionBackend | str | None = None,
-        cache_dir: str | os.PathLike[str] | None = None,
         max_workers: int | None = None,
         cache_size: int = 65536,
         dedup_size: int = 4096,
@@ -105,7 +105,7 @@ class SchedulingService:
             raise InvalidRequest("dedup_size must be at least 1")
         if backend is None:
             backend = BatchedCachedBackend(cache_size=cache_size)
-        self.backend = attach_store(create_backend(backend, default="batched"), cache_dir)
+        self.backend = create_backend(backend, default="batched")
         self.max_workers = max_workers or default_max_workers()
         #: Bound on the dedup map: completed futures (and their results)
         #: beyond this are dropped oldest-first, so a long-lived service
@@ -123,8 +123,8 @@ class SchedulingService:
         #: Entries are dropped by the future's done-callback.
         self._waiters: dict[int, int] = {}
         #: One registry carrying the serving counters, with the backend's
-        #: and store's own registries attached — the daemon attaches this
-        #: in turn, making ``/metrics`` a single merged read.
+        #: own registry attached — the daemon attaches this in turn,
+        #: making ``/metrics`` a single merged read.
         self.registry = MetricsRegistry()
         self._ctr_requests = self.registry.counter("service_requests_total")
         self._ctr_submitted = self.registry.counter("service_submitted_total")
@@ -132,8 +132,6 @@ class SchedulingService:
         self._ctr_timed_out = self.registry.counter("service_timed_out_total")
         if isinstance(self.backend, BatchedCachedBackend):
             self.registry.attach(self.backend.metrics)
-            if self.backend.store is not None:
-                self.registry.attach(self.backend.store.metrics)
         #: Set by the first :meth:`close`; makes closing idempotent and
         #: safe from a signal handler (an Event is set without taking any
         #: lock another thread might hold across the interrupted frame).
@@ -399,8 +397,7 @@ class SchedulingService:
     def stats(self) -> dict[str, int]:
         """Serving and backend cache counters.
 
-        Touches no disk, so a live ``/metrics`` can call it per scrape;
-        :meth:`DecisionStore.stats` is the on-disk report.
+        Touches no disk, so a live ``/metrics`` can call it per scrape.
         """
         with self._lock:
             counters = {
@@ -441,8 +438,8 @@ class SchedulingService:
             return
         self._closed.set()
         self._pool.shutdown(wait=wait, cancel_futures=cancel_futures)
-        # Drain buffered decision-store rows: a closed service leaves
-        # everything it derived on disk for the next process.
+        # A caller-provided backend may carry a decision store: a closed
+        # service leaves everything it derived on disk for the next process.
         self.backend.flush_store()
 
     def __enter__(self) -> "SchedulingService":

@@ -12,7 +12,7 @@ import pytest
 
 from repro.backends import AnalyticalBackend, BatchedCachedBackend
 from repro.backends.decisions import DECISION_ROW_WIDTH
-from repro.backends.store import CACHE_VERSION, DecisionStore, default_cache_dir
+from repro.backends.store import CACHE_VERSION, DecisionStore
 from repro.core.config import ArrayFlexConfig
 from repro.nn.models import resnet34
 
@@ -32,30 +32,6 @@ def config():
 @pytest.fixture()
 def store(tmp_path):
     return DecisionStore(tmp_path)
-
-
-class TestDefaultCacheDir:
-    def test_repro_cache_dir_wins(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "explicit"))
-        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
-        assert default_cache_dir() == tmp_path / "explicit"
-
-    def test_xdg_cache_home_respected(self, monkeypatch, tmp_path):
-        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
-        assert default_cache_dir() == tmp_path / "xdg" / "repro-arrayflex"
-
-    def test_fallback_is_under_home_not_repo(self, monkeypatch, tmp_path):
-        """CI hermeticity: the default never points inside the repo tree."""
-        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-        monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
-        monkeypatch.setenv("HOME", str(tmp_path / "home"))
-        resolved = default_cache_dir()
-        assert resolved == tmp_path / "home" / ".cache" / "repro-arrayflex"
-        import repro
-
-        repo_root = type(resolved)(repro.__file__).resolve().parent.parent.parent
-        assert not resolved.resolve().is_relative_to(repo_root)
 
 
 class TestRoundTrip:
@@ -132,136 +108,19 @@ class TestRoundTrip:
         with pytest.warns(RuntimeWarning, match=shard.name):
             assert fresh.get(key, 1, 1, 1) is None
 
-    def test_stats_and_clear(self, tmp_path, store, config):
+    def test_stats_count_shards_rows_and_bytes(self, tmp_path, store, config):
         key = config.cache_key()
         store.put_many(key, {(1, 1, 1): make_row()})
         stats = DecisionStore(tmp_path).stats()
         assert (stats["shards"], stats["entries"]) == (1, 1)
         assert stats["total_bytes"] > 0
         assert stats["corrupt_shards"] == 0
-        store.clear()
-        assert DecisionStore(tmp_path).stats() == {
+        assert DecisionStore(tmp_path / "missing").stats() == {
             "shards": 0,
             "entries": 0,
             "total_bytes": 0,
-            "hits": 0,
             "corrupt_shards": 0,
         }
-
-
-class TestPruning:
-    @staticmethod
-    def _set_last_used(store, key, stamp):
-        """Pin one shard's recency (the eviction tie-breaker).
-
-        Recency is the later of the payload's mtime (last write) and the
-        ``.hits`` file's mtime (last warm start), so both get stamped.
-        Shards already evicted by a constructor cap are skipped.
-        """
-        digest = store._digest(key)
-        for path in (store._shard_path(digest), store._hits_path(digest)):
-            if path.exists():
-                os.utime(path, (stamp, stamp))
-
-    @classmethod
-    def _fill(cls, store, config, configs=4, entries=50):
-        """Write several configuration shards with distinct recency stamps."""
-        keys = []
-        for i in range(configs):
-            key = config.with_size(8 * (i + 1), 8 * (i + 1)).cache_key()
-            keys.append(key)
-            store.put_many(
-                key,
-                {
-                    DecisionStore.gemm_key(m, m, m): make_row(1.9)
-                    for m in range(1, entries + 1)
-                },
-            )
-            # Explicit, well-separated stamps make the least-recently-used
-            # order deterministic regardless of write timing.
-            cls._set_last_used(store, key, 1000.0 + 10.0 * i)
-        return keys
-
-    def test_prune_removes_least_recently_used_first(self, tmp_path, config):
-        store = DecisionStore(tmp_path)
-        keys = self._fill(store, config)
-        total = store.stats()["total_bytes"]
-        report = store.prune(max_bytes=total // 2)
-        assert report["removed_shards"] >= 1
-        assert report["total_bytes"] <= total // 2
-        # The most recently used shard survives, the stalest is gone.
-        fresh = DecisionStore(tmp_path)
-        assert fresh.get(keys[-1], 1, 1, 1) is not None
-        assert fresh.get(keys[0], 1, 1, 1) is None
-
-    def test_warm_start_hits_outrank_recency(self, tmp_path, config):
-        """A shard other processes keep starting warm from survives a
-        more recently written hit-less one: hits are the primary score."""
-        store = DecisionStore(tmp_path)
-        keys = self._fill(store, config, configs=3)
-        # keys[0] is the stalest by recency but the only one ever used as
-        # a warm start (a fresh instance's first disk load records a hit).
-        DecisionStore(tmp_path).load(keys[0])
-        per_shard = store.stats()["total_bytes"] // 3
-        store.prune(max_bytes=per_shard + per_shard // 2)
-        fresh = DecisionStore(tmp_path)
-        assert fresh.get(keys[0], 1, 1, 1) is not None
-        assert fresh.get(keys[1], 1, 1, 1) is None
-
-    def test_first_load_per_instance_records_a_hit(self, tmp_path, config):
-        key = config.cache_key()
-        DecisionStore(tmp_path).put_many(key, {(1, 1, 1): make_row()})
-        assert DecisionStore(tmp_path).stats()["hits"] == 0
-        DecisionStore(tmp_path).load(key)
-        DecisionStore(tmp_path).load(key)
-        assert DecisionStore(tmp_path).stats()["hits"] == 2
-
-    def test_prune_under_limit_is_a_no_op(self, tmp_path, config):
-        store = DecisionStore(tmp_path)
-        self._fill(store, config)
-        before = store.stats()
-        report = store.prune(max_bytes=before["total_bytes"] + 1)
-        assert report == {
-            "removed_shards": 0,
-            "removed_bytes": 0,
-            "total_bytes": before["total_bytes"],
-        }
-
-    def test_prune_requires_a_limit(self, tmp_path):
-        with pytest.raises(ValueError):
-            DecisionStore(tmp_path).prune()
-        with pytest.raises(ValueError):
-            DecisionStore(tmp_path).prune(max_bytes=0)
-
-    def test_constructor_cap_enforced_on_merge(self, tmp_path, config):
-        store = DecisionStore(tmp_path, max_bytes=16384)
-        self._fill(store, config, configs=6, entries=40)
-        assert store.stats()["total_bytes"] <= 16384
-
-    def test_cap_protects_the_shard_just_written(self, tmp_path, config):
-        """A cap smaller than one shard keeps the active configuration."""
-        store = DecisionStore(tmp_path, max_bytes=1)
-        key = config.cache_key()
-        store.put_many(key, {DecisionStore.gemm_key(8, 8, 8): make_row(1.9)})
-        assert store.get(key, 8, 8, 8) is not None
-        assert store.stats()["shards"] == 1
-
-    def test_invalid_constructor_cap_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            DecisionStore(tmp_path, max_bytes=0)
-
-    def test_cap_survives_pickling(self, tmp_path):
-        clone = pickle.loads(pickle.dumps(DecisionStore(tmp_path, max_bytes=123)))
-        assert clone.max_bytes == 123
-
-    def test_capped_store_stays_correct_through_backend(self, tmp_path, config):
-        """Eviction costs re-derivation only, never wrong numbers."""
-        reference = AnalyticalBackend().schedule_model(resnet34(), config)
-        tiny = DecisionStore(tmp_path, max_bytes=512)
-        backend = BatchedCachedBackend(store=tiny)
-        assert backend.schedule_model(resnet34(), config).layers == reference.layers
-        warm = BatchedCachedBackend(store=DecisionStore(tmp_path, max_bytes=512))
-        assert warm.schedule_model(resnet34(), config).layers == reference.layers
 
 
 class TestVersioning:
@@ -577,7 +436,7 @@ class TestConcurrentReplace:
 
 
 class TestAttachStore:
-    """One helper validates every cache_dir entry point identically."""
+    """attach_store validates DesignSpaceExplorer(cache_dir=), the store's one entry point."""
 
     def test_attach_to_default_backend(self, tmp_path):
         from repro.backends import attach_store
@@ -594,8 +453,10 @@ class TestAttachStore:
     def test_rejects_non_batched_and_double_store(self, tmp_path):
         from repro.backends import attach_store
 
-        with pytest.raises(ValueError):
-            attach_store("analytical", tmp_path)
+        # cycle runs the batched engine, but the store's rows are not measured.
+        for backend in ("analytical", "cycle"):
+            with pytest.raises(ValueError):
+                attach_store(backend, tmp_path)
         with pytest.raises(ValueError):
             attach_store(BatchedCachedBackend(store=DecisionStore(tmp_path)), tmp_path)
 
@@ -608,14 +469,9 @@ class TestAttachStore:
         assert explorer.backend.store is not None
         explorer.evaluate_point(DesignPoint(rows=64, cols=64, supported_depths=(1, 2)))
         assert list(tmp_path.glob("decisions-*.npy"))
-        with pytest.raises(ValueError):
-            DesignSpaceExplorer([resnet34()], backend="analytical", cache_dir=tmp_path)
-
-    def test_size_sweep_cache_dir_persists(self, tmp_path):
-        from repro.eval.sweep import array_size_sweep
-
-        array_size_sweep([resnet34()], sizes=[(64, 64)], backend="batched", cache_dir=tmp_path)
-        assert list(tmp_path.glob("decisions-*.npy"))
+        for backend in ("analytical", "cycle"):
+            with pytest.raises(ValueError):
+                DesignSpaceExplorer([resnet34()], backend=backend, cache_dir=tmp_path)
 
 
 class TestAttachStoreIsolation:
@@ -654,13 +510,3 @@ class TestCacheCapWithStore:
         assert isinstance(attached, Tuned)
         assert attached.threshold == 0.25
         assert attached.store.directory == tmp_path
-
-    def test_env_cache_dirs_expand_user(self, monkeypatch):
-        from repro.backends.store import default_cache_dir
-        from pathlib import Path
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", "~/somewhere")
-        assert default_cache_dir() == Path.home() / "somewhere"
-        monkeypatch.delenv("REPRO_CACHE_DIR")
-        monkeypatch.setenv("XDG_CACHE_HOME", "~/xdgcache")
-        assert default_cache_dir() == Path.home() / "xdgcache" / "repro-arrayflex"

@@ -440,6 +440,9 @@ class TestDesignSpaceBackends:
     def test_invalid_worker_count_rejected(self, models):
         with pytest.raises(ValueError):
             DesignSpaceExplorer(models, max_workers=0)
+        for workers in (0, -1):
+            with pytest.raises(ValueError, match="at least 1"):
+                DesignSpaceExplorer(models).explore(self.POINTS, max_workers=workers)
 
     def test_custom_backend_instance_survives_process_pool(self, models):
         """The backend instance (not a registry name) is shipped to workers,

@@ -1,6 +1,10 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +38,24 @@ class TestParser:
         assert {"resnet34", "mobilenet_v1", "convnext_tiny", "bert_base"} <= set(
             list_workloads()
         )
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["--cache-dir", "cache", "batch"],
+            ["batch", "--no-cache"],
+            ["serve", "--no-cache"],
+            ["cache", "stats"],
+            ["cache", "prune", "--max-bytes", "1"],
+        ],
+        ids=["cache-dir", "batch-no-cache", "serve-no-cache", "cache-stats", "cache-prune"],
+    )
+    def test_removed_cache_options_are_parse_errors(self, command):
+        """The CLI keeps no decision cache on disk, so none of the options
+        that configured one parse any more (exit 2)."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(command)
+        assert excinfo.value.code == 2
 
 
 class TestCommands:
@@ -147,7 +169,7 @@ class TestBackendFlag:
     def test_batch_rejects_stray_sampling_flags(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["--sample-seed", "3", "batch", "--models", "resnet34",
-                  "--sizes", "64x64", "--no-cache"])
+                  "--sizes", "64x64"])
         assert excinfo.value.code == 2
 
     @pytest.mark.parametrize(
@@ -156,11 +178,10 @@ class TestBackendFlag:
             ["info"],
             ["decide", "--m", "64", "--n", "64", "--t", "8"],
             ["compare", "--model", "resnet34"],
-            ["batch", "--models", "resnet34", "--sizes", "64x64", "--no-cache"],
+            ["batch", "--models", "resnet34", "--sizes", "64x64"],
             ["serve", "--port", "0"],
             ["client", "healthz"],
             ["workloads"],
-            ["cache", "stats"],
             ["experiment", "fig6"],
             ["ablate", "--models", "mobilenet_v1"],
             ["report"],
@@ -210,9 +231,10 @@ class TestWorkloadsCommand:
         with pytest.raises(ValueError, match="rnns"):
             main(["workloads", "--suite", "rnns"])
 
-    def test_rejects_cache_dir_naming_the_subcommand(self, tmp_path):
-        with pytest.raises(ValueError, match="'workloads' command"):
+    def test_rejects_cache_dir(self, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
             main(["--cache-dir", str(tmp_path), "workloads"])
+        assert excinfo.value.code == 2
 
 
 class TestCompareTransformers:
@@ -233,15 +255,16 @@ class TestCompareTransformers:
 
 class TestBatchCommand:
     def test_batch_without_cache(self, capsys):
-        assert main(["batch", "--no-cache", "--models", "resnet34", "--sizes", "64x64"]) == 0
+        assert main(["batch", "--models", "resnet34", "--sizes", "64x64"]) == 0
         out = capsys.readouterr().out
         assert "ResNet-34" in out
         assert "64x64" in out
         assert "served 2 requests" in out
         assert "persistent cache" not in out
+        assert "from disk" not in out
 
     def test_batch_suite_transformers(self, capsys):
-        assert main(["batch", "--no-cache", "--suite", "transformers", "--sizes", "64x64"]) == 0
+        assert main(["batch", "--suite", "transformers", "--sizes", "64x64"]) == 0
         out = capsys.readouterr().out
         for name in ("BERT-Base", "GPT-2-decode", "ViT-B/16"):
             assert name in out
@@ -251,7 +274,7 @@ class TestBatchCommand:
         assert (
             main(
                 [
-                    "batch", "--no-cache", "--models", "bert_base",
+                    "batch", "--models", "bert_base",
                     "--suite", "transformers", "--sizes", "64x64",
                 ]
             )
@@ -264,7 +287,7 @@ class TestBatchCommand:
         assert (
             main(
                 [
-                    "batch", "--no-cache", "--models", "gpt2_decode",
+                    "batch", "--models", "gpt2_decode",
                     "--batch-size", "8", "--sizes", "64x64",
                 ]
             )
@@ -274,7 +297,7 @@ class TestBatchCommand:
 
     def test_batch_invalid_batch_size_rejected(self):
         with pytest.raises(ValueError):
-            main(["batch", "--no-cache", "--batch-size", "0", "--sizes", "64x64"])
+            main(["batch", "--batch-size", "0", "--sizes", "64x64"])
 
     def test_batch_reports_timed_out_rows_and_exits_nonzero(self, capsys, monkeypatch):
         """The timed-out branch of the batch report, forced deterministically."""
@@ -298,7 +321,7 @@ class TestBatchCommand:
         monkeypatch.setattr(SchedulingService, "compare", fake_compare)
         code = main(
             [
-                "batch", "--no-cache", "--models", "resnet34",
+                "batch", "--models", "resnet34",
                 "--sizes", "64x64", "--timeout", "0.001",
             ]
         )
@@ -311,7 +334,7 @@ class TestBatchCommand:
         assert (
             main(
                 [
-                    "batch", "--no-cache", "--models", "resnet34",
+                    "batch", "--models", "resnet34",
                     "--sizes", "64x64", "--timeout", "300",
                 ]
             )
@@ -320,126 +343,65 @@ class TestBatchCommand:
         out = capsys.readouterr().out
         assert "timed out" not in out
 
-    def test_batch_defaults_cover_all_models(self, capsys, tmp_path):
-        assert main(["--cache-dir", str(tmp_path), "batch", "--sizes", "64x64"]) == 0
+    def test_batch_defaults_cover_all_models(self, capsys):
+        assert main(["batch", "--sizes", "64x64"]) == 0
         out = capsys.readouterr().out
         for name in ("ResNet-34", "MobileNetV1", "ConvNeXt-T"):
             assert name in out
-        assert str(tmp_path) in out
 
-    def test_batch_warm_rerun_skips_solving(self, capsys, tmp_path):
-        args = ["--cache-dir", str(tmp_path), "batch", "--models", "resnet34", "--sizes", "64x64"]
-        assert main(args) == 0
-        capsys.readouterr()
-        assert main(args) == 0
-        assert ", 0 solved" in capsys.readouterr().out
-
-    def test_batch_default_cache_respects_xdg(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        assert main(["batch", "--models", "resnet34", "--sizes", "64x64"]) == 0
-        assert str(tmp_path) in capsys.readouterr().out
-        assert (tmp_path / "repro-arrayflex").is_dir()
+    def test_batch_leaves_cache_and_home_directories_empty(self, tmp_path):
+        """`python -m repro batch` writes no file: not under the cache
+        directories it used to default to, nor anywhere under HOME."""
+        env = dict(os.environ)
+        repo = Path(__file__).resolve().parent.parent
+        env["PYTHONPATH"] = str(repo / "src")
+        for variable in ("XDG_CACHE_HOME", "REPRO_CACHE_DIR", "HOME"):
+            env[variable] = str(tmp_path)
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "batch", "--models", "resnet34",
+             "--sizes", "64x64"],
+            capture_output=True,
+            text=True,
+            env=env,
+            cwd=repo,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert "served 2 requests" in completed.stdout
+        assert list(tmp_path.iterdir()) == []
 
     def test_batch_invalid_size_surfaces_as_error(self):
         with pytest.raises(ValueError):
-            main(["batch", "--no-cache", "--sizes", "not-a-size"])
-
-    def test_compare_with_cache_dir_uses_store(self, capsys, tmp_path):
-        args = [
-            "--backend", "batched", "--cache-dir", str(tmp_path),
-            "compare", "--model", "resnet34", "--rows", "64", "--cols", "64",
-        ]
-        assert main(args) == 0
-        assert "batched backend" in capsys.readouterr().out
-        assert list(tmp_path.glob("decisions-*.npy"))
+            main(["batch", "--sizes", "not-a-size"])
 
     def test_experiment_and_report_reject_cache_dir(self, tmp_path):
-        with pytest.raises(ValueError):
-            main(["--cache-dir", str(tmp_path), "experiment", "fig6"])
-        with pytest.raises(ValueError):
-            main(["--cache-dir", str(tmp_path), "report", "--output", str(tmp_path / "E.md")])
+        for command in (
+            ["experiment", "fig6"],
+            ["report", "--output", str(tmp_path / "E.md")],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["--cache-dir", str(tmp_path), *command])
+            assert excinfo.value.code == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_compare_without_batched_backend_rejects_cache_dir(self, tmp_path):
-        with pytest.raises(ValueError):
+        with pytest.raises(SystemExit) as excinfo:
             main(["--cache-dir", str(tmp_path), "compare", "--model", "resnet34"])
+        assert excinfo.value.code == 2
 
     def test_batch_rejects_non_batched_backend(self):
         with pytest.raises(ValueError):
-            main(["--backend", "cycle", "batch", "--no-cache", "--sizes", "64x64"])
+            main(["--backend", "cycle", "batch", "--sizes", "64x64"])
 
     def test_batch_accepts_explicit_batched_backend(self, capsys):
-        assert main(["--backend", "batched", "batch", "--no-cache", "--sizes", "64x64"]) == 0
+        assert main(["--backend", "batched", "batch", "--sizes", "64x64"]) == 0
         assert "served" in capsys.readouterr().out
-
-    def test_batch_no_cache_conflicts_with_cache_dir(self, tmp_path):
-        with pytest.raises(ValueError):
-            main(["--cache-dir", str(tmp_path), "batch", "--no-cache", "--sizes", "64x64"])
 
     def test_batch_backend_flag_after_subcommand(self, capsys):
-        assert main(["batch", "--no-cache", "--sizes", "64x64", "--backend", "batched"]) == 0
+        assert main(["batch", "--sizes", "64x64", "--backend", "batched"]) == 0
         assert "served" in capsys.readouterr().out
         with pytest.raises(ValueError):
-            main(["batch", "--no-cache", "--sizes", "64x64", "--backend", "cycle"])
-
-
-class TestCacheCommand:
-    """`python -m repro cache {stats,prune}`: store maintenance over --cache-dir."""
-
-    @staticmethod
-    def _warm(tmp_path):
-        args = ["--cache-dir", str(tmp_path), "batch", "--models", "resnet34", "--sizes", "64x64"]
-        assert main(args) == 0
-
-    def test_stats_reports_shards_rows_and_counters(self, capsys, tmp_path):
-        self._warm(tmp_path)
-        capsys.readouterr()
-        assert main(["--cache-dir", str(tmp_path), "cache", "stats"]) == 0
-        out = capsys.readouterr().out
-        assert str(tmp_path) in out
-        assert "shards         : 1" in out
-        assert "rows           :" in out
-        assert "warm-start hits" in out
-        assert "corrupt shards : 0" in out
-
-    def test_stats_counts_corrupt_shards(self, capsys, tmp_path):
-        self._warm(tmp_path)
-        shard = next(tmp_path.glob("decisions-*.npy"))
-        shard.write_bytes(b"garbage")
-        capsys.readouterr()
-        assert main(["--cache-dir", str(tmp_path), "cache", "stats"]) == 0
-        assert "corrupt shards : 1" in capsys.readouterr().out
-
-    def test_stats_on_empty_directory(self, capsys, tmp_path):
-        assert main(["--cache-dir", str(tmp_path / "nothing"), "cache", "stats"]) == 0
-        assert "shards         : 0" in capsys.readouterr().out
-
-    def test_prune_evicts_down_to_the_requested_size(self, capsys, tmp_path):
-        self._warm(tmp_path)
-        capsys.readouterr()
-        assert main(
-            ["--cache-dir", str(tmp_path), "cache", "prune", "--max-bytes", "1"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "pruned 1 shards" in out
-        assert not list(tmp_path.glob("decisions-*.npy"))
-
-    def test_prune_requires_max_bytes(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["--cache-dir", str(tmp_path), "cache", "prune"])
-
-    def test_cache_requires_an_action(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["--cache-dir", str(tmp_path), "cache"])
-
-    def test_cache_rejects_explicit_backend(self, tmp_path):
-        with pytest.raises(ValueError):
-            main(["--backend", "batched", "--cache-dir", str(tmp_path), "cache", "stats"])
-
-    def test_cache_rejects_stray_sampling_flags(self, tmp_path):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["--sample-fraction", "0.1", "--cache-dir", str(tmp_path), "cache", "stats"])
-        assert excinfo.value.code == 2
+            main(["batch", "--sizes", "64x64", "--backend", "cycle"])
 
 
 class TestAblateCommand:
@@ -503,5 +465,6 @@ class TestAblateCommand:
             )
 
     def test_rejects_cache_dir(self, tmp_path):
-        with pytest.raises(ValueError, match="cache"):
+        with pytest.raises(SystemExit) as excinfo:
             main(["--cache-dir", str(tmp_path), *self.FAST])
+        assert excinfo.value.code == 2

@@ -110,20 +110,3 @@ class TestFunctionalExecution:
         gemm = GemmShape(m=12, n=16, t=6)
         analytical = LatencyModel(small_accel.config).total_cycles(gemm, 2)
         assert functional.total_cycles == analytical
-
-
-class TestCacheDir:
-    def test_cache_dir_implies_batched_backend_with_store(self, tmp_path):
-        from repro.backends import BatchedCachedBackend
-
-        accel = ArrayFlexAccelerator(rows=64, cols=64, cache_dir=str(tmp_path))
-        assert isinstance(accel.backend, BatchedCachedBackend)
-        assert accel.backend.store is not None
-        accel.run_gemm((64, 64, 64))
-        assert list(tmp_path.glob("decisions-*.npy"))
-
-    def test_cache_dir_rejects_non_batched_backend(self, tmp_path):
-        # cycle runs the batched engine, but the store's rows are not measured.
-        for backend in ("analytical", "cycle"):
-            with pytest.raises(ValueError):
-                ArrayFlexAccelerator(backend=backend, cache_dir=str(tmp_path))

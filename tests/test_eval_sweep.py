@@ -3,9 +3,8 @@
 import pytest
 
 from repro.core.config import ArrayFlexConfig
-from repro.eval.sweep import array_size_sweep, collapse_depth_sweep
+from repro.eval.sweep import collapse_depth_sweep
 from repro.nn.gemm_mapping import GemmShape
-from repro.nn.models import mobilenet_v1, resnet34
 
 
 class TestCollapseDepthSweep:
@@ -40,21 +39,3 @@ class TestCollapseDepthSweep:
         for point in collapse_depth_sweep(GemmShape(m=256, n=2304, t=196), config):
             expected_us = point.cycles / point.clock_frequency_ghz / 1000.0
             assert point.execution_time_us == pytest.approx(expected_us, rel=1e-6)
-
-
-class TestArraySizeSweep:
-    def test_sweep_covers_models_and_sizes(self):
-        points = array_size_sweep([resnet34(), mobilenet_v1()], sizes=[(64, 64), (128, 128)])
-        assert len(points) == 4
-        assert {(p.rows, p.cols) for p in points} == {(64, 64), (128, 128)}
-
-    def test_savings_are_fractions(self):
-        points = array_size_sweep([resnet34()], sizes=[(128, 128)])
-        point = points[0]
-        assert 0.0 < point.latency_saving < 1.0
-        assert 0.0 < point.power_saving < 1.0
-        assert point.edp_gain > 1.0
-
-    def test_arrayflex_time_below_conventional(self):
-        for point in array_size_sweep([mobilenet_v1()], sizes=[(128, 128), (256, 256)]):
-            assert point.arrayflex_time_ms < point.conventional_time_ms

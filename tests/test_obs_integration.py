@@ -180,8 +180,8 @@ def test_chrome_export_of_a_daemon_request(tracer, daemon, tmp_path):
 # ---------------------------------------------------------------------- #
 # /metrics: one registry behind both representations
 # ---------------------------------------------------------------------- #
-def test_metrics_json_and_prometheus_read_the_same_registry(tmp_path):
-    daemon = SchedulerDaemon(port=0, max_inflight=32, cache_dir=tmp_path)
+def test_metrics_json_and_prometheus_read_the_same_registry():
+    daemon = SchedulerDaemon(port=0, max_inflight=32)
     daemon.start()
     try:
         client = DaemonClient(port=daemon.address[1])
@@ -205,8 +205,8 @@ def test_metrics_json_and_prometheus_read_the_same_registry(tmp_path):
         assert service_ctr.value == 2
         (dedup_ctr,) = daemon.registry.family("service_deduplicated_total")
         assert dedup_ctr.value == 1
-        store_loads = daemon.registry.family("store_shard_loads_total")
-        assert store_loads and store_loads[0].value == payload["store"]["shard_loads"]
+        (misses_ctr,) = daemon.registry.family("backend_cache_misses_total")
+        assert misses_ctr.value == payload["service"]["misses"]
 
         # ... and through the Prometheus text exposition.
         connection = HTTPConnection(*daemon.address)
@@ -220,7 +220,7 @@ def test_metrics_json_and_prometheus_read_the_same_registry(tmp_path):
         assert "service_requests_total 2" in text
         assert "service_deduplicated_total 1" in text
         assert 'daemon_latency_ms_count{backend="batched"} 2' in text
-        assert "store_shard_loads_total" in text
+        assert 'backend_cache_misses_total{backend="batched"}' in text
 
         # Content negotiation: the default stays JSON.
         assert client.metrics()["v"] == payload["v"]

@@ -43,18 +43,6 @@ class TestConstruction:
         with SchedulingService() as service:
             assert service.max_workers == default_max_workers()
 
-    def test_cache_dir_requires_batched_backend(self, tmp_path):
-        # cycle runs the batched engine, but the store's rows are not measured.
-        for backend in ("analytical", "cycle"):
-            with pytest.raises(ValueError):
-                SchedulingService(backend=backend, cache_dir=tmp_path)
-
-    def test_cache_dir_attaches_store(self, tmp_path):
-        with SchedulingService(cache_dir=tmp_path) as service:
-            assert isinstance(service.backend, BatchedCachedBackend)
-            assert service.backend.store is not None
-            assert service.backend.store.directory == tmp_path
-
     def test_bad_request_type_rejected(self, config):
         from repro.serve import InvalidRequest
 
@@ -156,7 +144,8 @@ class TestConcurrency:
         configs = [config, config.with_size(64, 64)]
 
         def run_service():
-            with SchedulingService(cache_dir=tmp_path, max_workers=4) as service:
+            backend = BatchedCachedBackend(store=DecisionStore(tmp_path))
+            with SchedulingService(backend=backend, max_workers=4) as service:
                 service.submit_many(
                     [(model(), cfg) for model in (resnet34, mobilenet_v1) for cfg in configs]
                 )
@@ -183,7 +172,8 @@ class TestStats:
     def test_stats_leave_buffered_store_rows_alone(self, config, tmp_path):
         """stats() is cheap enough for every /metrics scrape: it neither
         scans the disk nor flushes the rows the store has buffered."""
-        with SchedulingService(cache_dir=tmp_path) as service:
+        backend = BatchedCachedBackend(store=DecisionStore(tmp_path))
+        with SchedulingService(backend=backend) as service:
             service.submit((mobilenet_v1(), config))  # new shard: merged
             service.submit((resnet34(), config))
             store = service.backend.store
