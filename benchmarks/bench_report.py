@@ -39,10 +39,12 @@ from bench_scenarios import (  # noqa: E402
     build_columnar_store,
     bypass_tracer,
     columnar_warm_load,
+    cycle_calibration_cold,
     daemon_bench_requests,
     design_space_sweep,
     engine_array,
     engine_tile_operands,
+    eq3_lines,
     json_v1_warm_load,
     run_ablation_sweep,
     run_batched_tiles,
@@ -102,11 +104,23 @@ def collect(rounds: int = 3) -> dict:
         lambda: batched.schedule_model(resnet, config_128), rounds
     )
     cycle = CycleAccurateBackend()
-    # Calibrates and fills the decision LRU: the timed rounds read it.
+    # Warm: calibrates and fills the decision LRU; the timed rounds read it.
     cycle.schedule_model(resnet, config_16)
     timings_ms["schedule_resnet34_cycle_16x16"] = 1e3 * _best_of(
         lambda: cycle.schedule_model(resnet, config_16), rounds
     )
+    # Cold: each round is a fresh backend that steps nine probe tiles (the
+    # test_bench_cycle_sim.py scenario), so this records the stepping cost.
+    cold_runs: list = []
+    timings_ms["cycle_calibration_cold_128x128"] = 1e3 * _best_of(
+        lambda: cold_runs.append(cycle_calibration_cold()), rounds
+    )
+    reference = analytical.schedule_model(resnet, config_128)
+    for cold_backend, cold_config, cold_schedule in cold_runs:
+        assert cold_backend._calibration == eq3_lines(cold_config), (
+            "cold calibration must measure the Eq. (3) lines"
+        )
+        assert cold_schedule == reference, "cold cycle schedule must equal the analytical one"
 
     def cold_analytical():
         return DesignSpaceExplorer(models, backend=AnalyticalBackend()).explore(

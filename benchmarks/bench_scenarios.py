@@ -93,6 +93,37 @@ def run_scalar_tiles(array, a_tiles, b_tiles):
     ]
 
 
+def cycle_calibration_cold():
+    """A fresh cycle backend's first ResNet-34 schedule at 128x128.
+
+    The cold cycle scenario (``test_bench_cycle_sim.py`` and the
+    ``BENCH_<sha>.json`` artifact's ``cycle_calibration_cold_128x128``):
+    the first use of the geometry steps three register-level probe tiles
+    for each of the configuration's three modes, nine stepped tiles in
+    all, before the mode search runs on the measured lines.  Returns
+    ``(backend, config, schedule)``.
+    """
+    from repro.backends import CycleAccurateBackend
+    from repro.core.config import ArrayFlexConfig
+
+    backend = CycleAccurateBackend()
+    config = ArrayFlexConfig.paper_128x128()
+    return backend, config, backend.schedule_model("resnet34", config)
+
+
+def eq3_lines(config):
+    """The calibration table Eq. (3) predicts for ``config``'s modes.
+
+    Eq. (3) per tile is ``R + R/k + C/k + T - 2``: the line
+    ``(intercept, slope) = (R + R/k + C/k - 2, 1)`` in T.
+    """
+    rows, cols = config.rows, config.cols
+    return {
+        (rows, cols, k): (rows + rows // k + cols // k - 2, 1)
+        for k in config.supported_depths
+    }
+
+
 def transformer_workloads():
     """Fresh workload objects of the transformer scenario (sorted by key)."""
     from repro.workloads import get_suite

@@ -1,14 +1,26 @@
-"""Benchmark of the cycle-accurate simulator substrate itself.
+"""Benchmarks of the simulator substrate itself.
 
-Not a paper figure: this measures the SCALE-Sim-style simulator that backs
-the reproduction, and re-asserts on every run that the measured cycle
-counts equal the closed-form Eqs. (1)/(3)/(4) and that the computed product
-is bit-exact -- the property the whole analytical evaluation rests on.
+Not a paper figure.  Two scenarios:
+
+* ``test_cycle_sim_tiled_gemm`` times ``run_tiled_gemm``, which runs
+  every tile through ``simulate_tiles`` (one integer matmul plus the
+  closed-form control schedule; no register is stepped), and re-asserts
+  that its cycle counts equal the closed-form Eqs. (1)/(3)/(4) and that
+  the product is bit-exact;
+* ``test_cycle_calibration_cold_128x128`` times the register-stepped
+  path: a fresh ``cycle`` backend's first ResNet-34 schedule at 128x128,
+  which steps nine probe tiles through ``simulate_tile``, and asserts
+  that the measured lines are Eq. (3) and the schedule equals the
+  analytical backend's.  No wall-clock bound: the timing is recorded,
+  not gated.
 """
 
 import numpy as np
 import pytest
 
+from bench_scenarios import cycle_calibration_cold, eq3_lines
+
+from repro.backends import AnalyticalBackend
 from repro.core.config import ArrayFlexConfig
 from repro.core.latency import LatencyModel
 from repro.nn.gemm_mapping import GemmShape
@@ -43,3 +55,11 @@ def test_cycle_sim_tiled_gemm(benchmark, collapse_depth):
     # Shallow modes gate the expected fraction of pipeline registers.
     expected_gated = (collapse_depth - 1) / collapse_depth
     assert result.stats.gated_register_fraction == pytest.approx(expected_gated, abs=1e-9)
+
+
+def test_cycle_calibration_cold_128x128(benchmark):
+    backend, config, schedule = benchmark.pedantic(
+        cycle_calibration_cold, rounds=3, iterations=1
+    )
+    assert backend._calibration == eq3_lines(config)
+    assert schedule == AnalyticalBackend().schedule_model("resnet34", config)

@@ -2,8 +2,9 @@
 
 Not a paper figure: this pins the payoff of
 ``CycleAccurateSystolicArray.simulate_tiles`` — the closed-form batched
-path every backend probe and calibration now routes through — against a
-scalar ``simulate_tile`` loop over the same tiles
+path ``run_tiled_gemm`` runs on (the ``cycle`` backend's calibration
+steps registers through ``simulate_tile`` instead) — against a
+register-stepped ``simulate_tile`` loop over the same tiles
 (``bench_scenarios.engine_tile_operands``: one small-array, many-tile
 batch with mixed full/edge shapes).
 

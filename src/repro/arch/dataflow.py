@@ -106,12 +106,10 @@ class WeightStationaryDataflow:
         """
         if t_rows <= 0:
             raise ValueError("the streamed matrix must have at least one row")
-        n_cycles = self.compute_cycles(t_rows)
-        schedule = np.full((n_cycles, self.rows), -1, dtype=np.int64)
-        for row in range(self.rows):
-            group = self.row_group(row)
-            t_indices = np.arange(t_rows)
-            schedule[t_indices + group, row] = t_indices
+        schedule = np.full((self.compute_cycles(t_rows), self.rows), -1, dtype=np.int64)
+        t_indices = np.arange(t_rows)[:, np.newaxis]
+        rows = np.arange(self.rows)
+        schedule[t_indices + rows // self.collapse_depth, rows] = t_indices
         return schedule
 
     def build_skewed_stream(self, a_tile: np.ndarray) -> np.ndarray:
@@ -132,9 +130,8 @@ class WeightStationaryDataflow:
             )
         schedule = self.west_edge_schedule(t_rows)
         stream = np.zeros(schedule.shape, dtype=a_tile.dtype)
-        for row in range(rows_used):
-            valid = schedule[:, row] >= 0
-            stream[valid, row] = a_tile[schedule[valid, row], row]
+        cycles, rows = np.nonzero(schedule[:, :rows_used] >= 0)
+        stream[cycles, rows] = a_tile[schedule[cycles, rows], rows]
         return stream
 
     def output_collection_schedule(self, t_rows: int) -> np.ndarray:

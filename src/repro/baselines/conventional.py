@@ -63,7 +63,11 @@ class ConventionalAccelerator:
         return self.backend.schedule_model_conventional(model, self.config)
 
     def execute_gemm(self, a_matrix: np.ndarray, b_matrix: np.ndarray) -> TiledGemmResult:
-        """Execute ``A @ B`` on the cycle-accurate simulator (always k = 1)."""
+        """Execute ``A @ B`` through :func:`run_tiled_gemm` (always k = 1).
+
+        The batched tile engine: an integer matmul plus the closed-form
+        control schedule; no register is stepped.
+        """
         a_matrix = np.asarray(a_matrix)
         b_matrix = np.asarray(b_matrix)
         return run_tiled_gemm(

@@ -179,12 +179,14 @@ class ArrayFlexAccelerator:
         b_matrix: np.ndarray,
         collapse_depth: int | None = None,
     ) -> TiledGemmResult:
-        """Execute ``A @ B`` on the cycle-accurate simulator.
+        """Execute ``A @ B`` through :func:`run_tiled_gemm`.
 
         When ``collapse_depth`` is None the optimizer picks the mode from
-        the GEMM dimensions.  This is bit-true and cycle-true but orders of
-        magnitude slower than the analytical path; use it for validation
-        and for modest matrix sizes.
+        the GEMM dimensions.  The output is bit-exact; the cycle counts
+        come from the batched tile engine's closed-form control schedule
+        (no register is stepped).  This is much slower than the
+        analytical path; use it for validation and for modest matrix
+        sizes.
         """
         a_matrix = np.asarray(a_matrix)
         b_matrix = np.asarray(b_matrix)

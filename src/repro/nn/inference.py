@@ -1,19 +1,22 @@
 """Layer-level functional inference on the simulated accelerators.
 
 This module executes real (quantized, integer) convolution and linear
-layers on the cycle-accurate systolic-array simulator, closing the loop
-between the paper's Section II mapping and its Section IV evaluation:
+layers on the systolic-array simulator's batched tile engine, closing the
+loop between the paper's Section II mapping and its Section IV
+evaluation:
 
 1. the layer is lowered with :mod:`repro.nn.im2col` to the A / B operand
    matrices of the weight-stationary GEMM;
 2. the GEMM is executed tile by tile on
    :func:`repro.sim.tiling.run_tiled_gemm` with a chosen (or
-   optimizer-selected) pipeline collapse depth;
+   optimizer-selected) pipeline collapse depth: an integer matmul per
+   batch of tiles plus the closed-form control schedule, so no register
+   is stepped (only ``simulate_tile`` steps them);
 3. the result is folded back into a feature map and can be verified
    against a direct convolution.
 
 Running whole ImageNet-scale CNNs this way is intentionally out of scope
-(the cycle-accurate path is meant for validation, the analytical path for
+(the functional path is meant for validation, the analytical path for
 evaluation), but any individual layer at a reduced resolution runs in
 seconds and is exercised by the tests and the
 ``examples/quantized_conv_inference.py`` example.

@@ -16,16 +16,20 @@ Because only group-boundary registers hold state, the per-cycle update is a
 handful of NumPy operations over (rows × column-groups) and
 (row-groups × columns) arrays, which keeps the simulator fast enough to
 simulate full tiles of 128×128 arrays while remaining bit-true in the
-integer domain.
+integer domain.  The registers step in int32 when no product, partial sum
+or tag can overflow it (``max|A| * max|B| * rows_used`` and T - 1 both
+at most 2^31 - 1, see :func:`stepping_dtype`) and in int64 otherwise,
+wrapping like ``A @ B``; the output is int64 either way.
 
 The simulator reports the *measured* cycle count; the test-suite checks it
 against the closed-form Eqs. (1) and (3), and the computed product against
 ``A @ B``.
 
-Two entry points share that update:
+Two entry points produce those results:
 
-* :meth:`CycleAccurateSystolicArray.simulate_tile` runs one tile — the
-  scalar reference path;
+* :meth:`CycleAccurateSystolicArray.simulate_tile` runs one tile and is
+  the only register-stepped path: one loop clocks every group-boundary
+  value and tag register once per cycle;
 * :meth:`CycleAccurateSystolicArray.simulate_tiles` runs a *batch* of
   tiles that stream the same depth T, stacking the tiles on a leading
   batch axis and replaying the register trajectory in closed form
@@ -87,6 +91,27 @@ class _TileControl:
     active_pe_cycles: int
 
 
+def stepping_dtype(a_tile: np.ndarray, b_tile: np.ndarray) -> type[np.signedinteger]:
+    """Register width :meth:`CycleAccurateSystolicArray.simulate_tile` steps in.
+
+    Every product and partial sum the array holds belongs to one output
+    element, so its magnitude is at most ``max|A| * max|B| * rows_used``;
+    a tag is a row index of A, below T.  When both bounds fit int32
+    nothing the registers hold can overflow it (an all-zero operand makes
+    every product zero, whatever the other one wraps to), so they step in
+    int32; otherwise they step in int64 and wrap like ``A @ B``.  The
+    magnitudes come from Python ints of ``min()`` and ``max()``, because
+    ``np.abs`` of the int64 minimum is negative.
+    """
+    t_rows, rows_used = a_tile.shape
+    bound = max(_magnitude(a_tile) * _magnitude(b_tile) * rows_used, t_rows - 1)
+    return np.int32 if bound <= np.iinfo(np.int32).max else np.int64
+
+
+def _magnitude(tile: np.ndarray) -> int:
+    return max(-int(tile.min()), int(tile.max())) if tile.size else 0
+
+
 class CycleAccurateSystolicArray:
     """Cycle-accurate weight-stationary systolic array (scalar or batched).
 
@@ -138,7 +163,14 @@ class CycleAccurateSystolicArray:
 
         ``a_tile`` has shape (T, rows_used), ``b_tile`` has shape
         (rows_used, cols_used); the returned output has shape
-        (T, cols_used) and equals the exact integer product.
+        (T, cols_used), is int64 and equals the exact integer product.
+
+        This is the register-stepped path: one loop clocks every
+        group-boundary value and tag register once per cycle, and the
+        compute phase ends with the last south-edge capture.  The
+        registers step in int32 when ``max|A| * max|B| * rows_used``
+        (and T - 1) fit it, so nothing can overflow, and in int64
+        otherwise (:func:`stepping_dtype`).
         """
         a_tile = np.asarray(a_tile, dtype=np.int64)
         b_tile = np.asarray(b_tile, dtype=np.int64)
@@ -159,13 +191,22 @@ class CycleAccurateSystolicArray:
         k = self.collapse_depth
         n_row_groups = self.rows // k
         n_col_groups = self.cols // k
-        col_group_of = np.arange(self.cols) // k
+        width = stepping_dtype(a_tile, b_tile)
+        # The vertical datapath holds its columns group-interleaved:
+        # position j * (C/k) + g is column j of group g (array column
+        # g * k + j), so that broadcasting an activation across the k
+        # columns of its group runs along the contiguous column-group axis.
+        position = np.arange(self.cols)
+        group_at = position % n_col_groups
+        column_at = group_at * k + position // n_col_groups
+        used = column_at < cols_used
 
-        weights = np.zeros((self.rows, self.cols), dtype=np.int64)
+        weights = np.zeros((self.rows, self.cols), dtype=width)
         weights[:rows_used, :cols_used] = b_tile
-        # Indexed (row, column group, column within the group), so that
-        # broadcasting an activation across its group is a NumPy broadcast.
-        group_weights = weights.reshape(self.rows, n_col_groups, k)
+        # Indexed (row, column within the group, column group).
+        group_weights = np.ascontiguousarray(
+            weights.reshape(self.rows, n_col_groups, k).transpose(0, 2, 1)
+        )
 
         stats = SimulationStats()
         stats.tiles_executed = 1
@@ -178,17 +219,28 @@ class CycleAccurateSystolicArray:
         # The west edge is driven for the closed-form number of cycles,
         # but the compute phase reported is the one observed: it ends with
         # the last south-edge capture.
-        stream = self.dataflow.build_skewed_stream(a_tile)
-        tag_schedule = self.dataflow.west_edge_schedule(t_rows)
+        stream = self.dataflow.build_skewed_stream(a_tile.astype(width))
+        tag_schedule = self.dataflow.west_edge_schedule(t_rows).astype(width)
         last_capture = -1
 
-        # Group-boundary pipeline registers (the only stateful elements).
-        h_regs = np.zeros((self.rows, n_col_groups), dtype=np.int64)
-        h_tag_regs = np.full((self.rows, n_col_groups), -1, dtype=np.int64)
-        v_regs = np.zeros((n_row_groups, self.cols), dtype=np.int64)
+        # Group-boundary pipeline registers (the only stateful elements),
+        # each double-buffered: ``h_*``/``v_regs`` hold what the last
+        # clock edge captured, ``vis_*``/``new_v`` what this cycle
+        # computes, and the edge swaps the pair, so the loop allocates no
+        # register array.  ``products`` is indexed (row group, row within
+        # the group, column position) for the vertical reduction;
+        # ``row_products`` views the same memory as (row, column within the
+        # group, column group) for the broadcast multiply.
+        h_vals = np.zeros((self.rows, n_col_groups), dtype=width)
+        vis_vals = np.empty_like(h_vals)
+        h_tags = np.full((self.rows, n_col_groups), -1, dtype=width)
+        vis_tags = np.empty_like(h_tags)
+        products = np.empty((n_row_groups, k, self.cols), dtype=width)
+        row_products = products.reshape(self.rows, k, n_col_groups)
+        v_regs = np.zeros((n_row_groups, self.cols), dtype=width)
+        new_v = np.empty_like(v_regs)
 
         output = np.zeros((t_rows, self.cols), dtype=np.int64)
-        col_indices = np.arange(self.cols)
 
         # Register-instance counts for activity accounting: every PE owns
         # one horizontal and one vertical pipeline register; only those at
@@ -205,31 +257,30 @@ class CycleAccurateSystolicArray:
             # Horizontal visibility per (row, column-group): the first group
             # sees the west edge, later groups see the boundary register of
             # the group to their west (value captured at the previous edge).
-            vis_vals = np.empty((self.rows, n_col_groups), dtype=np.int64)
-            vis_tags = np.empty((self.rows, n_col_groups), dtype=np.int64)
             vis_vals[:, 0] = west_vals
             vis_tags[:, 0] = west_tags
-            if n_col_groups > 1:
-                vis_vals[:, 1:] = h_regs[:, :-1]
-                vis_tags[:, 1:] = h_tag_regs[:, :-1]
+            vis_vals[:, 1:] = h_vals[:, :-1]
+            vis_tags[:, 1:] = h_tags[:, :-1]
 
             # Broadcast across the k columns of each group and multiply by
             # the stationary weights; then the vertical reduction: each row
             # group adds its k products to the partial sum registered below
             # the group above.
-            products = vis_vals[:, :, None] * group_weights
-            new_v = products.reshape(n_row_groups, k, self.cols).sum(axis=1)
-            new_v[1:] += v_regs[:-1]
+            np.multiply(vis_vals[:, None, :], group_weights, out=row_products)
+            np.add(products[1:, 0], v_regs[:-1], out=new_v[1:])
+            new_v[0] = products[0, 0]
+            for row_in_group in range(1, k):
+                new_v += products[:, row_in_group]
 
             # South-edge capture: the bottom group's register is written
             # this cycle with the finished column sum for the activation
             # tag visible at the bottom row.
-            bottom_tags = vis_tags[-1, col_group_of]
-            valid = (bottom_tags >= 0) & (bottom_tags < t_rows)
-            if np.any(valid):
+            bottom_tags = vis_tags[-1, group_at]
+            valid = bottom_tags >= 0
+            if valid.any():
                 last_capture = cycle
-                output[bottom_tags[valid], col_indices[valid]] = new_v[-1][valid]
-                captured = int(np.count_nonzero(valid[:cols_used]))
+                output[bottom_tags[valid], column_at[valid]] = new_v[-1][valid]
+                captured = int(np.count_nonzero(valid & used))
                 stats.accumulator_updates += captured
                 if trace is not None:
                     trace.record(cycle, CycleTrace.OUTPUT_CAPTURED, outputs=captured)
@@ -246,9 +297,9 @@ class CycleAccurateSystolicArray:
             stats.mac_operations += active_pes
 
             # Clock edge: capture group-boundary registers.
-            h_regs = vis_vals
-            h_tag_regs = vis_tags
-            v_regs = new_v
+            h_vals, vis_vals = vis_vals, h_vals
+            h_tags, vis_tags = vis_tags, h_tags
+            v_regs, new_v = new_v, v_regs
 
         if stats.accumulator_updates < t_rows * cols_used:
             raise RuntimeError(

@@ -7,9 +7,11 @@ south edge are accumulated into the output accumulators sitting below the
 array.  The number of tiles is ``ceil(N / R) × ceil(M / C)`` and the total
 cycle count is the per-tile latency times that number (Eqs. 2 and 4).
 
-This module provides the tiling plan, a tiled execution driver running the
-cycle-accurate simulator over batches of tiles, and the resulting
-aggregate statistics.
+This module provides the tiling plan, a tiled execution driver that runs
+batches of tiles through
+:meth:`~repro.sim.systolic_sim.CycleAccurateSystolicArray.simulate_tiles`
+(one integer matmul per batch plus the closed-form control schedule; no
+register is stepped), and the resulting aggregate statistics.
 """
 
 from __future__ import annotations
@@ -105,11 +107,17 @@ def run_tiled_gemm(
     collapse_depth: int = 1,
     configurable: bool = True,
 ) -> TiledGemmResult:
-    """Execute ``A @ B`` tile by tile on the cycle-accurate simulator.
+    """Execute ``A @ B`` tile by tile on the batched tile engine.
 
     ``a_matrix`` has shape (T, N) and ``b_matrix`` shape (N, M).  Partial
     sums of tiles sharing the same output columns are accumulated in an
     :class:`~repro.arch.memory.AccumulatorBank`, exactly as in Fig. 1(a).
+    Each batch of tiles is one
+    :meth:`~repro.sim.systolic_sim.CycleAccurateSystolicArray.simulate_tiles`
+    call: an integer matmul plus the closed-form control schedule, with
+    the outputs and statistics of the register-stepped
+    :meth:`~repro.sim.systolic_sim.CycleAccurateSystolicArray.simulate_tile`
+    but without stepping any register.
     """
     a_matrix = np.asarray(a_matrix, dtype=np.int64)
     b_matrix = np.asarray(b_matrix, dtype=np.int64)

@@ -377,6 +377,22 @@ class TestCycleAccurateParity:
         assert not backend._calibration
 
 
+class TestCycleCalibrationAtServedGeometries:
+    """The measured lines at the geometries the cycle benchmark serves
+    (32/64/128 x k in {1, 2, 4}), not only the small arrays above."""
+
+    @pytest.mark.parametrize("size", [32, 64, 128])
+    def test_fresh_backend_measures_eq3_lines(self, size):
+        config = ArrayFlexConfig(rows=size, cols=size, supported_depths=(1, 2, 4))
+        backend = CycleAccurateBackend()
+        backend.schedule_layer(GemmShape(m=size, n=size, t=8, name="first"), config)
+        # Eq. (3) per tile: R + R/k + C/k + T - 2, i.e. the line
+        # (R + R/k + C/k - 2) + 1 * T.
+        assert backend._calibration == {
+            (size, size, k): (size + size // k + size // k - 2, 1) for k in (1, 2, 4)
+        }
+
+
 class TestFacadeIntegration:
     def test_accelerator_accepts_backend_instance(self):
         backend = BatchedCachedBackend()

@@ -10,14 +10,16 @@ batches the batched path is **bit-identical** to a scalar
 ``simulate_tile`` loop — the output tiles, every
 :class:`~repro.sim.stats.SimulationStats` field and the collapse depth —
 including int64 wraparound, edge tiles, broadcast weight tiles and
-stacked 3-D operands.
+stacked 3-D operands.  Operands are drawn both from the int8 range, where
+the stepper's registers run in int32, and from ±2^31, where they run in
+int64 and sums wrap.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim.systolic_sim import CycleAccurateSystolicArray
+from repro.sim.systolic_sim import CycleAccurateSystolicArray, stepping_dtype
 
 
 @st.composite
@@ -33,19 +35,24 @@ def tile_batches(draw):
         for _ in range(n_tiles)
     ]
     seed = draw(st.integers(0, 2**31 - 1))
-    return rows, cols, k, t_rows, shapes, seed
+    magnitude = draw(st.sampled_from([2**7, 2**31]))
+    return rows, cols, k, t_rows, shapes, seed, magnitude
 
 
-def _operands(t_rows, shapes, seed):
-    """Random int64 operand tiles; magnitudes big enough to wrap sums."""
+def _operands(t_rows, shapes, seed, magnitude=2**31):
+    """Random int64 operand tiles in [-magnitude, magnitude).
+
+    2^7 is the int8 range (the stepper runs in int32); the default 2^31
+    is big enough to wrap int64 sums (the stepper runs in int64).
+    """
     rng = np.random.default_rng(seed)
     a_tiles, b_tiles = [], []
     for rows_used, cols_used in shapes:
         a_tiles.append(
-            rng.integers(-(2**31), 2**31, size=(t_rows, rows_used), dtype=np.int64)
+            rng.integers(-magnitude, magnitude, size=(t_rows, rows_used), dtype=np.int64)
         )
         b_tiles.append(
-            rng.integers(-(2**31), 2**31, size=(rows_used, cols_used), dtype=np.int64)
+            rng.integers(-magnitude, magnitude, size=(rows_used, cols_used), dtype=np.int64)
         )
     return a_tiles, b_tiles
 
@@ -65,23 +72,28 @@ class TestBatchedScalarIdentity:
     @settings(max_examples=60, deadline=None)
     @given(tile_batches())
     def test_batched_matches_scalar_everywhere(self, batch):
-        rows, cols, k, t_rows, shapes, seed = batch
+        rows, cols, k, t_rows, shapes, seed, magnitude = batch
         array = CycleAccurateSystolicArray(rows=rows, cols=cols, collapse_depth=k)
-        a_tiles, b_tiles = _operands(t_rows, shapes, seed)
+        a_tiles, b_tiles = _operands(t_rows, shapes, seed, magnitude)
         batched = array.simulate_tiles(a_tiles, b_tiles)
         scalar = [array.simulate_tile(a, b) for a, b in zip(a_tiles, b_tiles)]
         _assert_identical(batched, scalar)
         # And the captured product is the padded integer matmul itself.
         for result, a_tile, b_tile in zip(batched, a_tiles, b_tiles):
             assert np.array_equal(result.output, a_tile @ b_tile)
+        # Whichever width the stepper ran in, its output is int64.
+        expected_width = np.int32 if magnitude == 2**7 else np.int64
+        for result, a_tile, b_tile in zip(scalar, a_tiles, b_tiles):
+            assert stepping_dtype(a_tile, b_tile) is expected_width
+            assert result.output.dtype == np.int64
 
     @settings(max_examples=20, deadline=None)
     @given(tile_batches())
     def test_chunked_batches_equal_one_call(self, batch):
         """Splitting a batch into chunks never changes any result."""
-        rows, cols, k, t_rows, shapes, seed = batch
+        rows, cols, k, t_rows, shapes, seed, magnitude = batch
         array = CycleAccurateSystolicArray(rows=rows, cols=cols, collapse_depth=k)
-        a_tiles, b_tiles = _operands(t_rows, shapes, seed)
+        a_tiles, b_tiles = _operands(t_rows, shapes, seed, magnitude)
         whole = array.simulate_tiles(a_tiles, b_tiles)
         chunked = []
         for start in range(0, len(a_tiles), 2):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.arch.dataflow import WeightStationaryDataflow
 from repro.core.latency import arrayflex_tile_cycles
 from repro.nn.workloads import random_int_matrices
-from repro.sim.systolic_sim import CycleAccurateSystolicArray
+from repro.sim.systolic_sim import CycleAccurateSystolicArray, stepping_dtype
 from repro.sim.trace import CycleTrace
 
 
@@ -69,6 +69,64 @@ class TestFunctionalCorrectness:
         result = array.simulate_tile(a_tile, b_tile)
         assert np.array_equal(result.output, a_tile @ b_tile)
         assert result.total_cycles == arrayflex_tile_cycles(rows, cols, t_rows, k)
+
+
+INT32_MAX = 2**31 - 1
+
+#: (A, B, width the registers must step in), each exact at int64.
+WIDTH_CASES = {
+    # (2^31 - 1) * 1 * 1: the largest product still fits int32.
+    "bound_int32_max": (
+        np.array([[INT32_MAX], [-INT32_MAX], [3]], dtype=np.int64),
+        np.array([[1, -1, 0, 1]], dtype=np.int64),
+        np.int32,
+    ),
+    # 2^15 * 2^15 * 2: two products of 2^30 sum to 2^31, one past int32
+    # (across row groups at k = 1, inside one group at k = 2).
+    "bound_2_pow_31": (
+        np.full((3, 2), 2**15, dtype=np.int64),
+        np.full((2, 4), 2**15, dtype=np.int64),
+        np.int64,
+    ),
+    # np.abs of the int64 minimum is negative; the bound must not be.
+    "int64_min_operand": (
+        np.array([[np.iinfo(np.int64).min, 1], [2, -3]], dtype=np.int64),
+        np.array([[1, -1, 2], [5, 7, 0]], dtype=np.int64),
+        np.int64,
+    ),
+}
+
+
+class TestRegisterWidth:
+    """The registers step in int32 exactly when nothing they hold can
+    overflow it (``max|A| * max|B| * rows_used <= 2^31 - 1``); the output
+    is int64 either way."""
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("case", sorted(WIDTH_CASES))
+    def test_width_and_exact_int64_output(self, case, k):
+        a_tile, b_tile, width = WIDTH_CASES[case]
+        assert stepping_dtype(a_tile, b_tile) is width
+        result = CycleAccurateSystolicArray(4, 4, collapse_depth=k).simulate_tile(
+            a_tile, b_tile
+        )
+        assert result.output.dtype == np.int64
+        assert np.array_equal(result.output, a_tile @ b_tile)
+
+    def test_int8_operands_step_in_int32_up_to_131071_rows(self):
+        """The cycle backend's probe operands lie in [-128, 127]."""
+        for rows_used, width in ((131_071, np.int32), (131_072, np.int64)):
+            a_tile = np.full((1, rows_used), -128, dtype=np.int64)
+            b_tile = np.full((rows_used, 1), -128, dtype=np.int64)
+            assert stepping_dtype(a_tile, b_tile) is width
+
+    def test_tags_past_int32_step_in_int64(self):
+        """A tag is a row index of A; a zero-width A of 2^31 + 1 rows
+        takes no memory but has tags past int32."""
+        a_tile = np.zeros((2**31 + 1, 0), dtype=np.int64)
+        b_tile = np.zeros((0, 4), dtype=np.int64)
+        assert stepping_dtype(a_tile, b_tile) is np.int64
+        assert stepping_dtype(a_tile[: 2**31], b_tile) is np.int32
 
 
 class TestCyclesAndStats:
