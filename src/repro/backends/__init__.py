@@ -16,7 +16,7 @@ backend                   what it does
 
 Pick one by instance (``ArrayFlexAccelerator(backend=BatchedCachedBackend())``),
 by name (``create_backend("batched")``), or from the command line
-(``python -m repro --backend batched ...``).
+(``python -m repro compare --backend batched ...``).
 """
 
 from __future__ import annotations

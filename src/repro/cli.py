@@ -42,10 +42,12 @@ Commands
                 Perfetto or ``chrome://tracing``); ``trace summary``
                 aggregates a written trace file per span name.
 
-The global ``--log-level``/``--log-json`` flags (before the command)
-configure structured logging on the ``repro`` logger — ``--log-json``
-switches to JSON-lines records carrying per-request correlation IDs.
-The daemon also honours the ``REPRO_LOG_LEVEL`` environment variable::
+Each command parses exactly the flags it reads: a flag it would ignore
+is a parse error (exit 2), like any other bad input.  Only the global
+``--log-level``/``--log-json`` flags come before the command; they
+configure structured logging on the ``repro`` logger (``--log-json``:
+JSON-lines records carrying per-request correlation IDs).  The daemon
+also honours the ``REPRO_LOG_LEVEL`` environment variable::
 
     python -m repro --log-level debug --log-json serve
 
@@ -57,26 +59,26 @@ inference (T scaled by the batch)::
     python -m repro batch --suite transformers
     python -m repro compare --model bert_base
 
-The global ``--backend {analytical,batched,cycle}`` flag (before the
-command) selects the execution backend: the closed-form reference, the
-vectorised/cached fast path (same numbers), or the cycle-accurate
-measured path (register-stepped probes once per array mode; for
-validation)::
+``--backend {analytical,batched,cycle}`` on the commands that schedule
+(``compare``, ``trace schedule``, ``ablate`` and the experiments fig7,
+fig8, fig9, transformers, activity and ablation) selects the execution
+backend: the closed-form reference (the default), the vectorised/cached
+fast path (same numbers), or the cycle-accurate measured path
+(register-stepped probes once per array mode; for validation)::
 
-    python -m repro --backend batched compare --model resnet34
-    python -m repro --backend cycle compare --model resnet34
+    python -m repro compare --backend batched --model resnet34
+    python -m repro compare --backend cycle --model resnet34
 
-No command keeps a decision cache on disk: each process recomputes its
-decisions, which the batched engine does faster than a disk cache loads
-them (``DesignSpaceExplorer(cache_dir=...)`` is the library's one
-persistent store).
+``batch`` and ``serve`` always run the batched backend.  No command keeps
+a decision cache on disk (``DesignSpaceExplorer(cache_dir=...)`` is the
+library's one persistent store).
 
-``--activity-model {constant,utilization}`` (on ``info``, ``decide``,
-``compare`` and ``batch``) selects the per-layer power activity model:
-``constant`` is the paper's every-PE-busy behaviour, ``utilization``
-derates datapath energy by each layer's occupied-PE tiling fraction.
-``compare`` and ``batch`` report the resulting per-component energy
-breakdown::
+``--activity-model {constant,utilization}`` (on ``compare``, ``batch``,
+``ablate``, ``trace schedule`` and ``client schedule|compare``) selects
+the per-layer power activity model: ``constant`` is the paper's
+every-PE-busy behaviour, ``utilization`` derates datapath energy by each
+layer's occupied-PE tiling fraction.  ``compare`` and ``batch`` report
+the resulting per-component energy breakdown::
 
     python -m repro compare --model mobilenet_v1 --activity-model utilization
 """
@@ -112,41 +114,60 @@ from repro.eval.experiments import (
 from repro.eval.report import format_percent, format_ratio
 from repro.workloads import get_suite, get_workload, list_suites, workload_entry
 
-#: Experiments selectable from the command line.  Factories take the
-#: backend name; experiments whose schedules are backend-independent
-#: ignore it.
+#: Experiments selectable from the command line.  The factories of the
+#: experiments that schedule workloads take the ``--backend`` name.
 EXPERIMENT_FACTORIES = {
-    "fig5": lambda backend=None: [Fig5Experiment(20), Fig5Experiment(28)],
-    "fig6": lambda backend=None: [Fig6Experiment()],
-    "fig7": lambda backend=None: [Fig7Experiment(backend=backend)],
-    "fig8": lambda backend=None: [Fig8Experiment(backend=backend)],
-    "fig9": lambda backend=None: [Fig9Experiment(backend=backend)],
-    "eq7": lambda backend=None: [Eq7ValidationExperiment()],
-    "clock": lambda backend=None: [ClockFrequencyExperiment()],
-    "abl_csa": lambda backend=None: [CsaAblationExperiment()],
-    "abl_dirs": lambda backend=None: [DirectionAblationExperiment()],
-    "transformers": lambda backend=None: [TransformerSuiteExperiment(backend=backend)],
-    "activity": lambda backend=None: [ActivitySensitivityExperiment(backend=backend)],
-    "ablation": lambda backend=None: [AblationExperiment(backend=backend)],
+    "fig5": lambda: [Fig5Experiment(20), Fig5Experiment(28)],
+    "fig6": lambda: [Fig6Experiment()],
+    "fig7": lambda backend: [Fig7Experiment(backend=backend)],
+    "fig8": lambda backend: [Fig8Experiment(backend=backend)],
+    "fig9": lambda backend: [Fig9Experiment(backend=backend)],
+    "eq7": lambda: [Eq7ValidationExperiment()],
+    "clock": lambda: [ClockFrequencyExperiment()],
+    "abl_csa": lambda: [CsaAblationExperiment()],
+    "abl_dirs": lambda: [DirectionAblationExperiment()],
+    "transformers": lambda backend: [TransformerSuiteExperiment(backend=backend)],
+    "activity": lambda backend: [ActivitySensitivityExperiment(backend=backend)],
+    "ablation": lambda backend: [AblationExperiment(backend=backend)],
 }
 
+#: The experiments whose results depend on the execution backend.
+_SCHEDULING_EXPERIMENTS = {"fig7", "fig8", "fig9", "transformers", "activity", "ablation"}
 
-def _add_array_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--rows", type=int, default=128, help="array rows (default: 128)")
-    parser.add_argument("--cols", type=int, default=128, help="array columns (default: 128)")
-    parser.add_argument(
+
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
+def _parse_size(text: str) -> tuple[int, int]:
+    rows, _, cols = text.lower().partition("x")
+    if not (rows.isdecimal() and cols.isdecimal()):
+        raise argparse.ArgumentTypeError(f"array size must look like 128x128, got {text!r}")
+    return int(rows), int(cols)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI grammar.
+
+    Flags read by several commands live in small ``add_help=False``
+    parent parsers attached only to the commands whose handler reads
+    them, so an unsupported flag is a parse error by construction.
+    """
+    geometry = argparse.ArgumentParser(add_help=False)
+    geometry.add_argument("--rows", type=int, default=128, help="array rows (default: 128)")
+    geometry.add_argument("--cols", type=int, default=128, help="array columns (default: 128)")
+    depths = argparse.ArgumentParser(add_help=False)
+    depths.add_argument(
         "--depths",
         type=int,
         nargs="+",
         default=[1, 2, 4],
         help="supported collapse depths (default: 1 2 4)",
     )
-    _add_backend_argument(parser)
-    _add_activity_model_argument(parser)
-
-
-def _add_activity_model_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
+    activity = argparse.ArgumentParser(add_help=False)
+    activity.add_argument(
         "--activity-model",
         choices=sorted(ACTIVITY_MODELS),
         default="constant",
@@ -156,36 +177,54 @@ def _add_activity_model_argument(parser: argparse.ArgumentParser) -> None:
             "array, datapath energy scales with the occupied-PE fraction)"
         ),
     )
-
-
-def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
-    # Also accepted after the subcommand; SUPPRESS keeps the subparser from
-    # overwriting the global flag's value when it is not repeated there.
-    parser.add_argument(
+    backend = argparse.ArgumentParser(add_help=False)
+    backend.add_argument(
         "--backend",
         choices=sorted(BACKENDS),
-        default=argparse.SUPPRESS,
-        help="execution backend (may also be given before the command)",
-    )
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="ArrayFlex (DATE 2023) reproduction command-line interface",
-    )
-    # Default None (resolved to "analytical" in main) so commands with a
-    # different natural backend, like `batch`, can tell an explicit
-    # request apart from the fallback and refuse instead of ignoring it.
-    parser.add_argument(
-        "--backend",
-        choices=sorted(BACKENDS),
-        default=None,
+        default="analytical",
         help=(
             "execution backend: 'analytical' closed forms (default), 'batched' "
             "vectorised+cached fast path (identical numbers), 'cycle' "
             "cycle-accurate measurement (calibrated once per array mode)"
         ),
+    )
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument(
+        "--model",
+        default="resnet34",
+        help=(
+            "registry workload name, e.g. resnet34 or bert_base; append @bsN "
+            "for batched inference (see the 'workloads' command; default: resnet34)"
+        ),
+    )
+    suites = list(list_suites())
+    selection = argparse.ArgumentParser(add_help=False)
+    selection.add_argument(
+        "--models", nargs="+", help="registry workload names (see the 'workloads' command)"
+    )
+    selection.add_argument(
+        "--suite",
+        choices=suites,
+        default=None,
+        help="a whole registry suite (default: cnn when --models is not given)",
+    )
+    selection.add_argument(
+        "--batch-size",
+        type=_positive_int,
+        default=1,
+        help="map the workloads to batched inference (T x batch; default: 1)",
+    )
+    workers = argparse.ArgumentParser(add_help=False)
+    workers.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help="service thread count (default: auto from CPU count)",
+    )
+
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="ArrayFlex (DATE 2023) reproduction command-line interface",
     )
     parser.add_argument(
         "--log-level",
@@ -206,51 +245,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    info = subparsers.add_parser("info", help="operating points and area of a configuration")
-    _add_array_arguments(info)
+    subparsers.add_parser(
+        "info", parents=[geometry, depths], help="operating points and area of a configuration"
+    )
 
-    decide = subparsers.add_parser("decide", help="pipeline-mode decision for one GEMM")
-    _add_array_arguments(decide)
+    decide = subparsers.add_parser(
+        "decide", parents=[geometry, depths], help="pipeline-mode decision for one GEMM"
+    )
     decide.add_argument("--m", type=int, required=True, help="output dimension M (columns of B)")
     decide.add_argument("--n", type=int, required=True, help="reduction dimension N (rows of B)")
     decide.add_argument("--t", type=int, required=True, help="streamed dimension T (rows of A)")
 
-    compare = subparsers.add_parser(
-        "compare", help="compare ArrayFlex against the conventional SA on one workload"
-    )
-    _add_array_arguments(compare)
-    compare.add_argument(
-        "--model",
-        default="resnet34",
-        help=(
-            "registry workload name, e.g. resnet34 or bert_base; append @bsN "
-            "for batched inference (see the 'workloads' command; default: resnet34)"
-        ),
+    subparsers.add_parser(
+        "compare",
+        parents=[model, geometry, depths, backend, activity],
+        help="compare ArrayFlex against the conventional SA on one workload",
     )
 
     batch = subparsers.add_parser(
         "batch",
+        parents=[selection, depths, workers, activity],
         help="serve a (workload x array size) grid through the batch front-end",
-    )
-    batch.add_argument(
-        "--models",
-        nargs="+",
-        default=None,
-        help=(
-            "registry workload names (see the 'workloads' command); combined "
-            "with --suite when both are given (default: the 'cnn' suite)"
+        description=(
+            "Serve a (workload x array size) grid on the batched backend. "
+            "--models and --suite combine (each workload once)."
         ),
-    )
-    batch.add_argument(
-        "--suite",
-        default=None,
-        help="add every workload of a registry suite, e.g. cnn or transformers",
-    )
-    batch.add_argument(
-        "--batch-size",
-        type=int,
-        default=1,
-        help="map the selected workloads to batched inference (T x batch; default: 1)",
     )
     batch.add_argument(
         "--timeout",
@@ -263,28 +282,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument(
         "--sizes",
+        type=_parse_size,
         nargs="+",
-        default=["128x128"],
+        default=[(128, 128)],
         help="array sizes as RxC (default: 128x128)",
     )
-    batch.add_argument(
-        "--depths",
-        type=int,
-        nargs="+",
-        default=[1, 2, 4],
-        help="supported collapse depths (default: 1 2 4)",
-    )
-    batch.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="service thread count (default: auto from CPU count)",
-    )
-    _add_backend_argument(batch)
-    _add_activity_model_argument(batch)
 
     serve = subparsers.add_parser(
         "serve",
+        parents=[workers],
         help="run the HTTP/JSON scheduler daemon (Ctrl-C / SIGTERM drains gracefully)",
     )
     serve.add_argument("--host", default="127.0.0.1", help="bind address (default: 127.0.0.1)")
@@ -327,13 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
             "wire request carries none (default: wait forever)"
         ),
     )
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="service thread count (default: auto from CPU count)",
-    )
-    _add_backend_argument(serve)
 
     client = subparsers.add_parser(
         "client", help="talk to a running scheduler daemon (see 'serve')"
@@ -360,18 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
         ("schedule", "schedule one workload through the daemon"),
         ("compare", "compare ArrayFlex vs the conventional SA through the daemon"),
     ):
-        client_action = client_actions.add_parser(action, help=description)
-        client_action.add_argument(
-            "--model",
-            default="resnet34",
-            help="registry workload name, e.g. resnet34 or bert_base@bs4",
+        client_action = client_actions.add_parser(
+            action, parents=[model, geometry, depths, activity], help=description
         )
-        client_action.add_argument("--rows", type=int, default=128, help="array rows")
-        client_action.add_argument("--cols", type=int, default=128, help="array columns")
-        client_action.add_argument(
-            "--depths", type=int, nargs="+", default=[1, 2, 4], help="collapse depths"
-        )
-        _add_activity_model_argument(client_action)
         client_action.add_argument(
             "--totals-only",
             action="store_true",
@@ -394,20 +384,27 @@ def build_parser() -> argparse.ArgumentParser:
         "workloads", help="list the workload registry (grouped by suite)"
     )
     workloads.add_argument(
-        "--suite",
-        default=None,
-        help="only list one suite, e.g. cnn or transformers (default: all)",
+        "--suite", choices=suites, default=None, help="only list one suite (default: all)"
     )
 
-    experiment = subparsers.add_parser("experiment", help="run one paper experiment")
-    experiment.add_argument("id", choices=sorted(EXPERIMENT_FACTORIES), help="experiment id")
-    _add_backend_argument(experiment)
+    experiment_ids = subparsers.add_parser(
+        "experiment", help="run one paper experiment"
+    ).add_subparsers(dest="id", required=True, help="experiment id")
+    for name in sorted(EXPERIMENT_FACTORIES):
+        experiment_ids.add_parser(
+            name, parents=[backend] if name in _SCHEDULING_EXPERIMENTS else []
+        )
 
     ablate = subparsers.add_parser(
         "ablate",
+        parents=[selection, geometry, depths, workers, activity],
         help=(
             "run a declarative ablation study (baseline plus one-off runs "
             "over design knobs) and print the per-component importance ranking"
+        ),
+        description=(
+            "Run a declarative ablation study. The flags fix the baseline of "
+            "every knob that no --component ablates; --models overrides --suite."
         ),
     )
     ablate.add_argument(
@@ -424,37 +421,13 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     ablate.add_argument(
-        "--models",
-        nargs="+",
+        "--backend",
+        choices=sorted(BACKENDS),
         default=None,
         help=(
-            "registry workload names every run schedules (see the 'workloads' "
-            "command); overrides --suite"
+            "fix every run's execution backend (default: the study's own, "
+            "batched; a 'backend' component cannot be combined with it)"
         ),
-    )
-    ablate.add_argument(
-        "--suite",
-        default=None,
-        help="registry suite every run schedules (default: cnn)",
-    )
-    ablate.add_argument(
-        "--batch-size",
-        type=int,
-        default=1,
-        help="map the workloads to batched inference (T x batch; default: 1)",
-    )
-    ablate.add_argument(
-        "--rows", type=int, default=128, help="baseline array rows (default: 128)"
-    )
-    ablate.add_argument(
-        "--cols", type=int, default=128, help="baseline array columns (default: 128)"
-    )
-    ablate.add_argument(
-        "--depths",
-        type=int,
-        nargs="+",
-        default=[1, 2, 4],
-        help="baseline supported collapse depths (default: 1 2 4)",
     )
     ablate.add_argument(
         "--pairwise",
@@ -471,12 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="primary importance-ranking metric (default: edp)",
     )
     ablate.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="service thread count the runs fan out on (default: auto from CPU count)",
-    )
-    ablate.add_argument(
         "--timeout",
         type=float,
         default=None,
@@ -490,8 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the full study result as JSON instead of tables",
     )
-    _add_backend_argument(ablate)
-    _add_activity_model_argument(ablate)
 
     report = subparsers.add_parser("report", help="regenerate EXPERIMENTS.md")
     report.add_argument(
@@ -504,16 +469,11 @@ def build_parser() -> argparse.ArgumentParser:
     trace_actions = trace.add_subparsers(dest="trace_action", required=True)
     trace_schedule = trace_actions.add_parser(
         "schedule",
+        parents=[model, geometry, depths, backend, activity],
         help=(
             "schedule one workload (ArrayFlex vs conventional) with tracing "
             "on and write the spans as Chrome trace-event JSON"
         ),
-    )
-    _add_array_arguments(trace_schedule)
-    trace_schedule.add_argument(
-        "--model",
-        default="resnet34",
-        help="registry workload name, e.g. resnet34 or bert_base@bs4",
     )
     trace_schedule.add_argument(
         "--output",
@@ -556,16 +516,8 @@ def _breakdown_shares(schedule: ModelSchedule) -> str:
     )
 
 
-def _parse_size(text: str) -> tuple[int, int]:
-    try:
-        rows, _, cols = text.lower().partition("x")
-        return int(rows), int(cols)
-    except ValueError:
-        raise ValueError(f"array size must look like 128x128, got {text!r}") from None
-
-
 def _cmd_info(args: argparse.Namespace) -> int:
-    accel = _build_accelerator(args)
+    accel = ArrayFlexAccelerator(args.rows, args.cols, tuple(args.depths))
     print(f"ArrayFlex {args.rows}x{args.cols}, supported depths {sorted(args.depths)}")
     print("operating points (GHz):")
     for name, freq in accel.frequency_table().items():
@@ -584,14 +536,8 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_decide(args: argparse.Namespace) -> int:
-    accel = _build_accelerator(args)
+    accel = ArrayFlexAccelerator(args.rows, args.cols, tuple(args.depths))
     decision = accel.decide((args.m, args.n, args.t))
-    if args.backend != "analytical":
-        print(
-            f"note: mode decisions always use the analytical Eq. (6) policy; "
-            f"the '{args.backend}' backend changes how schedules are "
-            f"executed/measured, not this decision"
-        )
     print(
         f"GEMM (M={args.m}, N={args.n}, T={args.t}) on {args.rows}x{args.cols}: "
         f"best collapse depth k = {decision.collapse_depth} "
@@ -654,8 +600,6 @@ def _batch_workloads(args: argparse.Namespace) -> list:
     once, selection order); with neither given, the paper's ``cnn`` suite
     is served — the historical default grid.
     """
-    if args.batch_size < 1:
-        raise ValueError("--batch-size must be at least 1")
     workloads = []
     seen = set()
     if args.models:
@@ -675,19 +619,12 @@ def _batch_workloads(args: argparse.Namespace) -> list:
 def _cmd_batch(args: argparse.Namespace) -> int:
     """Serve a (workload x size) grid through the batch front-end.
 
-    Always runs on the batched backend (it owns the decision cache being
-    served); requesting any other backend is an error, not a silent
-    override.  Returns a non-zero exit code when ``--timeout`` expired on
-    any request (the timed-out rows are reported, not hung on).
+    Always runs on the batched backend, so it takes no ``--backend``.
+    Returns a non-zero exit code when ``--timeout`` expired on any
+    request (the timed-out rows are reported, not hung on).
     """
     from repro.serve import SchedulingService
 
-    if args.backend_explicit and args.backend != "batched":
-        raise ValueError(
-            f"the 'batch' command always uses the batched backend; "
-            f"--backend {args.backend} is not supported here"
-        )
-    sizes = [_parse_size(size) for size in args.sizes]
     depths = tuple(args.depths)
     grid = [
         (
@@ -700,7 +637,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             ),
         )
         for workload in _batch_workloads(args)
-        for rows, cols in sizes
+        for rows, cols in args.sizes
     ]
     name_width = max(18, max(len(w.name) for w, _ in grid))
     service = SchedulingService(max_workers=args.workers)
@@ -757,11 +694,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     """
     from repro.serve import SchedulerDaemon
 
-    if args.backend_explicit and args.backend != "batched":
-        raise ValueError(
-            f"the 'serve' command always uses the batched backend; "
-            f"--backend {args.backend} is not supported here"
-        )
     daemon = SchedulerDaemon(
         host=args.host,
         port=args.port,
@@ -787,10 +719,6 @@ def _cmd_client(args: argparse.Namespace) -> int:
     """Talk to a running daemon; typed errors become distinct exit codes."""
     from repro.serve import DaemonClient, Request, ServeError
 
-    _reject_backend(
-        args,
-        "talks to a running daemon (whose backend was chosen by 'serve')",
-    )
     client = DaemonClient(
         host=args.host,
         port=args.port,
@@ -810,7 +738,7 @@ def _cmd_client(args: argparse.Namespace) -> int:
                 supported_depths=tuple(args.depths),
                 activity_model=args.activity_model,
             ),
-            conventional=getattr(args, "conventional", False),
+            conventional=args.client_action == "schedule" and args.conventional,
             totals_only=args.totals_only,
             timeout=args.timeout,
         )
@@ -858,13 +786,8 @@ def _print_client_result(body: dict) -> None:
 
 def _cmd_workloads(args: argparse.Namespace) -> int:
     """List the workload registry, grouped by suite."""
-    _reject_backend(args, "only lists the registry, it schedules nothing")
     suites = list_suites()
     if args.suite is not None:
-        if args.suite not in suites:
-            raise ValueError(
-                f"unknown workload suite {args.suite!r} (available: {sorted(suites)})"
-            )
         suites = {args.suite: suites[args.suite]}
     for suite, names in suites.items():
         print(f"suite {suite!r}:")
@@ -885,7 +808,9 @@ def _cmd_workloads(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    for experiment in EXPERIMENT_FACTORIES[args.id](args.backend):
+    factory = EXPERIMENT_FACTORIES[args.id]
+    experiments = factory(args.backend) if args.id in _SCHEDULING_EXPERIMENTS else factory()
+    for experiment in experiments:
         print(experiment.render())
         print()
     return 0
@@ -912,8 +837,6 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     """Run a declarative ablation study and print the importance ranking."""
     from repro.eval.ablation import AblationStudy, Component
 
-    if args.batch_size < 1:
-        raise ValueError("--batch-size must be at least 1")
     if args.component:
         components = [_parse_component(text) for text in args.component]
     else:
@@ -933,14 +856,10 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
                 Component("depths", depths, (tuple(sorted(depths)[:-1]),))
             )
     names = {component.name for component in components}
+    # An explicit --backend is fixed even when a component ablates the
+    # backend: the study then refuses the knob as both fixed and ablated.
     fixed: dict[str, object] = {}
-    if "backend" in names:
-        if args.backend_explicit:
-            raise ValueError(
-                "--backend fixes the backend for every run; drop it when "
-                "'backend' is itself an ablated component"
-            )
-    else:
+    if args.backend is not None:
         fixed["backend"] = args.backend
     if "activity_model" not in names:
         fixed["activity_model"] = args.activity_model
@@ -978,28 +897,13 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _reject_backend(args: argparse.Namespace, reason: str) -> None:
-    """Refuse ``--backend`` on commands that never execute a backend.
-
-    A ``--backend`` these commands would discard must be an error, never
-    a silent no-op.  ``reason`` says why the command has no backend, in
-    the command's own words.
-    """
-    if args.backend_explicit:
-        raise ValueError(
-            f"the {args.command!r} command {reason}; "
-            f"--backend is not supported here"
-        )
-
-
 def _cmd_trace(args: argparse.Namespace) -> int:
     """Trace one workload comparison, or summarise a written trace file."""
     if args.trace_action == "summary":
-        _reject_backend(
-            args, "summarises an already-written trace file, it runs nothing"
-        )
         with open(args.path, encoding="utf-8") as handle:
             payload = json.load(handle)
+        if not isinstance(payload, dict):
+            raise ValueError(f"{args.path} is not a Chrome trace-event JSON object")
         events = payload.get("traceEvents", [])
         if not events:
             print(f"{args.path}: no trace events")
@@ -1039,9 +943,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    _reject_backend(
-        args, "regenerates EXPERIMENTS.md with each experiment's own backend"
-    )
     from repro.eval.paper_report import write_experiments_markdown
 
     content = write_experiments_markdown(args.output)
@@ -1065,20 +966,27 @@ _HANDLERS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point; returns a process exit code."""
+    """CLI entry point; returns a process exit code.
+
+    A ``ValueError``, ``OSError`` or ``OverflowError`` out of a command
+    (an unknown workload, depths that do not divide the array, an
+    unreadable file, a port past 65535) exits 2 with one
+    ``repro: error: ...`` line, like a parse error, not a traceback.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.backend_explicit = args.backend is not None
-    if args.backend is None:
-        args.backend = "analytical"
-    # One configuration point for the 'repro' logger (idempotent: the
-    # daemon's REPRO_LOG_LEVEL hook replaces, never stacks, the handler).
-    level = args.log_level or os.environ.get("REPRO_LOG_LEVEL")
-    if level or args.log_json:
-        from repro.obs.logs import configure_logging
+    try:
+        # One configuration point for the 'repro' logger (idempotent: the
+        # daemon's REPRO_LOG_LEVEL hook replaces, never stacks, the handler).
+        level = args.log_level or os.environ.get("REPRO_LOG_LEVEL")
+        if level or args.log_json:
+            from repro.obs.logs import configure_logging
 
-        configure_logging(level=level or "INFO", json_lines=args.log_json)
-    return _HANDLERS[args.command](args)
+            configure_logging(level=level or "INFO", json_lines=args.log_json)
+        return _HANDLERS[args.command](args)
+    except (OSError, OverflowError, ValueError) as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via python -m repro

@@ -13,8 +13,8 @@ provides that workload substrate:
 * :mod:`repro.nn.models` -- the layer tables of the three evaluated CNNs,
   reproducing the exact shapes the paper quotes (e.g. ResNet-34 layer 20 =
   (256, 2304, 196) and layer 28 = (512, 2304, 49)).
-* :mod:`repro.nn.workloads` -- workload suites and synthetic GEMM
-  generators used by the benchmarks and the property-based tests.
+* :mod:`repro.nn.workloads` -- synthetic GEMM generators used by the
+  benchmarks and the property-based tests.
 
 The first-class workload layer on top of this substrate — the string-keyed
 registry, the transformer front-end and the batch-scaling adapter — lives
@@ -36,7 +36,7 @@ from repro.nn.models import (
     model_zoo,
     resnet34,
 )
-from repro.nn.workloads import WorkloadSuite, paper_suite, synthetic_gemm_sweep
+from repro.nn.workloads import synthetic_gemm_sweep
 
 __all__ = [
     "LayerKind",
@@ -53,7 +53,5 @@ __all__ = [
     "mobilenet_v1",
     "convnext_tiny",
     "model_zoo",
-    "WorkloadSuite",
-    "paper_suite",
     "synthetic_gemm_sweep",
 ]

@@ -1,72 +1,21 @@
-"""Workload suites and synthetic GEMM generators.
+"""Synthetic GEMM generators.
 
-The benchmark harness runs two kinds of workloads:
+Parameterised GEMM shapes and operands for the ablation benches, the
+Eq. (7) validation experiment and the property-based tests, where
+controlling (M, N, T) directly is more informative than a real network.
+The paper's workload mixes are registry suites (``get_suite("cnn")``,
+``get_suite("transformers")`` in :mod:`repro.workloads`).
 
-* the *paper suite* -- the three CNNs of Section IV (ResNet-34, MobileNetV1
-  and ConvNeXt-T) at 224x224 single-batch inference;
-* *synthetic sweeps* -- parameterised GEMM shapes used by the ablation
-  benches, the Eq. (7) validation experiment and the property-based tests,
-  where controlling (M, N, T) directly is more informative than a real
-  network.
-
-This module is re-exported by :mod:`repro.workloads.synthetic`; the
-first-class workload registry, the transformer front-end and the
-batch-scaling adapter live in :mod:`repro.workloads`.  Because this
-module is imported while ``repro.nn`` is initialising, it must not import
+This module is re-exported by :mod:`repro.workloads.synthetic`.  Because
+it is imported while ``repro.nn`` is initialising, it must not import
 ``repro.workloads`` — the dependency points the other way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from repro.nn.gemm_mapping import GemmShape
-from repro.nn.models import model_zoo
-
-if TYPE_CHECKING:  # import would be circular at runtime (see module docstring)
-    from repro.workloads.base import Workload
-
-
-@dataclass(frozen=True)
-class WorkloadSuite:
-    """A named collection of workloads to run through the scheduler.
-
-    Any :class:`~repro.workloads.base.Workload` qualifies (CNN layer
-    tables, transformer traces, pre-lowered GEMM workloads); ``models``
-    keeps its historical name from when suites were CNN-only.
-    """
-
-    name: str
-    models: tuple[Workload, ...] = field(default_factory=tuple)
-
-    def __post_init__(self) -> None:
-        if not self.models:
-            raise ValueError(f"workload suite {self.name!r} is empty")
-
-    @property
-    def model_names(self) -> list[str]:
-        return [model.name for model in self.models]
-
-    def gemms_by_model(self) -> dict[str, list[GemmShape]]:
-        return {model.name: model.gemms() for model in self.models}
-
-    @property
-    def total_layers(self) -> int:
-        # Counted via gemms(), the only lowering the Workload protocol
-        # guarantees (num_layers is an optional convenience attribute).
-        return sum(len(model.gemms()) for model in self.models)
-
-
-def paper_suite(input_resolution: int = 224) -> WorkloadSuite:
-    """The exact workload mix of the paper's Figs. 8 and 9."""
-    zoo = model_zoo(input_resolution)
-    return WorkloadSuite(
-        name=f"paper-suite-{input_resolution}",
-        models=tuple(zoo[name] for name in ("ResNet-34", "MobileNetV1", "ConvNeXt-T")),
-    )
 
 
 def synthetic_gemm_sweep(

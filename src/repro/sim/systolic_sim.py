@@ -36,10 +36,9 @@ Two entry points produce those results:
   instead of stepping it.  The control path (tags, skew, capture
   schedule, activity counts) depends only on the geometry, the mode and
   T — never on the operand values or on how much of the array a tile
-  fills — so it is derived once per distinct (geometry, mode, T) and
-  cached; the value path is a pure delay network whose south-edge
-  captures reduce to the padded integer product (the derivation is in
-  the method body).  Outputs and every
+  fills — so it is derived once per call; the value path is a pure
+  delay network whose south-edge captures reduce to the padded integer
+  product (the derivation is in the method body).  Outputs and every
   :class:`~repro.sim.stats.SimulationStats` field are bit-identical to
   running the tiles one at a time through the stepping path
   (property-tested in ``tests/test_sim_batched.py``).
@@ -47,7 +46,6 @@ Two entry points produce those results:
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,8 +75,8 @@ class _TileControl:
     Everything here follows from (R, C, k, T) alone: the west-edge tag
     schedule, which (cycle, column) pairs capture an output and for which
     tag, and how many PEs see a live tag each cycle.  The batched
-    simulation path computes it once per distinct (geometry, mode, T) and
-    reuses it across every tile, batch and call (see ``_control_cache``).
+    simulation path computes it once per call and shares it across every
+    tile of the batch.
     """
 
     compute_cycles: int
@@ -326,12 +324,6 @@ class CycleAccurateSystolicArray:
     #: large enough that realistic batches are never split.
     MAX_BATCH_ELEMENTS = 1 << 22
 
-    #: Most-recently-used control schedules, keyed (rows, cols, k, T).
-    #: Repeated GEMMs and chunked tile batches revisit a handful of depths
-    #: over and over; the cache makes the control side of those runs free.
-    _control_cache: OrderedDict[tuple[int, int, int, int], _TileControl] = OrderedDict()
-    _CONTROL_CACHE_SIZE = 64
-
     def max_batch_tiles(self, t_rows: int) -> int:
         """How many depth-T tiles one batched call should carry at most.
 
@@ -343,7 +335,7 @@ class CycleAccurateSystolicArray:
         return max(1, self.MAX_BATCH_ELEMENTS // (cycles * self.rows))
 
     def _tile_control(self, t_rows: int) -> _TileControl:
-        """The shared control schedule for a depth-``t_rows`` run (cached).
+        """The shared control schedule for a depth-``t_rows`` run.
 
         Derived in one vectorised pass from the west-edge tag schedule:
         the tag visible at row r, column group g, cycle c is the tag that
@@ -352,13 +344,6 @@ class CycleAccurateSystolicArray:
         counts and active-PE totals all follow by shifting and summing
         the schedule — no per-cycle stepping and no operand values.
         """
-        key = (self.rows, self.cols, self.collapse_depth, t_rows)
-        cache = CycleAccurateSystolicArray._control_cache
-        hit = cache.get(key)
-        if hit is not None:
-            cache.move_to_end(key)
-            return hit
-
         k = self.collapse_depth
         n_col_groups = self.cols // k
         compute_cycles = self.dataflow.compute_cycles(t_rows)
@@ -384,16 +369,12 @@ class CycleAccurateSystolicArray:
         windows = np.clip(compute_cycles - np.arange(n_col_groups), 0, compute_cycles)
         active_pe_cycles = int(k * prefix[windows].sum())
 
-        control = _TileControl(
+        return _TileControl(
             compute_cycles=compute_cycles,
             weight_load_cycles=self.dataflow.weight_load_cycles(),
             capture_counts_below=capture_counts_below,
             active_pe_cycles=active_pe_cycles,
         )
-        cache[key] = control
-        if len(cache) > self._CONTROL_CACHE_SIZE:
-            cache.popitem(last=False)
-        return control
 
     def simulate_tiles(
         self,
@@ -458,7 +439,7 @@ class CycleAccurateSystolicArray:
 
         # The shared control schedule: tags, skew, capture cycles and
         # activity counts are the same for every tile of the batch (they
-        # never read operand values) — computed once and cached.
+        # never read operand values) — computed once per call.
         control = self._tile_control(t_rows)
         compute_cycles = control.compute_cycles
 

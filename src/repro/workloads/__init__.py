@@ -19,8 +19,8 @@ design-space sweeps, CLI.  This package makes that a first-class notion:
   GPT-2-decode named workloads (suite ``transformers``);
 * :mod:`repro.workloads.batching` — the batch-scaling adapter mapping any
   workload to batched inference (T scaled by the batch size);
-* :mod:`repro.workloads.synthetic` — workload suites and synthetic GEMM
-  generators (promoted from ``repro.nn.workloads``).
+* :mod:`repro.workloads.synthetic` — synthetic GEMM generators
+  (promoted from ``repro.nn.workloads``).
 
 >>> from repro.workloads import get_workload, list_workloads
 >>> "bert_base" in list_workloads()
@@ -44,8 +44,6 @@ from repro.workloads.registry import (
     workload_entry,
 )
 from repro.workloads.synthetic import (
-    WorkloadSuite,
-    paper_suite,
     random_gemm_shapes,
     random_int_matrices,
     synthetic_gemm_sweep,
@@ -60,7 +58,6 @@ from repro.workloads.transformer import (
     TransformerModel,
     bert_base,
     gpt2_decode,
-    transformer_suite,
     vit_b16,
 )
 
@@ -76,8 +73,6 @@ __all__ = [
     "list_suites",
     "workload_entry",
     "normalise_name",
-    "WorkloadSuite",
-    "paper_suite",
     "synthetic_gemm_sweep",
     "random_gemm_shapes",
     "random_int_matrices",
@@ -86,7 +81,6 @@ __all__ = [
     "bert_base",
     "vit_b16",
     "gpt2_decode",
-    "transformer_suite",
     "batched_workload",
     "batched_name",
 ]

@@ -1,7 +1,7 @@
 """Registry entries for the CNN model zoo.
 
-The paper's three evaluated CNNs form the ``cnn`` suite (what
-``paper_suite()`` runs); the extra zoo models form ``cnn_extended``.
+The paper's three evaluated CNNs form the ``cnn`` suite (the workload
+mix of Figs. 8 and 9); the extra zoo models form ``cnn_extended``.
 Display names are registered as aliases, so both ``resnet34`` and
 ``ResNet-34`` resolve.
 """

@@ -1,4 +1,4 @@
-"""Workload suites and synthetic GEMM generators (package-level home).
+"""Synthetic GEMM generators (package-level home).
 
 The definitions live in :mod:`repro.nn.workloads` — that module predates
 this package, is imported during ``repro.nn`` initialisation and therefore
@@ -10,16 +10,12 @@ should import from :mod:`repro.workloads`.
 from __future__ import annotations
 
 from repro.nn.workloads import (
-    WorkloadSuite,
-    paper_suite,
     random_gemm_shapes,
     random_int_matrices,
     synthetic_gemm_sweep,
 )
 
 __all__ = [
-    "WorkloadSuite",
-    "paper_suite",
     "synthetic_gemm_sweep",
     "random_gemm_shapes",
     "random_int_matrices",

@@ -42,7 +42,6 @@ from dataclasses import dataclass, field
 from repro.nn.gemm_mapping import GemmShape
 from repro.nn.layers import LayerKind
 from repro.workloads.registry import register_workload
-from repro.workloads.synthetic import WorkloadSuite
 
 #: Phase tags of a :class:`TransformerModel`.
 PHASES = ("prefill", "decode")
@@ -248,14 +247,6 @@ def gpt2_decode(context_len: int = 1024, batch: int = 1) -> TransformerModel:
         epilogue=(
             GemmShape(m=50257, n=hidden, t=batch, name="lm_head", kind=LayerKind.LINEAR),
         ),
-    )
-
-
-def transformer_suite(batch: int = 1) -> WorkloadSuite:
-    """The transformer evaluation mix: two prefill encoders plus a decoder."""
-    return WorkloadSuite(
-        name=f"transformer-suite-bs{batch}",
-        models=(bert_base(batch=batch), vit_b16(batch=batch), gpt2_decode(batch=batch)),
     )
 
 

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -58,6 +59,93 @@ class TestParser:
         assert excinfo.value.code == 2
 
 
+DECIDE = ["decide", "--m", "64", "--n", "64", "--t", "8"]
+
+#: Every (command, flag) pair the per-command grammar removed.  Each one
+#: used to parse, then ran the command, ignored the flag or refused it
+#: only at run time; ``--backend`` parsed before every command too.
+REMOVED_FLAGS = [
+    (["info"], ["--backend", "cycle"]),
+    (["info"], ["--activity-model", "utilization"]),
+    (DECIDE, ["--backend", "cycle"]),
+    (DECIDE, ["--activity-model", "utilization"]),
+    *(
+        (["experiment", name], ["--backend", "cycle"])
+        for name in ("fig5", "fig6", "eq7", "clock", "abl_csa", "abl_dirs")
+    ),
+    (["batch"], ["--backend", "cycle"]),
+    (["serve"], ["--backend", "cycle"]),
+    *(
+        (["client", action], ["--backend", "cycle"])
+        for action in ("healthz", "metrics", "schedule", "compare")
+    ),
+    (["workloads"], ["--backend", "cycle"]),
+    (["report"], ["--backend", "cycle"]),
+    (["trace", "summary", "missing.trace"], ["--backend", "cycle"]),
+]
+
+#: Bad values the grammar now rejects instead of a handler.
+BAD_VALUES = [
+    ["--backend", "cycle", "compare"],
+    ["batch", "--sizes", "12"],
+    ["batch", "--batch-size", "0"],
+    ["ablate", "--batch-size", "0"],
+    ["workloads", "--suite", "rnns"],
+]
+
+
+def _case_id(command, flag):
+    """E.g. "experiment-fig5-backend" for ``experiment fig5 --backend``."""
+    words = [word for word in command[:2] if not word.startswith("-")]
+    return "-".join([*words, flag[0].lstrip("-")])
+
+
+def _leaf_commands(parser, prefix=()):
+    """Every runnable command path of ``parser``, e.g. ("client", "healthz")."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, subparser in action.choices.items():
+                yield from _leaf_commands(subparser, (*prefix, name))
+            return
+    yield prefix
+
+
+LEAF_COMMANDS = list(_leaf_commands(build_parser()))
+
+
+class TestGrammar:
+    @pytest.mark.parametrize(
+        "argvs",
+        [[[*flag, *command], [*command, *flag]] for command, flag in REMOVED_FLAGS]
+        + [[argv] for argv in BAD_VALUES],
+        ids=[_case_id(command, flag) for command, flag in REMOVED_FLAGS]
+        + ["-".join(word.lstrip("-") for word in argv) for argv in BAD_VALUES],
+    )
+    def test_unsupported_flag_or_bad_value_is_a_parse_error(self, argvs, tmp_path, monkeypatch):
+        """Exit 2 before anything runs, with the flag before the command
+        (the old global spelling) and after it."""
+        monkeypatch.chdir(tmp_path)
+        for argv in argvs:
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2, argv
+        assert list(tmp_path.iterdir()) == []
+
+    def test_leaf_commands_are_all_found(self):
+        assert len(LEAF_COMMANDS) == 26
+        assert ("experiment", "fig7") in LEAF_COMMANDS
+        assert ("trace", "summary") in LEAF_COMMANDS
+
+    @pytest.mark.parametrize("command", LEAF_COMMANDS, ids=" ".join)
+    def test_every_leaf_command_prints_help(self, command, capsys):
+        """argparse formats help text only when it is printed, so a bad
+        format string in one would otherwise surface only on request."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, "--help"])
+        assert excinfo.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: repro {' '.join(command)}")
+
+
 class TestCommands:
     def test_info(self, capsys):
         assert main(["info", "--rows", "64", "--cols", "64"]) == 0
@@ -104,16 +192,34 @@ class TestCommands:
         assert target.exists()
         assert "wrote" in capsys.readouterr().out
 
-    def test_invalid_geometry_surfaces_as_error(self):
-        with pytest.raises(ValueError):
-            main(["info", "--rows", "100", "--cols", "100", "--depths", "1", "3"])
+    def test_invalid_geometry_surfaces_as_error(self, capsys):
+        assert main(["info", "--rows", "100", "--cols", "100", "--depths", "1", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro: error: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            (["trace", "summary", "missing.trace"], "No such file"),
+            (["trace", "summary", "list.json"], "not a Chrome trace-event JSON object"),
+            (["serve", "--port", "70000"], "port must be 0-65535"),
+        ],
+        ids=["missing-trace", "non-trace-json", "port-out-of-range"],
+    )
+    def test_bad_input_is_one_error_line(self, command, message, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "list.json").write_text("[1, 2]")
+        assert main(command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ") and err.count("\n") == 1
+        assert message in err
 
 
 class TestBackendFlag:
     def test_default_backend_is_analytical(self, capsys):
-        # Parser-level default is None (so commands can tell an explicit
-        # request from the fallback); main() resolves it to analytical.
-        assert build_parser().parse_args(["info"]).backend is None
+        assert build_parser().parse_args(["compare"]).backend == "analytical"
         assert main(["compare", "--model", "resnet34"]) == 0
         assert "analytical backend" in capsys.readouterr().out
 
@@ -122,10 +228,10 @@ class TestBackendFlag:
             build_parser().parse_args(["--backend", "verilog", "info"])
 
     def test_compare_batched_matches_analytical(self, capsys):
-        assert main(["--backend", "analytical", "compare", "--model", "resnet34"]) == 0
+        assert main(["compare", "--backend", "analytical", "--model", "resnet34"]) == 0
         reference = capsys.readouterr().out
         for backend in ("batched", "cycle"):
-            assert main(["--backend", backend, "compare", "--model", "resnet34"]) == 0
+            assert main(["compare", "--backend", backend, "--model", "resnet34"]) == 0
             fast = capsys.readouterr().out
             # Identical numbers, only the backend tag in the header differs.
             assert fast.replace(f"{backend} backend", "analytical backend") == reference
@@ -134,9 +240,9 @@ class TestBackendFlag:
         assert (
             main(
                 [
+                    "compare",
                     "--backend",
                     "cycle",
-                    "compare",
                     "--rows",
                     "8",
                     "--cols",
@@ -148,14 +254,6 @@ class TestBackendFlag:
             == 0
         )
         assert "cycle backend" in capsys.readouterr().out
-
-    def test_decide_accepts_backend_flag(self, capsys):
-        assert main(["--backend", "cycle", "decide", "--m", "512", "--n", "2304", "--t", "49"]) == 0
-        out = capsys.readouterr().out
-        assert "best collapse depth" in out
-        # decide always uses the Eq. (6) policy; the CLI says so explicitly
-        # instead of silently ignoring the flag.
-        assert "analytical Eq. (6) policy" in out
 
     def test_backend_flag_accepted_after_subcommand(self, capsys):
         assert main(["compare", "--model", "resnet34", "--backend", "batched"]) == 0
@@ -206,10 +304,11 @@ class TestBackendFlag:
         ids=lambda value: value[0] if isinstance(value, list) else "reason",
     )
     def test_non_scheduling_commands_reject_explicit_backend(self, command, reason):
-        """Commands that schedule nothing must say so instead of silently
-        building (then discarding) the requested backend."""
-        with pytest.raises(ValueError, match=reason):
+        """Commands that schedule nothing take no --backend, so the old
+        global spelling is a parse error (exit 2) before anything runs."""
+        with pytest.raises(SystemExit) as excinfo:
             main(["--backend", "cycle", *command])
+        assert excinfo.value.code == 2, f"{command[0]} {reason}; --backend must not parse"
 
 
 class TestWorkloadsCommand:
@@ -227,9 +326,11 @@ class TestWorkloadsCommand:
         assert "bert_base" in out
         assert "resnet34" not in out
 
-    def test_unknown_suite_rejected(self):
-        with pytest.raises(ValueError, match="rnns"):
+    def test_unknown_suite_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
             main(["workloads", "--suite", "rnns"])
+        assert excinfo.value.code == 2
+        assert "rnns" in capsys.readouterr().err
 
     def test_rejects_cache_dir(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
@@ -248,9 +349,11 @@ class TestCompareTransformers:
         assert main(["compare", "--model", "gpt2_decode@bs4"]) == 0
         assert "GPT-2-decode@bs4" in capsys.readouterr().out
 
-    def test_compare_unknown_model_lists_available(self):
-        with pytest.raises(ValueError, match="resnet34"):
-            main(["compare", "--model", "alexnet"])
+    def test_compare_unknown_model_lists_available(self, capsys):
+        assert main(["compare", "--model", "alexnet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ")
+        assert "resnet34" in err
 
 
 class TestBatchCommand:
@@ -296,8 +399,9 @@ class TestBatchCommand:
         assert "GPT-2-decode@bs8" in capsys.readouterr().out
 
     def test_batch_invalid_batch_size_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SystemExit) as excinfo:
             main(["batch", "--batch-size", "0", "--sizes", "64x64"])
+        assert excinfo.value.code == 2
 
     def test_batch_reports_timed_out_rows_and_exits_nonzero(self, capsys, monkeypatch):
         """The timed-out branch of the batch report, forced deterministically."""
@@ -371,8 +475,9 @@ class TestBatchCommand:
         assert list(tmp_path.iterdir()) == []
 
     def test_batch_invalid_size_surfaces_as_error(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SystemExit) as excinfo:
             main(["batch", "--sizes", "not-a-size"])
+        assert excinfo.value.code == 2
 
     def test_experiment_and_report_reject_cache_dir(self, tmp_path):
         for command in (
@@ -390,18 +495,17 @@ class TestBatchCommand:
         assert excinfo.value.code == 2
 
     def test_batch_rejects_non_batched_backend(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SystemExit) as excinfo:
             main(["--backend", "cycle", "batch", "--sizes", "64x64"])
+        assert excinfo.value.code == 2
 
-    def test_batch_accepts_explicit_batched_backend(self, capsys):
-        assert main(["--backend", "batched", "batch", "--sizes", "64x64"]) == 0
-        assert "served" in capsys.readouterr().out
-
-    def test_batch_backend_flag_after_subcommand(self, capsys):
-        assert main(["batch", "--sizes", "64x64", "--backend", "batched"]) == 0
-        assert "served" in capsys.readouterr().out
-        with pytest.raises(ValueError):
-            main(["batch", "--sizes", "64x64", "--backend", "cycle"])
+    def test_batch_backend_flag_after_subcommand(self):
+        """batch always runs the batched backend, so it takes no --backend
+        at all, not even one naming the backend it runs."""
+        for backend in ("batched", "cycle"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["batch", "--sizes", "64x64", "--backend", backend])
+            assert excinfo.value.code == 2
 
 
 class TestAblateCommand:
@@ -447,22 +551,26 @@ class TestAblateCommand:
         ) == 0
         assert "activity_model=utilization" in capsys.readouterr().out
 
-    def test_malformed_component_rejected(self):
-        with pytest.raises(ValueError, match="KNOB=BASELINE:ALT"):
-            main([*self.FAST, "--component", "activity_model"])
+    def test_malformed_component_rejected(self, capsys):
+        assert main([*self.FAST, "--component", "activity_model"]) == 2
+        assert "KNOB=BASELINE:ALT" in capsys.readouterr().err
 
-    def test_unknown_knob_rejected(self):
-        with pytest.raises(ValueError, match="unknown ablation knob"):
-            main([*self.FAST, "--component", "voltage=1:2"])
+    def test_unknown_knob_rejected(self, capsys):
+        assert main([*self.FAST, "--component", "voltage=1:2"]) == 2
+        assert "unknown ablation knob" in capsys.readouterr().err
 
-    def test_backend_component_conflicts_with_backend_flag(self):
-        with pytest.raises(ValueError, match="--backend"):
-            main(
-                [
-                    "--backend", "batched", *self.FAST,
-                    "--component", "backend=batched:analytical",
-                ]
-            )
+    def test_backend_component_conflicts_with_backend_flag(self, capsys):
+        assert main(
+            [
+                *self.FAST, "--backend", "batched",
+                "--component", "backend=batched:analytical",
+            ]
+        ) == 2
+        assert "both fixed and ablated" in capsys.readouterr().err
+
+    def test_backend_component_without_backend_flag(self, capsys):
+        assert main([*self.FAST, "--component", "backend=batched:analytical"]) == 0
+        assert "backend=analytical" in capsys.readouterr().out
 
     def test_rejects_cache_dir(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:

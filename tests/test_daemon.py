@@ -646,5 +646,6 @@ class TestCliClient:
             assert daemon.drain(timeout=30)
 
     def test_client_rejects_backend_flag(self):
-        with pytest.raises(ValueError, match="not supported here"):
+        with pytest.raises(SystemExit) as excinfo:
             main(["--backend", "batched", "client", "healthz"])
+        assert excinfo.value.code == 2

@@ -1,33 +1,13 @@
-"""Tests for workload suites and synthetic generators."""
+"""Tests for the synthetic workload generators."""
 
 import numpy as np
 import pytest
 
 from repro.nn.workloads import (
-    WorkloadSuite,
-    paper_suite,
     random_gemm_shapes,
     random_int_matrices,
     synthetic_gemm_sweep,
 )
-
-
-class TestPaperSuite:
-    def test_contains_three_models(self):
-        suite = paper_suite()
-        assert suite.model_names == ["ResNet-34", "MobileNetV1", "ConvNeXt-T"]
-
-    def test_total_layers(self):
-        suite = paper_suite()
-        assert suite.total_layers == 34 + 28 + 59
-
-    def test_gemms_by_model(self):
-        gemms = paper_suite().gemms_by_model()
-        assert len(gemms["ResNet-34"]) == 34
-
-    def test_empty_suite_rejected(self):
-        with pytest.raises(ValueError):
-            WorkloadSuite(name="empty", models=())
 
 
 class TestSyntheticSweep:

@@ -212,22 +212,6 @@ class TestReplaceAliasHygiene:
             registry_module._ALIASES.pop("shadow_new", None)
 
 
-class TestSuiteProtocolMinimalism:
-    def test_suite_counts_work_with_minimal_workloads(self):
-        """total_layers must only rely on the advertised name+gemms contract."""
-        from repro.workloads import WorkloadSuite
-
-        class Minimal:
-            name = "minimal"
-
-            def gemms(self):
-                return [GemmShape(m=4, n=4, t=4, name="g")] * 3
-
-        suite = WorkloadSuite(name="s", models=(Minimal(),))
-        assert suite.total_layers == 3
-        assert suite.gemms_by_model()["minimal"][0].m == 4
-
-
 class TestEdgeCaseHardening:
     def test_replace_can_shadow_a_builtin_by_its_alias(self):
         """Shadowing by display name must actually take effect, past the

@@ -16,7 +16,6 @@ from repro.workloads import (
     bert_base,
     get_workload,
     gpt2_decode,
-    transformer_suite,
     vit_b16,
 )
 
@@ -191,8 +190,3 @@ class TestBackendParity:
         schedule = scheduler(workload, config)
         assert totals.time_ns == schedule.total_time_ns
         assert totals.energy_nj == schedule.total_energy_nj
-
-    def test_suite_helper_counts(self):
-        suite = transformer_suite()
-        assert suite.model_names == ["BERT-Base", "ViT-B/16", "GPT-2-decode"]
-        assert suite.total_layers == 72 + 74 + 73
