@@ -11,15 +11,18 @@ qualitative findings:
 * the analytical optimum of Eq. (7) tracks the per-layer choice closely.
 """
 
-from repro.eval import Fig7Experiment
+from repro.backends import create_backend
+from repro.eval.experiments import comparison_grid, render_fig7, shallow_layer_savings
+from repro.nn.models import convnext_tiny
 
 
 def test_fig7_convnext_per_layer(benchmark):
-    experiment = Fig7Experiment(rows=128, cols=128)
-    result = benchmark(experiment.run)
+    model = convnext_tiny()
+    backend = create_backend("batched")
+    (result,) = benchmark(comparison_grid, [model], sizes=(128,), backend=backend)
 
     print()
-    print(experiment.render(result))
+    print(render_fig7(result))
 
     layers = result.arrayflex.layers
     depths = [layer.collapse_depth for layer in layers]
@@ -37,11 +40,11 @@ def test_fig7_convnext_per_layer(benchmark):
     assert sum(depths[-third:]) / third > sum(depths[:third]) / third
 
     # Total saving close to the paper's ~11%.
-    assert 0.06 <= result.total_saving <= 0.16
+    assert 0.06 <= result.latency_saving <= 0.16
 
     # Per-layer savings of shallow layers stay within a plausible band and
     # reach at least ~15% for the most favourable layers (paper: up to 26%).
-    shallow = result.shallow_layer_savings()
+    shallow = shallow_layer_savings(result)
     assert shallow, "some layers must run in shallow mode"
     assert max(shallow) >= 0.15
     assert max(shallow) <= 0.35

@@ -8,48 +8,53 @@ array because more layers prefer the deepest collapse mode.
 
 import pytest
 
-from repro.eval import Fig8Experiment
+from repro.backends import create_backend
+from repro.eval.experiments import comparison_grid, render_fig8, value_range
+from repro.nn.models import model_zoo
 
 
 @pytest.fixture(scope="module")
 def fig8_result():
-    return Fig8Experiment(sizes=(128, 256)).run()
+    return comparison_grid(list(model_zoo().values()), sizes=(128, 256))
+
+
+def _at(rows, size, model_name):
+    return next(
+        row for row in rows if row.arrayflex.rows == size and row.model_name == model_name
+    )
 
 
 def test_fig8_total_execution_time(benchmark):
-    experiment = Fig8Experiment(sizes=(128, 256))
-    result = benchmark(experiment.run)
+    models = list(model_zoo().values())
+    backend = create_backend("batched")
+    result = benchmark(comparison_grid, models, sizes=(128, 256), backend=backend)
 
     print()
-    print(experiment.render(result))
+    print(render_fig8(result))
 
     # ArrayFlex wins end-to-end for every model at every size.
-    for entry in result.entries:
-        assert entry.arrayflex_time_ms < entry.conventional_time_ms, entry.model_name
+    for row in result:
+        assert row.arrayflex.total_time_ms < row.conventional.total_time_ms, row.model_name
 
     # Savings land in a band around the paper's 9%-11%.
-    low, high = result.savings_range()
+    low, high = value_range(result, "latency_saving")
     assert 0.05 <= low
     assert high <= 0.20
 
 
 def test_fig8_savings_grow_with_array_size(fig8_result):
     """Bigger arrays push more layers to k = 4 and increase the savings."""
-    for model_name in {entry.model_name for entry in fig8_result.entries}:
-        small = next(
-            e for e in fig8_result.by_size(128) if e.model_name == model_name
-        )
-        large = next(
-            e for e in fig8_result.by_size(256) if e.model_name == model_name
-        )
-        k4_small = small.depth_histogram.get(4, 0) / sum(small.depth_histogram.values())
-        k4_large = large.depth_histogram.get(4, 0) / sum(large.depth_histogram.values())
+    for model_name in {row.model_name for row in fig8_result}:
+        small = _at(fig8_result, 128, model_name).arrayflex.depth_histogram()
+        large = _at(fig8_result, 256, model_name).arrayflex.depth_histogram()
+        k4_small = small.get(4, 0) / sum(small.values())
+        k4_large = large.get(4, 0) / sum(large.values())
         assert k4_large >= k4_small, model_name
 
 
 def test_fig8_convnext_dominates_runtime(fig8_result):
     """The paper normalizes Fig. 8 because ConvNeXt's runtime dwarfs the others."""
-    entries = fig8_result.by_size(128)
-    convnext = next(e for e in entries if e.model_name == "ConvNeXt-T")
-    for entry in entries:
-        assert convnext.conventional_time_ms >= entry.conventional_time_ms
+    rows = [row for row in fig8_result if row.arrayflex.rows == 128]
+    convnext = next(row for row in rows if row.model_name == "ConvNeXt-T")
+    for row in rows:
+        assert convnext.conventional.total_time_ms >= row.conventional.total_time_ms

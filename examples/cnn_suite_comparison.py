@@ -13,7 +13,9 @@ size:
 Run with:  python examples/cnn_suite_comparison.py
 """
 
-from repro.eval import Fig6Experiment, Fig8Experiment, Fig9Experiment
+from repro.eval import Fig6Experiment
+from repro.eval.experiments import comparison_grid, render_fig8, render_fig9, value_range
+from repro.nn.models import model_zoo
 
 
 def main() -> None:
@@ -21,26 +23,25 @@ def main() -> None:
     print(area.render())
     print()
 
-    fig8 = Fig8Experiment(sizes=(128, 256))
-    result8 = fig8.run()
-    print(fig8.render(result8))
-    low, high = result8.savings_range()
+    grid = comparison_grid(list(model_zoo().values()), sizes=(128, 256))
+    print(render_fig8(grid))
+    low, high = value_range(grid, "latency_saving")
     print(
         f"\nLatency savings across models and sizes: "
         f"{low * 100:.1f}% .. {high * 100:.1f}%  (paper: 9% .. 11%)\n"
     )
 
-    fig9 = Fig9Experiment(sizes=(128, 256))
-    result9 = fig9.run()
-    print(fig9.render(result9))
+    print(render_fig9(grid))
     for size in (128, 256):
-        low, high = result9.power_saving_range(size)
+        low, high = value_range(
+            [row for row in grid if row.arrayflex.rows == size], "power_saving"
+        )
         print(
             f"\nPower savings on {size}x{size} arrays: "
             f"{low * 100:.1f}% .. {high * 100:.1f}%"
             + ("  (paper: 13% .. 15%)" if size == 128 else "  (paper: 17% .. 23%)")
         )
-    edp_low, edp_high = result9.edp_range()
+    edp_low, edp_high = value_range(grid, "edp_gain")
     print(
         f"\nEnergy-delay-product improvement: {edp_low:.2f}x .. {edp_high:.2f}x "
         "(paper: 1.4x .. 1.8x)"

@@ -16,15 +16,15 @@ discrete choice, showing how closely the closed form tracks the argmin.
 Run with:  python examples/convnext_per_layer.py
 """
 
-from repro.eval import Fig7Experiment
+from repro.eval.experiments import comparison_grid, render_fig7, shallow_layer_savings
+from repro.nn.models import convnext_tiny
 
 
 def main() -> None:
-    experiment = Fig7Experiment()
-    result = experiment.run()
-    print(experiment.render(result))
+    (result,) = comparison_grid([convnext_tiny()], sizes=(128,))
+    print(render_fig7(result))
 
-    shallow_savings = result.shallow_layer_savings()
+    shallow_savings = shallow_layer_savings(result)
     print()
     print(
         "Layers executed in shallow mode: "
@@ -37,7 +37,7 @@ def main() -> None:
             f"max {max(shallow_savings) * 100:.1f}%"
         )
     print(
-        f"Total execution-time saving: {result.total_saving * 100:.1f}% "
+        f"Total execution-time saving: {result.latency_saving * 100:.1f}% "
         "(paper: ~11% for ConvNeXt on 128x128 SAs)"
     )
 

@@ -89,6 +89,7 @@ import argparse
 import json
 import os
 import sys
+import threading
 from collections.abc import Sequence
 
 from repro.backends import BACKENDS
@@ -99,36 +100,55 @@ from repro.core.metrics import ModelSchedule
 from repro.timing.power_model import ArrayPowerBreakdown
 from repro.eval.experiments import (
     AblationExperiment,
-    ActivitySensitivityExperiment,
     ClockFrequencyExperiment,
     CsaAblationExperiment,
     DirectionAblationExperiment,
     Eq7ValidationExperiment,
     Fig5Experiment,
     Fig6Experiment,
-    Fig7Experiment,
-    Fig8Experiment,
-    Fig9Experiment,
-    TransformerSuiteExperiment,
+    comparison_grid,
+    render_activity,
+    render_fig7,
+    render_fig8,
+    render_fig9,
+    render_transformers,
 )
 from repro.eval.report import format_percent, format_ratio
+from repro.nn.models import convnext_tiny, model_zoo
 from repro.workloads import get_suite, get_workload, list_suites, workload_entry
 
-#: Experiments selectable from the command line.  The factories of the
-#: experiments that schedule workloads take the ``--backend`` name.
+#: Experiments selectable from the command line, each a factory of the
+#: tables it prints.  The factories of the experiments that schedule
+#: workloads take the ``--backend`` name.
 EXPERIMENT_FACTORIES = {
-    "fig5": lambda: [Fig5Experiment(20), Fig5Experiment(28)],
-    "fig6": lambda: [Fig6Experiment()],
-    "fig7": lambda backend: [Fig7Experiment(backend=backend)],
-    "fig8": lambda backend: [Fig8Experiment(backend=backend)],
-    "fig9": lambda backend: [Fig9Experiment(backend=backend)],
-    "eq7": lambda: [Eq7ValidationExperiment()],
-    "clock": lambda: [ClockFrequencyExperiment()],
-    "abl_csa": lambda: [CsaAblationExperiment()],
-    "abl_dirs": lambda: [DirectionAblationExperiment()],
-    "transformers": lambda backend: [TransformerSuiteExperiment(backend=backend)],
-    "activity": lambda backend: [ActivitySensitivityExperiment(backend=backend)],
-    "ablation": lambda backend: [AblationExperiment(backend=backend)],
+    "fig5": lambda: [Fig5Experiment(20).render(), Fig5Experiment(28).render()],
+    "fig6": lambda: [Fig6Experiment().render()],
+    "fig7": lambda backend: [
+        render_fig7(comparison_grid([convnext_tiny()], sizes=(128,), backend=backend)[0])
+    ],
+    "fig8": lambda backend: [
+        render_fig8(comparison_grid(list(model_zoo().values()), backend=backend))
+    ],
+    "fig9": lambda backend: [
+        render_fig9(comparison_grid(list(model_zoo().values()), backend=backend))
+    ],
+    "eq7": lambda: [Eq7ValidationExperiment().render()],
+    "clock": lambda: [ClockFrequencyExperiment().render()],
+    "abl_csa": lambda: [CsaAblationExperiment().render()],
+    "abl_dirs": lambda: [DirectionAblationExperiment().render()],
+    "transformers": lambda backend: [
+        render_transformers(comparison_grid(get_suite("transformers"), backend=backend))
+    ],
+    "activity": lambda backend: [
+        render_activity(
+            comparison_grid(
+                list(model_zoo().values()) + get_suite("transformers"),
+                activity_models=("constant", "utilization"),
+                backend=backend,
+            )
+        )
+    ],
+    "ablation": lambda backend: [AblationExperiment(backend=backend).render()],
 }
 
 #: The experiments whose results depend on the execution backend.
@@ -139,6 +159,21 @@ def _positive_int(text: str) -> int:
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return int(text)
+
+
+def _timeout_seconds(text: str) -> float:
+    """A deadline in seconds, in ``(0, threading.TIMEOUT_MAX]`` like a ``Request``'s."""
+    try:
+        seconds = float(text)
+    except ValueError:
+        seconds = float("nan")
+    # Written so that NaN fails too; past TIMEOUT_MAX a wait overflows.
+    if not 0 < seconds <= threading.TIMEOUT_MAX:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive number of seconds up to {threading.TIMEOUT_MAX:g}, "
+            f"got {text!r}"
+        )
+    return seconds
 
 
 def _parse_size(text: str) -> tuple[int, int]:
@@ -273,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument(
         "--timeout",
-        type=float,
+        type=_timeout_seconds,
         default=None,
         help=(
             "per-request result deadline in seconds; timed-out requests are "
@@ -326,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--timeout",
-        type=float,
+        type=_timeout_seconds,
         default=None,
         help=(
             "default per-request result deadline in seconds, applied when a "
@@ -346,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     client.add_argument(
         "--http-timeout",
-        type=float,
+        type=_timeout_seconds,
         default=120.0,
         help="HTTP socket timeout in seconds (default: 120)",
     )
@@ -369,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         client_action.add_argument(
             "--timeout",
-            type=float,
+            type=_timeout_seconds,
             default=None,
             help="per-request result deadline in seconds",
         )
@@ -445,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ablate.add_argument(
         "--timeout",
-        type=float,
+        type=_timeout_seconds,
         default=None,
         help=(
             "per-run result deadline in seconds; timed-out runs are reported "
@@ -809,9 +844,9 @@ def _cmd_workloads(args: argparse.Namespace) -> int:
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     factory = EXPERIMENT_FACTORIES[args.id]
-    experiments = factory(args.backend) if args.id in _SCHEDULING_EXPERIMENTS else factory()
-    for experiment in experiments:
-        print(experiment.render())
+    tables = factory(args.backend) if args.id in _SCHEDULING_EXPERIMENTS else factory()
+    for table in tables:
+        print(table)
         print()
     return 0
 

@@ -30,12 +30,11 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
-from repro.backends import create_backend
+from repro.backends import ModelTotals, create_backend
 from repro.core.config import ArrayFlexConfig
-from repro.core.metrics import ModelSchedule
 from repro.eval.report import format_table
 from repro.obs.trace import get_tracer
-from repro.serve.protocol import Request, Response
+from repro.serve.protocol import Request
 from repro.serve.service import SchedulingService
 
 #: Metrics every study scores, in report order.
@@ -166,8 +165,7 @@ class WorkloadRun:
     """One workload's results inside one run."""
 
     name: str
-    result: ModelSchedule | object | None
-    conventional: ModelSchedule | object | None = None
+    result: ModelTotals | None
     ok: bool = True
 
 
@@ -193,11 +191,11 @@ class RunResult:
 
     @property
     def time_ns(self) -> float:
-        return sum(_time_ns(w.result) for w in self.workloads if w.ok)
+        return sum(w.result.time_ns for w in self.workloads if w.ok)
 
     @property
     def energy_nj(self) -> float:
-        return sum(_energy_nj(w.result) for w in self.workloads if w.ok)
+        return sum(w.result.energy_nj for w in self.workloads if w.ok)
 
     def metric(self, name: str) -> float:
         if name == "latency":
@@ -210,16 +208,6 @@ class RunResult:
 
     def metrics(self) -> dict[str, float]:
         return {name: self.metric(name) for name in METRICS}
-
-
-def _time_ns(result: object) -> float:
-    return result.total_time_ns if isinstance(result, ModelSchedule) else result.time_ns
-
-
-def _energy_nj(result: object) -> float:
-    if isinstance(result, ModelSchedule):
-        return result.total_energy_nj
-    return result.energy_nj
 
 
 @dataclass
@@ -270,18 +258,14 @@ class AblationStudy:
     knob (see :data:`KNOBS`) for every run.  ``pairwise=True`` adds the
     cross grid of every component pair's alternatives, reported as
     interactions (never folded into the one-off importance ranking).
-    ``metric`` picks the primary ranking metric.  ``conventional=True``
-    additionally schedules the fixed-pipeline baseline for every
-    workload (paired requests, like :meth:`SchedulingService.compare`),
-    for consumers that need both sides.
+    ``metric`` picks the primary ranking metric.  Every run is scored
+    on ArrayFlex totals only.
     """
 
     components: Sequence[Component]
     fixed: Mapping[str, object] = field(default_factory=dict)
     pairwise: bool = False
     metric: str = "edp"
-    totals_only: bool = True
-    conventional: bool = False
     max_workers: int | None = None
     timeout: float | None = None
 
@@ -389,10 +373,9 @@ def execute_study(
 
     Runs are grouped by backend name; each group goes through one
     :class:`SchedulingService` as a single ``submit_many`` batch, so the
-    whole group runs with full thread-pool concurrency, deduplicated
-    requests (e.g. the shared conventional baselines of a pairwise grid)
-    are computed once, and per-run deadlines (``study.timeout``) can
-    never hang the study.  ``order`` optionally permutes the *submission*
+    whole group runs with full thread-pool concurrency, duplicate
+    requests are computed once, and per-run deadlines
+    (``study.timeout``) can never hang the study.  ``order`` optionally permutes the *submission*
     order of the run ids — results are always collected back into the
     canonical generated order, so any permutation yields an identical
     :class:`StudyResult` (pinned by the determinism tests).
@@ -411,7 +394,7 @@ def execute_study(
 
     # Resolve every run, then bucket by backend name (first-seen instance
     # wins, so runs on the same backend share one warm service).
-    plans: list[tuple[RunSpec, dict, str, list, list[Request]]] = []
+    plans: list[tuple[RunSpec, dict, str, list[Request]]] = []
     groups: dict[str, object] = {}
     for spec in ordered:
         settings = study.settings_for(spec)
@@ -419,20 +402,11 @@ def execute_study(
         key = backend.name
         groups.setdefault(key, backend)
         config = _run_config(settings)
-        workloads = _run_workloads(settings)
-        requests: list[Request] = []
-        for workload in workloads:
-            request = Request(
-                model=workload,
-                config=config,
-                totals_only=study.totals_only,
-                timeout=study.timeout,
-            )
-            if study.conventional:
-                requests.extend(request.paired())
-            else:
-                requests.append(request)
-        plans.append((spec, settings, key, workloads, requests))
+        requests = [
+            Request(model=workload, config=config, totals_only=True, timeout=study.timeout)
+            for workload in _run_workloads(settings)
+        ]
+        plans.append((spec, settings, key, requests))
 
     results: dict[str, RunResult] = {}
     with get_tracer().span(
@@ -444,30 +418,23 @@ def execute_study(
             group = [plan for plan in plans if plan[2] == key]
             service = SchedulingService(backend=backend, max_workers=study.max_workers)
             try:
-                flat = [request for plan in group for request in plan[4]]
+                flat = [request for plan in group for request in plan[3]]
                 responses = service.submit_many(flat, timeout=study.timeout)
             finally:
                 timed_out = bool(service.stats().get("timed_out", 0))
                 service.close(wait=not timed_out, cancel_futures=timed_out)
             cursor = 0
-            for spec, settings, _, workloads, requests in group:
+            for spec, settings, _, requests in group:
                 run = RunResult(spec=spec, settings=settings)
-                step = 2 if study.conventional else 1
-                for workload in workloads:
-                    chunk = responses[cursor:cursor + step]
-                    cursor += step
-                    flex: Response = chunk[0]
-                    conv: Response | None = chunk[1] if study.conventional else None
+                for response in responses[cursor:cursor + len(requests)]:
                     run.workloads.append(
                         WorkloadRun(
-                            name=flex.model_name,
-                            result=flex.result if flex.ok else None,
-                            conventional=(
-                                conv.result if conv is not None and conv.ok else None
-                            ),
-                            ok=flex.ok and (conv is None or conv.ok),
+                            name=response.model_name,
+                            result=response.result if response.ok else None,
+                            ok=response.ok,
                         )
                     )
+                cursor += len(requests)
                 results[spec.run_id] = run
 
     baseline = results["baseline"]

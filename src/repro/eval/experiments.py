@@ -1,6 +1,11 @@
-"""Experiment objects, one per paper figure/table plus ablations.
+"""The paper's figures and tables plus ablations, computed and rendered.
 
-Every experiment follows the same shape:
+The ArrayFlex-vs-conventional comparison behind Figs. 7-9, the
+transformer suite and the activity study is one table,
+:func:`comparison_grid`; each of those artifacts is a selection of its
+rows plus a ``render_*`` function.
+
+Every other artifact is an experiment object of the same shape:
 
 * ``run()`` computes a structured result (a small dataclass) using only the
   public library API, so the experiments double as integration tests of
@@ -13,10 +18,11 @@ Every experiment follows the same shape:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 from repro.backends import AnalyticalBackend, ExecutionBackend, create_backend
-from repro.core.arrayflex import ArrayFlexAccelerator, ComparisonReport
+from repro.core.arrayflex import ComparisonReport
 from repro.core.config import ArrayFlexConfig
 from repro.core.clock import ClockModel
 from repro.core.latency import (
@@ -27,7 +33,6 @@ from repro.core.latency import (
     tile_count,
 )
 from repro.core.optimizer import PipelineOptimizer
-from repro.core.metrics import ModelSchedule
 from repro.eval.report import format_percent, format_ratio, format_table
 from repro.eval.sweep import DepthSweepPoint, collapse_depth_sweep
 from repro.nn.gemm_mapping import GemmShape
@@ -197,260 +202,170 @@ class Fig6Experiment:
 
 
 # ---------------------------------------------------------------------- #
-# Fig. 7 -- per-layer execution time of ConvNeXt
+# Figs. 7-9 and the beyond-paper suites: one comparison grid
 # ---------------------------------------------------------------------- #
-@dataclass
-class Fig7Result:
-    model_name: str
-    conventional: ModelSchedule
-    arrayflex: ModelSchedule
+@dataclass(frozen=True)
+class GridRow(ComparisonReport):
+    """One workload on both designs at one array size and activity model.
 
-    @property
-    def total_saving(self) -> float:
-        return 1.0 - self.arrayflex.total_time_ns / self.conventional.total_time_ns
-
-    def per_layer_savings(self) -> list[float]:
-        savings = []
-        for conv_layer, af_layer in zip(self.conventional.layers, self.arrayflex.layers):
-            savings.append(1.0 - af_layer.execution_time_ns / conv_layer.execution_time_ns)
-        return savings
-
-    def shallow_layer_savings(self) -> list[float]:
-        """Savings of the layers executed in a shallow (k > 1) pipeline mode."""
-        return [
-            1.0 - af.execution_time_ns / conv.execution_time_ns
-            for conv, af in zip(self.conventional.layers, self.arrayflex.layers)
-            if af.collapse_depth > 1
-        ]
-
-    def depth_of_layer(self, index: int) -> int:
-        return self.arrayflex.layers[index - 1].collapse_depth
-
-
-class Fig7Experiment:
-    """Fig. 7: execution time of every ConvNeXt layer, conventional vs ArrayFlex.
-
-    The paper observes, on a 128x128 array: normal pipeline is best for the
-    first ~11 layers, k = 2 for the middle layers and k = 4 for the last
-    layers; per-layer savings reach up to ~26% and the total execution time
-    drops by ~11%.
+    ``activity_model`` names the model both schedules are priced under;
+    ``phase`` is the workload's (``"-"`` for a CNN).
     """
 
-    experiment_id = "fig7"
-    paper_reference = {
-        "array": "128x128",
-        "total_saving": 0.11,
-        "per_layer_saving_max": 0.26,
-        "early_layers_depth": 1,
-        "late_layers_depth": 4,
-    }
+    activity_model: str
+    phase: str
 
-    def __init__(
-        self,
-        model: CnnModel | None = None,
-        rows: int = 128,
-        cols: int = 128,
-        technology: TechnologyModel | None = None,
-        backend: ExecutionBackend | str | None = None,
-    ):
-        self.model = model or convnext_tiny()
-        self.config = ArrayFlexConfig(
-            rows=rows, cols=cols, technology=technology or TechnologyModel.default_28nm()
-        )
-        self.backend = create_backend(backend, default="batched")
 
-    def run(self) -> Fig7Result:
-        return Fig7Result(
-            model_name=self.model.name,
-            conventional=self.backend.schedule_model_conventional(
-                self.model, self.config
-            ),
-            arrayflex=self.backend.schedule_model(self.model, self.config),
-        )
+def comparison_grid(
+    workloads: Sequence,
+    sizes: tuple[int, ...] = (128, 256),
+    activity_models: tuple[str, ...] = ("constant",),
+    technology: TechnologyModel | None = None,
+    backend: ExecutionBackend | str | None = None,
+) -> list[GridRow]:
+    """ArrayFlex against the fixed-pipeline SA over size x activity model x workload.
 
-    def render(self, result: Fig7Result | None = None) -> str:
-        result = result or self.run()
-        rows = []
-        for conv_layer, af_layer in zip(result.conventional.layers, result.arrayflex.layers):
-            saving = 1.0 - af_layer.execution_time_ns / conv_layer.execution_time_ns
-            rows.append(
-                (
-                    af_layer.index,
-                    af_layer.gemm.name,
-                    af_layer.gemm.t,
-                    af_layer.collapse_depth,
-                    round(af_layer.analytical_depth, 2),
-                    conv_layer.execution_time_ns / 1000.0,
-                    af_layer.execution_time_ns / 1000.0,
-                    format_percent(saving),
-                )
+    Figs. 7-9, the transformer suite and the activity study are
+    renderers over selections of these rows, which come in loop order.
+    Both designs of every row are scheduled on one backend (default:
+    batched).
+    """
+    backend = create_backend(backend, default="batched")
+    technology = technology or TechnologyModel.default_28nm()
+    rows = []
+    for size in sizes:
+        for activity_model in activity_models:
+            config = ArrayFlexConfig(
+                rows=size, cols=size, technology=technology, activity_model=activity_model
             )
-        table = format_table(
-            [
-                "layer",
-                "name",
-                "T",
-                "k",
-                "k_hat (Eq.7)",
-                "conventional (us)",
-                "ArrayFlex (us)",
-                "saving",
-            ],
-            rows,
-            title=(
-                f"Fig. 7 -- per-layer execution time of {result.model_name} "
-                f"on {result.arrayflex.rows}x{result.arrayflex.cols} SAs"
-            ),
+            for workload in workloads:
+                arrayflex = backend.schedule_model(workload, config)
+                rows.append(
+                    GridRow(
+                        model_name=arrayflex.model_name,
+                        conventional=backend.schedule_model_conventional(workload, config),
+                        arrayflex=arrayflex,
+                        activity_model=activity_model,
+                        phase=getattr(workload, "phase", "-"),
+                    )
+                )
+    return rows
+
+
+def value_range(rows: Sequence[ComparisonReport], attribute: str) -> tuple[float, float]:
+    """(min, max) of one attribute (e.g. ``"latency_saving"``) over ``rows``."""
+    values = [getattr(row, attribute) for row in rows]
+    return min(values), max(values)
+
+
+def shallow_layer_savings(row: ComparisonReport) -> list[float]:
+    """Savings of the layers executed in a shallow (k > 1) pipeline mode."""
+    return [
+        1.0 - af.execution_time_ns / conv.execution_time_ns
+        for conv, af in zip(row.conventional.layers, row.arrayflex.layers)
+        if af.collapse_depth > 1
+    ]
+
+
+def _table_per_size(rows, title: str, headers: list[str], cells) -> str:
+    """One table per array size in grid order: ``cells`` maps the rows of
+    one size to table rows; ``title`` is formatted with that ``size``."""
+    blocks = []
+    for size in dict.fromkeys(row.arrayflex.rows for row in rows):
+        selected = [row for row in rows if row.arrayflex.rows == size]
+        blocks.append(format_table(headers, cells(selected), title=title.format(size=size)))
+    return "\n\n".join(blocks)
+
+
+def render_fig7(row: ComparisonReport) -> str:
+    """Fig. 7: execution time of every layer of one workload, both designs.
+
+    The paper observes for ConvNeXt on a 128x128 array: normal pipeline
+    is best for the first ~11 layers, k = 2 for the middle layers and
+    k = 4 for the last layers; per-layer savings reach up to ~26% and the
+    total execution time drops by ~11%.
+    """
+    layers = []
+    for conv_layer, af_layer in zip(row.conventional.layers, row.arrayflex.layers):
+        saving = 1.0 - af_layer.execution_time_ns / conv_layer.execution_time_ns
+        layers.append(
+            (
+                af_layer.index,
+                af_layer.gemm.name,
+                af_layer.gemm.t,
+                af_layer.collapse_depth,
+                round(af_layer.analytical_depth, 2),
+                conv_layer.execution_time_ns / 1000.0,
+                af_layer.execution_time_ns / 1000.0,
+                format_percent(saving),
+            )
         )
-        footer = (
-            f"\ntotal: conventional {result.conventional.total_time_ms:.3f} ms, "
-            f"ArrayFlex {result.arrayflex.total_time_ms:.3f} ms, "
-            f"saving {format_percent(result.total_saving)}"
-        )
-        return table + footer
+    table = format_table(
+        [
+            "layer",
+            "name",
+            "T",
+            "k",
+            "k_hat (Eq.7)",
+            "conventional (us)",
+            "ArrayFlex (us)",
+            "saving",
+        ],
+        layers,
+        title=(
+            f"Fig. 7 -- per-layer execution time of {row.model_name} "
+            f"on {row.arrayflex.rows}x{row.arrayflex.cols} SAs"
+        ),
+    )
+    footer = (
+        f"\ntotal: conventional {row.conventional.total_time_ms:.3f} ms, "
+        f"ArrayFlex {row.arrayflex.total_time_ms:.3f} ms, "
+        f"saving {format_percent(row.latency_saving)}"
+    )
+    return table + footer
 
 
-# ---------------------------------------------------------------------- #
-# Fig. 8 -- normalized total execution times of three CNNs
-# ---------------------------------------------------------------------- #
-@dataclass
-class Fig8Entry:
-    rows: int
-    cols: int
-    model_name: str
-    conventional_time_ms: float
-    arrayflex_time_ms: float
-    latency_saving: float
-    depth_histogram: dict[int, int] = field(default_factory=dict)
-
-
-@dataclass
-class Fig8Result:
-    entries: list[Fig8Entry]
-
-    def by_size(self, rows: int) -> list[Fig8Entry]:
-        return [entry for entry in self.entries if entry.rows == rows]
-
-    def savings_range(self) -> tuple[float, float]:
-        savings = [entry.latency_saving for entry in self.entries]
-        return min(savings), max(savings)
-
-
-class Fig8Experiment:
-    """Fig. 8: total execution time of ResNet-34, MobileNet, ConvNeXt.
+def render_fig8(rows: Sequence[GridRow]) -> str:
+    """Fig. 8: total execution time per workload, one table per array size.
 
     The paper reports 9%-11% lower execution latency for ArrayFlex across
     both 128x128 and 256x256 arrays, with the savings growing for the
     larger array because more layers prefer k = 4.
     """
 
-    experiment_id = "fig8"
-    paper_reference = {"latency_saving_range": (0.09, 0.11), "sizes": (128, 256)}
-
-    def __init__(
-        self,
-        sizes: tuple[int, ...] = (128, 256),
-        models: list[CnnModel] | None = None,
-        technology: TechnologyModel | None = None,
-        backend: ExecutionBackend | str | None = None,
-    ):
-        self.sizes = sizes
-        self.models = models or list(model_zoo().values())
-        self.technology = technology or TechnologyModel.default_28nm()
-        self.backend = create_backend(backend, default="batched")
-
-    def run(self) -> Fig8Result:
-        entries = []
-        for size in self.sizes:
-            config = ArrayFlexConfig(rows=size, cols=size, technology=self.technology)
-            for model in self.models:
-                arrayflex = self.backend.schedule_model(model, config)
-                conventional = self.backend.schedule_model_conventional(model, config)
-                entries.append(
-                    Fig8Entry(
-                        rows=size,
-                        cols=size,
-                        model_name=model.name,
-                        conventional_time_ms=conventional.total_time_ms,
-                        arrayflex_time_ms=arrayflex.total_time_ms,
-                        latency_saving=(
-                            1.0 - arrayflex.total_time_ns / conventional.total_time_ns
-                        ),
-                        depth_histogram=arrayflex.depth_histogram(),
-                    )
-                )
-        return Fig8Result(entries=entries)
-
-    def render(self, result: Fig8Result | None = None) -> str:
-        result = result or self.run()
-        blocks = []
-        for size in self.sizes:
-            entries = result.by_size(size)
-            reference = max(entry.conventional_time_ms for entry in entries)
-            rows = [
-                (
-                    entry.model_name,
-                    entry.conventional_time_ms,
-                    entry.arrayflex_time_ms,
-                    entry.conventional_time_ms / reference,
-                    entry.arrayflex_time_ms / reference,
-                    format_percent(entry.latency_saving),
-                    str(entry.depth_histogram),
-                )
-                for entry in entries
-            ]
-            blocks.append(
-                format_table(
-                    [
-                        "model",
-                        "conventional (ms)",
-                        "ArrayFlex (ms)",
-                        "conv (norm)",
-                        "AF (norm)",
-                        "saving",
-                        "layers per k",
-                    ],
-                    rows,
-                    title=f"Fig. 8 -- total execution time, {size}x{size} SAs",
-                )
+    def cells(selected):
+        reference = max(row.conventional.total_time_ms for row in selected)
+        return [
+            (
+                row.model_name,
+                row.conventional.total_time_ms,
+                row.arrayflex.total_time_ms,
+                row.conventional.total_time_ms / reference,
+                row.arrayflex.total_time_ms / reference,
+                format_percent(row.latency_saving),
+                str(row.arrayflex.depth_histogram()),
             )
-        return "\n\n".join(blocks)
+            for row in selected
+        ]
+
+    return _table_per_size(
+        rows,
+        "Fig. 8 -- total execution time, {size}x{size} SAs",
+        [
+            "model",
+            "conventional (ms)",
+            "ArrayFlex (ms)",
+            "conv (norm)",
+            "AF (norm)",
+            "saving",
+            "layers per k",
+        ],
+        cells,
+    )
 
 
-# ---------------------------------------------------------------------- #
-# Fig. 9 -- average power and EDP
-# ---------------------------------------------------------------------- #
-@dataclass
-class Fig9Entry:
-    rows: int
-    cols: int
-    model_name: str
-    conventional_power_mw: float
-    arrayflex_power_mw: float
-    power_saving: float
-    edp_gain: float
-    mode_power_mw: dict[int, float] = field(default_factory=dict)
-    mode_time_share: dict[int, float] = field(default_factory=dict)
-
-
-@dataclass
-class Fig9Result:
-    entries: list[Fig9Entry]
-
-    def by_size(self, rows: int) -> list[Fig9Entry]:
-        return [entry for entry in self.entries if entry.rows == rows]
-
-    def power_saving_range(self, rows: int) -> tuple[float, float]:
-        savings = [entry.power_saving for entry in self.by_size(rows)]
-        return min(savings), max(savings)
-
-    def edp_range(self) -> tuple[float, float]:
-        gains = [entry.edp_gain for entry in self.entries]
-        return min(gains), max(gains)
-
-
-class Fig9Experiment:
-    """Fig. 9: average power of both SAs over complete CNN runs.
+def render_fig9(rows: Sequence[GridRow]) -> str:
+    """Fig. 9: average power and EDP gain, one table per array size.
 
     The paper reports power savings of 13%-15% for 128x128 arrays and
     17%-23% for 256x256 arrays, for a combined 1.4x-1.8x energy-delay
@@ -458,403 +373,124 @@ class Fig9Experiment:
     paper.
     """
 
-    experiment_id = "fig9"
-    paper_reference = {
-        "power_saving_128": (0.13, 0.15),
-        "power_saving_256": (0.17, 0.23),
-        "edp_gain_range": (1.4, 1.8),
-    }
-
-    def __init__(
-        self,
-        sizes: tuple[int, ...] = (128, 256),
-        models: list[CnnModel] | None = None,
-        technology: TechnologyModel | None = None,
-        backend: ExecutionBackend | str | None = None,
-    ):
-        self.sizes = sizes
-        self.models = models or list(model_zoo().values())
-        self.technology = technology or TechnologyModel.default_28nm()
-        self.backend = create_backend(backend, default="batched")
-
-    def run(self) -> Fig9Result:
-        entries = []
-        for size in self.sizes:
-            config = ArrayFlexConfig(rows=size, cols=size, technology=self.technology)
-            accel = ArrayFlexAccelerator(config=config, backend=self.backend)
-            for model in self.models:
-                comparison: ComparisonReport = accel.compare_with_conventional(model)
-                arrayflex = comparison.arrayflex
-                mode_power = {
-                    depth: accel.energy.arrayflex_power_mw(
-                        depth, accel.clock.frequency_ghz(depth)
-                    )
-                    for depth in config.sorted_depths()
-                }
-                entries.append(
-                    Fig9Entry(
-                        rows=size,
-                        cols=size,
-                        model_name=model.name,
-                        conventional_power_mw=comparison.conventional.average_power_mw,
-                        arrayflex_power_mw=arrayflex.average_power_mw,
-                        power_saving=comparison.power_saving,
-                        edp_gain=comparison.edp_gain,
-                        mode_power_mw=mode_power,
-                        mode_time_share=arrayflex.time_share_by_depth(),
-                    )
-                )
-        return Fig9Result(entries=entries)
-
-    def render(self, result: Fig9Result | None = None) -> str:
-        result = result or self.run()
-        blocks = []
-        for size in self.sizes:
-            rows = []
-            for entry in result.by_size(size):
-                shares = ", ".join(
+    def cells(selected):
+        return [
+            (
+                row.model_name,
+                row.conventional.average_power_mw / 1000.0,
+                row.arrayflex.average_power_mw / 1000.0,
+                format_percent(row.power_saving),
+                format_ratio(row.edp_gain),
+                ", ".join(
                     f"k={depth}: {format_percent(share)}"
-                    for depth, share in sorted(entry.mode_time_share.items())
-                )
-                rows.append(
-                    (
-                        entry.model_name,
-                        entry.conventional_power_mw / 1000.0,
-                        entry.arrayflex_power_mw / 1000.0,
-                        format_percent(entry.power_saving),
-                        format_ratio(entry.edp_gain),
-                        shares,
-                    )
-                )
-            blocks.append(
-                format_table(
-                    [
-                        "model",
-                        "conventional (W)",
-                        "ArrayFlex (W)",
-                        "power saving",
-                        "EDP gain",
-                        "time share per mode",
-                    ],
-                    rows,
-                    title=f"Fig. 9 -- average power, {size}x{size} SAs",
-                )
+                    for depth, share in sorted(row.arrayflex.time_share_by_depth().items())
+                ),
             )
-        return "\n\n".join(blocks)
+            for row in selected
+        ]
+
+    return _table_per_size(
+        rows,
+        "Fig. 9 -- average power, {size}x{size} SAs",
+        [
+            "model",
+            "conventional (W)",
+            "ArrayFlex (W)",
+            "power saving",
+            "EDP gain",
+            "time share per mode",
+        ],
+        cells,
+    )
 
 
-# ---------------------------------------------------------------------- #
-# Beyond the paper: the transformer workload suite
-# ---------------------------------------------------------------------- #
-@dataclass
-class TransformerSuiteEntry:
-    rows: int
-    cols: int
-    workload_name: str
-    phase: str
-    num_gemms: int
-    conventional_time_ms: float
-    arrayflex_time_ms: float
-    latency_saving: float
-    edp_gain: float
-    depth_histogram: dict[int, int] = field(default_factory=dict)
+def render_transformers(rows: Sequence[GridRow]) -> str:
+    """Transformer counterpart of the Fig. 8/9 tables (not a paper figure).
 
-
-@dataclass
-class TransformerSuiteResult:
-    entries: list[TransformerSuiteEntry]
-
-    def by_size(self, rows: int) -> list[TransformerSuiteEntry]:
-        return [entry for entry in self.entries if entry.rows == rows]
-
-    def savings_range(self) -> tuple[float, float]:
-        savings = [entry.latency_saving for entry in self.entries]
-        return min(savings), max(savings)
-
-
-class TransformerSuiteExperiment:
-    """Transformer counterpart of the Fig. 8/9 paper-suite tables.
-
-    Not a paper figure: the paper evaluates CNNs only, but its per-layer
-    mode decision is defined on raw GEMM shapes, so the same machinery
-    schedules transformer traces unchanged.  This experiment runs the
-    ``transformers`` registry suite — BERT-Base and ViT-B/16 prefill,
-    GPT-2-style decode — against the conventional fixed-pipeline baseline
-    on the paper's two array sizes.  Decode (T = batch) lives deep in the
+    The paper evaluates CNNs only, but its per-layer mode decision is
+    defined on raw GEMM shapes, so the same machinery schedules
+    transformer traces unchanged.  Decode (T = batch) lives deep in the
     small-T regime where collapsed modes pay off most; prefill
     (T = batch x seq) behaves like a mid-size CNN layer.
     """
 
-    experiment_id = "transformers"
-    paper_reference = {
-        "claim": (
-            "beyond the paper: Eq. (6) decisions on raw GEMM shapes extend to "
-            "transformer attention/MLP traces"
-        )
-    }
-
-    def __init__(
-        self,
-        sizes: tuple[int, ...] = (128, 256),
-        workloads: list | None = None,
-        batch: int = 1,
-        technology: TechnologyModel | None = None,
-        backend: ExecutionBackend | str | None = None,
-    ):
-        from repro.workloads import get_suite
-
-        self.sizes = sizes
-        self.workloads = (
-            workloads if workloads is not None else get_suite("transformers", batch=batch)
-        )
-        self.technology = technology or TechnologyModel.default_28nm()
-        self.backend = create_backend(backend, default="batched")
-
-    def run(self) -> TransformerSuiteResult:
-        entries = []
-        for size in self.sizes:
-            config = ArrayFlexConfig(rows=size, cols=size, technology=self.technology)
-            for workload in self.workloads:
-                arrayflex = self.backend.schedule_model(workload, config)
-                conventional = self.backend.schedule_model_conventional(workload, config)
-                entries.append(
-                    TransformerSuiteEntry(
-                        rows=size,
-                        cols=size,
-                        workload_name=workload.name,
-                        phase=getattr(workload, "phase", "-"),
-                        num_gemms=len(arrayflex.layers),
-                        conventional_time_ms=conventional.total_time_ms,
-                        arrayflex_time_ms=arrayflex.total_time_ms,
-                        latency_saving=(
-                            1.0 - arrayflex.total_time_ns / conventional.total_time_ns
-                        ),
-                        edp_gain=(
-                            conventional.energy_delay_product
-                            / arrayflex.energy_delay_product
-                        ),
-                        depth_histogram=arrayflex.depth_histogram(),
-                    )
-                )
-        return TransformerSuiteResult(entries=entries)
-
-    def render(self, result: TransformerSuiteResult | None = None) -> str:
-        result = result or self.run()
-        blocks = []
-        for size in self.sizes:
-            rows = [
-                (
-                    entry.workload_name,
-                    entry.phase,
-                    entry.num_gemms,
-                    entry.conventional_time_ms,
-                    entry.arrayflex_time_ms,
-                    format_percent(entry.latency_saving),
-                    format_ratio(entry.edp_gain),
-                    str(dict(sorted(entry.depth_histogram.items()))),
-                )
-                for entry in result.by_size(size)
-            ]
-            blocks.append(
-                format_table(
-                    [
-                        "workload",
-                        "phase",
-                        "GEMMs",
-                        "conventional (ms)",
-                        "ArrayFlex (ms)",
-                        "saving",
-                        "EDP gain",
-                        "layers per k",
-                    ],
-                    rows,
-                    title=(
-                        f"Transformer suite -- total execution time, {size}x{size} SAs"
-                    ),
-                )
+    def cells(selected):
+        return [
+            (
+                row.model_name,
+                row.phase,
+                len(row.arrayflex.layers),
+                row.conventional.total_time_ms,
+                row.arrayflex.total_time_ms,
+                format_percent(row.latency_saving),
+                format_ratio(row.edp_gain),
+                str(dict(sorted(row.arrayflex.depth_histogram().items()))),
             )
-        return "\n\n".join(blocks)
+            for row in selected
+        ]
+
+    return _table_per_size(
+        rows,
+        "Transformer suite -- total execution time, {size}x{size} SAs",
+        [
+            "workload",
+            "phase",
+            "GEMMs",
+            "conventional (ms)",
+            "ArrayFlex (ms)",
+            "saving",
+            "EDP gain",
+            "layers per k",
+        ],
+        cells,
+    )
 
 
-# ---------------------------------------------------------------------- #
-# Beyond the paper: activity-model sensitivity of the energy results
-# ---------------------------------------------------------------------- #
-@dataclass
-class ActivitySensitivityEntry:
-    workload_name: str
-    rows: int
-    cols: int
-    average_utilization: float
-    constant_energy_nj: float
-    utilization_energy_nj: float
-    constant_edp_gain: float
-    utilization_edp_gain: float
-
-    @property
-    def energy_reduction(self) -> float:
-        """Fractional ArrayFlex *total*-energy reduction from derating.
-
-        Totals include the activity-invariant clock-tree and leakage
-        energy, so this understates the datapath-only reduction (for the
-        per-component figure see ``LayerMetrics.datapath_energy_nj``).
-        """
-        return 1.0 - self.utilization_energy_nj / self.constant_energy_nj
-
-
-@dataclass
-class ActivitySensitivityResult:
-    entries: list[ActivitySensitivityEntry]
-
-    def by_size(self, rows: int) -> list[ActivitySensitivityEntry]:
-        return [entry for entry in self.entries if entry.rows == rows]
-
-
-class ActivitySensitivityExperiment:
-    """How sensitive are the Fig. 9-style energy results to the activity model?
+def render_activity(rows: Sequence[GridRow]) -> str:
+    """Constant vs utilization activity per workload, one table per array size.
 
     Not a paper figure: the paper prices every PE as busy every cycle
     (``activity = 1.0``).  The :class:`~repro.core.activity.
     UtilizationActivity` model instead derates each layer's datapath
-    energy by its occupied-PE tiling fraction — edge tiles underfill the
-    R x C array — which lowers absolute energies without touching any
-    timing number.  This experiment runs the paper's CNN suite (plus the
-    transformer workloads) under both models and tabulates the average
-    utilization, the ArrayFlex energy under each model and the EDP gain
-    shift, quantifying how much headroom the constant-activity assumption
-    leaves on the table per workload.
+    energy by its occupied-PE tiling fraction (edge tiles underfill the
+    R x C array), which lowers absolute energies without touching any
+    timing number.  ``rows`` hold both models at every size.
     """
 
-    experiment_id = "activity"
-    paper_reference = {
-        "claim": (
-            "beyond the paper: the paper's activity=1.0 assumption is the "
-            "upper bound; tiling-utilization derating lowers datapath energy "
-            "on every layer that does not tile the array exactly"
-        )
-    }
-
-    def __init__(
-        self,
-        sizes: tuple[int, ...] = (128, 256),
-        workloads: list | None = None,
-        technology: TechnologyModel | None = None,
-        backend: ExecutionBackend | str | None = None,
-    ):
-        if workloads is None:
-            from repro.workloads import get_suite
-
-            workloads = list(model_zoo().values()) + list(get_suite("transformers"))
-        self.sizes = sizes
-        self.workloads = workloads
-        self.technology = technology or TechnologyModel.default_28nm()
-        self.backend = create_backend(backend, default="batched")
-
-    def run(self) -> ActivitySensitivityResult:
-        """Tabulate both activity models at every size via an ablation study.
-
-        Declared on the :class:`~repro.eval.ablation.AblationStudy`
-        engine: the activity model and the array geometry are the two
-        components, ``pairwise=True`` fills in the full (model x size)
-        grid, and ``conventional=True`` pairs every run with its
-        fixed-pipeline baseline.  The entries (and the rendered tables)
-        are bit-identical to the pre-engine hand-written loop — same
-        backend calls, same schedules, same division order.
-        """
-        from repro.eval.ablation import AblationStudy, Component
-
-        base = self.sizes[0]
-        components = [Component("activity_model", "constant", ("utilization",))]
-        if len(self.sizes) > 1:
-            components.append(
-                Component(
-                    "geometry",
-                    (base, base),
-                    tuple((size, size) for size in self.sizes[1:]),
-                )
-            )
-        study = AblationStudy(
-            components=components,
-            fixed={
-                "backend": self.backend,
-                "workloads": tuple(self.workloads),
-                "technology": self.technology,
-            },
-            pairwise=True,
-            totals_only=False,
-            conventional=True,
-        )
-        outcome = study.run()
-        by_key = {
+    def cells(selected):
+        constant = [row for row in selected if row.activity_model == "constant"]
+        derated = [row for row in selected if row.activity_model == "utilization"]
+        return [
             (
-                run.settings["activity_model"],
-                run.settings["geometry"],
-            ): run
-            for run in outcome.runs
-        }
-        entries = []
-        for size in self.sizes:
-            constant_run = by_key[("constant", (size, size))]
-            derated_run = by_key[("utilization", (size, size))]
-            for index in range(len(self.workloads)):
-                constant = constant_run.workloads[index].result
-                derated = derated_run.workloads[index].result
-                constant_conv = constant_run.workloads[index].conventional
-                derated_conv = derated_run.workloads[index].conventional
-                entries.append(
-                    ActivitySensitivityEntry(
-                        workload_name=constant.model_name,
-                        rows=size,
-                        cols=size,
-                        average_utilization=derated.average_utilization(),
-                        constant_energy_nj=constant.total_energy_nj,
-                        utilization_energy_nj=derated.total_energy_nj,
-                        constant_edp_gain=(
-                            constant_conv.energy_delay_product
-                            / constant.energy_delay_product
-                        ),
-                        utilization_edp_gain=(
-                            derated_conv.energy_delay_product
-                            / derated.energy_delay_product
-                        ),
-                    )
-                )
-        return ActivitySensitivityResult(entries=entries)
-
-    def render(self, result: ActivitySensitivityResult | None = None) -> str:
-        result = result or self.run()
-        blocks = []
-        for size in self.sizes:
-            rows = [
-                (
-                    entry.workload_name,
-                    format_percent(entry.average_utilization),
-                    entry.constant_energy_nj / 1000.0,
-                    entry.utilization_energy_nj / 1000.0,
-                    format_percent(entry.energy_reduction),
-                    format_ratio(entry.constant_edp_gain),
-                    format_ratio(entry.utilization_edp_gain),
-                )
-                for entry in result.by_size(size)
-            ]
-            blocks.append(
-                format_table(
-                    [
-                        "workload",
-                        "avg util",
-                        "E const (uJ)",
-                        "E util (uJ)",
-                        "energy cut",
-                        "EDP gain const",
-                        "EDP gain util",
-                    ],
-                    rows,
-                    title=(
-                        f"Activity sensitivity -- constant vs utilization "
-                        f"activity, {size}x{size} SAs"
-                    ),
-                )
+                const.model_name,
+                format_percent(util.arrayflex.average_utilization()),
+                const.arrayflex.total_energy_nj / 1000.0,
+                util.arrayflex.total_energy_nj / 1000.0,
+                # A cut of total energy, which includes the activity-invariant
+                # clock-tree and leakage energy: it understates the datapath cut.
+                format_percent(
+                    1.0 - util.arrayflex.total_energy_nj / const.arrayflex.total_energy_nj
+                ),
+                format_ratio(const.edp_gain),
+                format_ratio(util.edp_gain),
             )
-        return "\n\n".join(blocks)
+            for const, util in zip(constant, derated)
+        ]
+
+    return _table_per_size(
+        rows,
+        "Activity sensitivity -- constant vs utilization activity, {size}x{size} SAs",
+        [
+            "workload",
+            "avg util",
+            "E const (uJ)",
+            "E util (uJ)",
+            "energy cut",
+            "EDP gain const",
+            "EDP gain util",
+        ],
+        cells,
+    )
 
 
 # ---------------------------------------------------------------------- #
@@ -1263,22 +899,3 @@ class AblationExperiment:
         result = result or self.run()
         return result.render()
 
-
-# ---------------------------------------------------------------------- #
-def all_experiments() -> list[object]:
-    """Default instances of every experiment (used by docs and smoke tests)."""
-    return [
-        Fig5Experiment(layer_index=20),
-        Fig5Experiment(layer_index=28),
-        Fig6Experiment(),
-        Fig7Experiment(),
-        Fig8Experiment(),
-        Fig9Experiment(),
-        TransformerSuiteExperiment(),
-        ActivitySensitivityExperiment(),
-        AblationExperiment(),
-        Eq7ValidationExperiment(),
-        ClockFrequencyExperiment(),
-        CsaAblationExperiment(),
-        DirectionAblationExperiment(),
-    ]

@@ -19,12 +19,14 @@ from repro.eval.experiments import (
     Eq7ValidationExperiment,
     Fig5Experiment,
     Fig6Experiment,
-    Fig7Experiment,
-    Fig8Experiment,
-    Fig9Experiment,
-    TransformerSuiteExperiment,
+    GridRow,
+    comparison_grid,
+    shallow_layer_savings,
+    value_range,
 )
 from repro.eval.report import format_percent, format_ratio
+from repro.nn.models import model_zoo
+from repro.workloads import get_suite
 
 
 def _fig5_section() -> list[str]:
@@ -64,17 +66,15 @@ def _fig6_section() -> list[str]:
     ]
 
 
-def _fig7_section() -> list[str]:
-    experiment = Fig7Experiment()
-    result = experiment.run()
-    shallow = result.shallow_layer_savings()
-    histogram = result.arrayflex.depth_histogram()
+def _fig7_section(row: GridRow) -> list[str]:
+    shallow = shallow_layer_savings(row)
+    histogram = row.arrayflex.depth_histogram()
     return [
         "## Fig. 7 — per-layer execution time of ConvNeXt (128x128 SA)",
         "",
         f"* Paper: total saving ~11%, per-layer savings 1.5%–26%, early layers at "
         "k = 1, middle layers at k = 2, late layers at k = 4.",
-        f"* Measured: total saving {format_percent(result.total_saving)}; shallow-layer "
+        f"* Measured: total saving {format_percent(row.latency_saving)}; shallow-layer "
         f"savings {format_percent(min(shallow))}–{format_percent(max(shallow))}; "
         f"layers per mode {dict(sorted(histogram.items()))} "
         "(early layers select k = 1, the last stage selects k = 4).",
@@ -85,9 +85,7 @@ def _fig7_section() -> list[str]:
     ]
 
 
-def _fig8_section() -> list[str]:
-    experiment = Fig8Experiment(sizes=(128, 256))
-    result = experiment.run()
+def _fig8_section(rows: list[GridRow]) -> list[str]:
     lines = [
         "## Fig. 8 — total execution time of ResNet-34 / MobileNetV1 / ConvNeXt-T",
         "",
@@ -97,13 +95,13 @@ def _fig8_section() -> list[str]:
         "| array | model | conventional (ms) | ArrayFlex (ms) | measured saving |",
         "|---|---|---|---|---|",
     ]
-    for entry in result.entries:
+    for row in rows:
         lines.append(
-            f"| {entry.rows}x{entry.cols} | {entry.model_name} | "
-            f"{entry.conventional_time_ms:.3f} | {entry.arrayflex_time_ms:.3f} | "
-            f"{format_percent(entry.latency_saving)} |"
+            f"| {row.arrayflex.rows}x{row.arrayflex.cols} | {row.model_name} | "
+            f"{row.conventional.total_time_ms:.3f} | {row.arrayflex.total_time_ms:.3f} | "
+            f"{format_percent(row.latency_saving)} |"
         )
-    low, high = result.savings_range()
+    low, high = value_range(rows, "latency_saving")
     lines += [
         "",
         f"Measured savings range: {format_percent(low)}–{format_percent(high)}.",
@@ -112,9 +110,7 @@ def _fig8_section() -> list[str]:
     return lines
 
 
-def _fig9_section() -> list[str]:
-    experiment = Fig9Experiment(sizes=(128, 256))
-    result = experiment.run()
+def _fig9_section(rows: list[GridRow]) -> list[str]:
     lines = [
         "## Fig. 9 — average power and energy-delay product",
         "",
@@ -125,21 +121,23 @@ def _fig9_section() -> list[str]:
         "| array | model | conventional (W) | ArrayFlex (W) | power saving | EDP gain |",
         "|---|---|---|---|---|---|",
     ]
-    for entry in result.entries:
+    for row in rows:
         lines.append(
-            f"| {entry.rows}x{entry.cols} | {entry.model_name} | "
-            f"{entry.conventional_power_mw / 1000:.1f} | "
-            f"{entry.arrayflex_power_mw / 1000:.1f} | "
-            f"{format_percent(entry.power_saving)} | {format_ratio(entry.edp_gain)} |"
+            f"| {row.arrayflex.rows}x{row.arrayflex.cols} | {row.model_name} | "
+            f"{row.conventional.average_power_mw / 1000:.1f} | "
+            f"{row.arrayflex.average_power_mw / 1000:.1f} | "
+            f"{format_percent(row.power_saving)} | {format_ratio(row.edp_gain)} |"
         )
     for size in (128, 256):
-        low, high = result.power_saving_range(size)
+        low, high = value_range(
+            [row for row in rows if row.arrayflex.rows == size], "power_saving"
+        )
         lines.append("")
         lines.append(
             f"Measured {size}x{size} power savings: "
             f"{format_percent(low)}–{format_percent(high)}."
         )
-    edp_low, edp_high = result.edp_range()
+    edp_low, edp_high = value_range(rows, "edp_gain")
     lines += [
         "",
         f"Measured EDP gains: {format_ratio(edp_low)}–{format_ratio(edp_high)}.",
@@ -148,9 +146,7 @@ def _fig9_section() -> list[str]:
     return lines
 
 
-def _transformer_section() -> list[str]:
-    experiment = TransformerSuiteExperiment(sizes=(128, 256))
-    result = experiment.run()
+def _transformer_section(rows: list[GridRow]) -> list[str]:
     lines = [
         "## Beyond the paper — transformer workloads",
         "",
@@ -163,13 +159,13 @@ def _transformer_section() -> list[str]:
         "| array | workload | phase | conventional (ms) | ArrayFlex (ms) | measured saving |",
         "|---|---|---|---|---|---|",
     ]
-    for entry in result.entries:
+    for row in rows:
         lines.append(
-            f"| {entry.rows}x{entry.cols} | {entry.workload_name} | {entry.phase} | "
-            f"{entry.conventional_time_ms:.3f} | {entry.arrayflex_time_ms:.3f} | "
-            f"{format_percent(entry.latency_saving)} |"
+            f"| {row.arrayflex.rows}x{row.arrayflex.cols} | {row.model_name} | {row.phase} | "
+            f"{row.conventional.total_time_ms:.3f} | {row.arrayflex.total_time_ms:.3f} | "
+            f"{format_percent(row.latency_saving)} |"
         )
-    low, high = result.savings_range()
+    low, high = value_range(rows, "latency_saving")
     lines += [
         "",
         f"Measured savings range: {format_percent(low)}–{format_percent(high)} "
@@ -179,11 +175,7 @@ def _transformer_section() -> list[str]:
     return lines
 
 
-def _activity_section() -> list[str]:
-    from repro.eval.experiments import ActivitySensitivityExperiment
-
-    experiment = ActivitySensitivityExperiment(sizes=(128, 256))
-    result = experiment.run()
+def _activity_section(grid: list[GridRow]) -> list[str]:
     lines = [
         "## Beyond the paper — activity-model sensitivity",
         "",
@@ -198,15 +190,19 @@ def _activity_section() -> list[str]:
         "| array | workload | avg utilization | E constant (uJ) | E utilization (uJ) | energy cut | EDP gain (const → util) |",
         "|---|---|---|---|---|---|---|",
     ]
-    for entry in result.entries:
+    constant = [row for row in grid if row.activity_model == "constant"]
+    derated = [row for row in grid if row.activity_model == "utilization"]
+    for const, util in zip(constant, derated):
+        const_energy = const.arrayflex.total_energy_nj
+        util_energy = util.arrayflex.total_energy_nj
         lines.append(
-            f"| {entry.rows}x{entry.cols} | {entry.workload_name} | "
-            f"{format_percent(entry.average_utilization)} | "
-            f"{entry.constant_energy_nj / 1000.0:.1f} | "
-            f"{entry.utilization_energy_nj / 1000.0:.1f} | "
-            f"{format_percent(entry.energy_reduction)} | "
-            f"{format_ratio(entry.constant_edp_gain)} → "
-            f"{format_ratio(entry.utilization_edp_gain)} |"
+            f"| {const.arrayflex.rows}x{const.arrayflex.cols} | {const.model_name} | "
+            f"{format_percent(util.arrayflex.average_utilization())} | "
+            f"{const_energy / 1000.0:.1f} | "
+            f"{util_energy / 1000.0:.1f} | "
+            f"{format_percent(1.0 - util_energy / const_energy)} | "
+            f"{format_ratio(const.edp_gain)} → "
+            f"{format_ratio(util.edp_gain)} |"
         )
     lines += [
         "",
@@ -348,16 +344,22 @@ def generate_experiments_markdown() -> str:
         "fall.",
         "",
     ]
+    cnns = list(model_zoo().values())
+    transformers = get_suite("transformers")
+    grid = comparison_grid(cnns + transformers, activity_models=("constant", "utilization"))
+    constant = [row for row in grid if row.activity_model == "constant"]
+    cnn_rows = [row for row in constant if row.phase == "-"]
+    fig7_row = next(row for row in cnn_rows if row.model_name == "ConvNeXt-T")
     sections = (
         header
         + _clock_section()
         + _fig5_section()
         + _fig6_section()
-        + _fig7_section()
-        + _fig8_section()
-        + _fig9_section()
-        + _transformer_section()
-        + _activity_section()
+        + _fig7_section(fig7_row)
+        + _fig8_section(cnn_rows)
+        + _fig9_section(cnn_rows)
+        + _transformer_section([row for row in constant if row.phase != "-"])
+        + _activity_section(grid)
         + _eq7_section()
         + _ablation_section()
         + _importance_section()

@@ -1,9 +1,9 @@
 """Plain-text rendering of experiment results.
 
 The paper's figures are bar/line charts; in a text-only reproduction the
-same information is reported as aligned tables and normalized series.  The
-helpers here are deliberately dependency-free (no matplotlib) so that the
-benchmarks can print their tables in any environment.
+same information is reported as aligned tables.  The helpers here are
+deliberately dependency-free (no matplotlib) so that the benchmarks can
+print their tables in any environment.
 """
 
 from __future__ import annotations
@@ -69,33 +69,3 @@ def format_ratio(value: float, digits: int = 2) -> str:
     """Format an improvement factor ('1.47x')."""
     return f"{value:.{digits}f}x"
 
-
-def normalize_series(values: Sequence[float], reference: float | None = None) -> list[float]:
-    """Normalize a series to a reference value (default: its maximum).
-
-    Mirrors the presentation of the paper's Fig. 8, where execution times
-    are normalized "for visual clarity" because ConvNeXt dwarfs the others.
-    """
-    if not values:
-        return []
-    ref = reference if reference is not None else max(values)
-    if ref == 0:
-        raise ValueError("cannot normalize to a zero reference")
-    return [v / ref for v in values]
-
-
-def render_text_bars(
-    labels: Sequence[str], values: Sequence[float], width: int = 40
-) -> str:
-    """Poor-man's bar chart: one text bar per (label, value) pair."""
-    if len(labels) != len(values):
-        raise ValueError("labels and values must have the same length")
-    if not values:
-        return ""
-    peak = max(values)
-    lines = []
-    label_width = max(len(label) for label in labels)
-    for label, value in zip(labels, values):
-        bar_len = 0 if peak == 0 else int(round(width * value / peak))
-        lines.append(f"{label.ljust(label_width)}  {'#' * bar_len} {value:.4g}")
-    return "\n".join(lines)

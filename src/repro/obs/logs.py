@@ -111,9 +111,9 @@ def configure_logging(
     logger = logging.getLogger("repro")
     if level is not None:
         if isinstance(level, str):
-            level = logging.getLevelName(level.upper())
+            name, level = level, logging.getLevelName(level.upper())
             if not isinstance(level, int):
-                raise ValueError(f"unknown log level: {level!r}")
+                raise ValueError(f"unknown log level: {name!r}")
         logger.setLevel(level)
     elif logger.level == logging.NOTSET:
         logger.setLevel(logging.WARNING)

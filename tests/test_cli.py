@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -91,6 +92,19 @@ BAD_VALUES = [
     ["batch", "--batch-size", "0"],
     ["ablate", "--batch-size", "0"],
     ["workloads", "--suite", "rnns"],
+    ["batch", "--timeout", "-1", "--models", "resnet34", "--sizes", "16x16"],
+    ["batch", "--timeout", "0"],
+    ["batch", "--timeout", "nan"],
+    ["batch", "--timeout", "inf"],
+    ["batch", "--timeout", "1e10"],
+    ["batch", "--timeout", "soon"],
+    ["serve", "--timeout", "-1"],
+    ["client", "schedule", "--timeout", "0"],
+    ["client", "compare", "--timeout", "nan"],
+    ["client", "--http-timeout", "0", "healthz"],
+    ["client", "--http-timeout", "-5", "metrics"],
+    ["ablate", "--timeout", "-1"],
+    ["ablate", "--timeout", "inf"],
 ]
 
 
@@ -205,8 +219,9 @@ class TestCommands:
             (["trace", "summary", "missing.trace"], "No such file"),
             (["trace", "summary", "list.json"], "not a Chrome trace-event JSON object"),
             (["serve", "--port", "70000"], "port must be 0-65535"),
+            (["--log-level", "bogus", "info"], "unknown log level: 'bogus'"),
         ],
-        ids=["missing-trace", "non-trace-json", "port-out-of-range"],
+        ids=["missing-trace", "non-trace-json", "port-out-of-range", "unknown-log-level"],
     )
     def test_bad_input_is_one_error_line(self, command, message, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -215,6 +230,31 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("repro: error: ") and err.count("\n") == 1
         assert message in err
+
+
+#: sha256 of the stdout of ``experiment <id>`` for the five renders of the
+#: comparison grid (Python 3.11, NumPy 2.4); every backend prints the same
+#: bytes.
+GRID_RENDER_SHA256 = {
+    "fig7": "480bc86ad30c0f324e10018b7f1781a38097a10302ffb61376760b89603e2427",
+    "fig8": "e7fdcb434c0becb28ab2f01e3c3cf055da48586a7bbf4de820c88a650e494dd2",
+    "fig9": "bd1de0159809db227d47b4b567cf23e6881239acb0ab95b2b8f3a2b1ec9a9a41",
+    "transformers": "251ac916909b5e75f8004b09063adbff340c1cd308144baacc1b63b950d9037c",
+    "activity": "b276706961a85250b39f2f3ad01658403c54fb7ba40beaf9c2f44ef8ed0e9b0f",
+}
+
+
+class TestGridRenders:
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [(["experiment", name], digest) for name, digest in GRID_RENDER_SHA256.items()]
+        + [(["experiment", "activity", "--backend", "cycle"], GRID_RENDER_SHA256["activity"])],
+        ids=[*GRID_RENDER_SHA256, "activity-cycle"],
+    )
+    def test_rendered_bytes_are_pinned(self, argv, digest, capsys):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 class TestBackendFlag:

@@ -237,21 +237,34 @@ class TestImportanceMath:
 
 class TestActivityRefactor:
     def test_engine_backed_run_matches_the_inline_loop_bit_for_bit(self):
-        """The refactored ActivitySensitivityExperiment must reproduce the
-        pre-engine hand-written loop exactly — same schedules, same
-        division order, bit-identical rendered numbers."""
+        """The comparison grid's activity rows must reproduce the
+        hand-written activity loop exactly — same schedules, same
+        division order, bit-identical numbers."""
         from repro.core.activity import UtilizationActivity
-        from repro.eval.experiments import (
-            ActivitySensitivityEntry,
-            ActivitySensitivityExperiment,
-        )
+        from repro.eval.experiments import comparison_grid
         from repro.nn.models import mobilenet_v1
         from repro.backends import create_backend
 
         sizes = (16, 32)
         workloads = [mobilenet_v1()]
-        experiment = ActivitySensitivityExperiment(sizes=sizes, workloads=workloads)
-        engine_result = experiment.run()
+        grid = comparison_grid(
+            workloads, sizes=sizes, activity_models=("constant", "utilization")
+        )
+        constant_rows = [row for row in grid if row.activity_model == "constant"]
+        derated_rows = [row for row in grid if row.activity_model == "utilization"]
+        grid_entries = [
+            (
+                constant.model_name,
+                constant.arrayflex.rows,
+                constant.arrayflex.cols,
+                derated.arrayflex.average_utilization(),
+                constant.arrayflex.total_energy_nj,
+                derated.arrayflex.total_energy_nj,
+                constant.edp_gain,
+                derated.edp_gain,
+            )
+            for constant, derated in zip(constant_rows, derated_rows)
+        ]
 
         backend = create_backend(None, default="batched")
         entries = []
@@ -270,27 +283,24 @@ class TestActivityRefactor:
                     workload, utilization_config
                 )
                 entries.append(
-                    ActivitySensitivityEntry(
-                        workload_name=constant.model_name,
-                        rows=size,
-                        cols=size,
-                        average_utilization=derated.average_utilization(),
-                        constant_energy_nj=constant.total_energy_nj,
-                        utilization_energy_nj=derated.total_energy_nj,
-                        constant_edp_gain=(
+                    (
+                        constant.model_name,
+                        size,
+                        size,
+                        derated.average_utilization(),
+                        constant.total_energy_nj,
+                        derated.total_energy_nj,
+                        (
                             constant_conv.energy_delay_product
                             / constant.energy_delay_product
                         ),
-                        utilization_edp_gain=(
+                        (
                             derated_conv.energy_delay_product
                             / derated.energy_delay_product
                         ),
                     )
                 )
-        assert engine_result.entries == entries  # == on floats: bit-identical
-        assert experiment.render(engine_result) == experiment.render(
-            type(engine_result)(entries=entries)
-        )
+        assert grid_entries == entries  # == on floats: bit-identical
 
 
 class TestDefaultStudy:

@@ -1,7 +1,8 @@
-"""Tests for the experiment harness (one object per paper figure)."""
+"""Tests for the experiment harness and the comparison grid."""
 
 import pytest
 
+from repro.cli import _SCHEDULING_EXPERIMENTS, EXPERIMENT_FACTORIES
 from repro.eval.experiments import (
     ClockFrequencyExperiment,
     CsaAblationExperiment,
@@ -9,12 +10,15 @@ from repro.eval.experiments import (
     Eq7ValidationExperiment,
     Fig5Experiment,
     Fig6Experiment,
-    Fig7Experiment,
-    Fig8Experiment,
-    Fig9Experiment,
-    TransformerSuiteExperiment,
-    all_experiments,
+    comparison_grid,
+    render_fig7,
+    render_fig8,
+    render_fig9,
+    render_transformers,
+    value_range,
 )
+from repro.nn.models import convnext_tiny, model_zoo
+from repro.workloads import get_suite
 
 
 class TestFig5:
@@ -49,53 +53,51 @@ class TestFig6:
 class TestFig7:
     @pytest.fixture(scope="class")
     def result(self):
-        return Fig7Experiment().run()
+        (row,) = comparison_grid([convnext_tiny()], sizes=(128,))
+        return row
 
     def test_total_saving_band(self, result):
-        assert 0.06 < result.total_saving < 0.16
+        assert 0.06 < result.latency_saving < 0.16
 
     def test_layer_count_preserved(self, result):
         assert len(result.arrayflex.layers) == len(result.conventional.layers) == 59
 
     def test_early_layers_normal_late_layers_deep(self, result):
-        assert result.depth_of_layer(1) == 1
-        assert result.depth_of_layer(len(result.arrayflex.layers) - 1) == 4
-
-    def test_per_layer_savings_list_length(self, result):
-        assert len(result.per_layer_savings()) == 59
+        assert result.arrayflex.layers[0].collapse_depth == 1
+        assert result.arrayflex.layers[-2].collapse_depth == 4
 
     def test_render_footer_totals(self, result):
-        text = Fig7Experiment().render(result)
+        text = render_fig7(result)
         assert "total:" in text
 
 
 class TestFig8AndFig9:
     @pytest.fixture(scope="class")
     def fig8(self):
-        return Fig8Experiment(sizes=(128,)).run()
+        return comparison_grid(list(model_zoo().values()), sizes=(128,))
 
     @pytest.fixture(scope="class")
     def fig9(self):
-        return Fig9Experiment(sizes=(128,)).run()
+        return comparison_grid(list(model_zoo().values()), sizes=(128,))
 
     def test_fig8_entry_per_model(self, fig8):
-        assert len(fig8.entries) == 3
+        assert len(fig8) == 3
 
     def test_fig8_savings_positive(self, fig8):
-        low, high = fig8.savings_range()
+        low, high = value_range(fig8, "latency_saving")
         assert low > 0.0 and high < 0.25
 
     def test_fig9_power_savings_positive(self, fig9):
-        low, high = fig9.power_saving_range(128)
+        low, high = value_range(fig9, "power_saving")
         assert low > 0.0 and high < 0.30
 
     def test_fig9_mode_time_shares_sum_to_one(self, fig9):
-        for entry in fig9.entries:
-            assert sum(entry.mode_time_share.values()) == pytest.approx(1.0)
+        for row in fig9:
+            assert sum(row.arrayflex.time_share_by_depth().values()) == pytest.approx(1.0)
 
     def test_renders_are_non_empty(self, fig8, fig9):
-        assert "Fig. 8" in Fig8Experiment(sizes=(128,)).render(fig8)
-        assert "Fig. 9" in Fig9Experiment(sizes=(128,)).render(fig9)
+        assert "Fig. 8" in render_fig8(fig8)
+        assert "Fig. 9" in render_fig9(fig9)
 
 
 class TestOtherExperiments:
@@ -121,40 +123,40 @@ class TestOtherExperiments:
             )
 
     def test_all_experiments_run_and_render(self):
-        """Smoke test: every experiment exposes the same minimal interface."""
-        for experiment in all_experiments():
-            assert hasattr(experiment, "experiment_id")
-            assert isinstance(experiment.paper_reference, dict)
-            text = experiment.render()
-            assert isinstance(text, str) and text
+        """Smoke test: every experiment id renders non-empty tables."""
+        for name, factory in EXPERIMENT_FACTORIES.items():
+            tables = factory(None) if name in _SCHEDULING_EXPERIMENTS else factory()
+            for text in tables:
+                assert isinstance(text, str) and text
 
 
 class TestTransformerSuite:
     @pytest.fixture(scope="class")
     def result(self):
-        return TransformerSuiteExperiment(sizes=(128,)).run()
+        return comparison_grid(get_suite("transformers"), sizes=(128,))
 
     def test_covers_all_three_workloads_with_phases(self, result):
-        assert {(e.workload_name, e.phase) for e in result.entries} == {
+        assert {(row.model_name, row.phase) for row in result} == {
             ("BERT-Base", "prefill"),
             ("ViT-B/16", "prefill"),
             ("GPT-2-decode", "decode"),
         }
 
     def test_every_workload_saves_latency(self, result):
-        low, high = result.savings_range()
+        low, high = value_range(result, "latency_saving")
         assert 0.0 < low <= high < 1.0
 
     def test_decode_saves_most(self, result):
         """T = batch decode is the small-T regime collapsing pays off in."""
-        savings = {e.workload_name: e.latency_saving for e in result.entries}
+        savings = {row.model_name: row.latency_saving for row in result}
         assert savings["GPT-2-decode"] == max(savings.values())
 
     def test_render_mentions_workloads(self, result):
-        text = TransformerSuiteExperiment(sizes=(128,)).render(result)
+        text = render_transformers(result)
         assert "BERT-Base" in text and "decode" in text
 
     def test_batched_backend_matches_analytical(self):
-        fast = TransformerSuiteExperiment(sizes=(128,), backend="batched").run()
-        reference = TransformerSuiteExperiment(sizes=(128,), backend="analytical").run()
+        transformers = get_suite("transformers")
+        fast = comparison_grid(transformers, sizes=(128,), backend="batched")
+        reference = comparison_grid(transformers, sizes=(128,), backend="analytical")
         assert fast == reference

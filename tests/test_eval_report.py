@@ -1,14 +1,6 @@
 """Tests for the text rendering helpers."""
 
-import pytest
-
-from repro.eval.report import (
-    format_percent,
-    format_ratio,
-    format_table,
-    normalize_series,
-    render_text_bars,
-)
+from repro.eval.report import format_percent, format_ratio, format_table
 
 
 class TestFormatTable:
@@ -46,31 +38,3 @@ class TestScalarFormatters:
     def test_ratio(self):
         assert format_ratio(1.478) == "1.48x"
 
-
-class TestSeriesHelpers:
-    def test_normalize_to_max(self):
-        assert normalize_series([1.0, 2.0, 4.0]) == [0.25, 0.5, 1.0]
-
-    def test_normalize_to_reference(self):
-        assert normalize_series([1.0, 2.0], reference=2.0) == [0.5, 1.0]
-
-    def test_normalize_empty(self):
-        assert normalize_series([]) == []
-
-    def test_normalize_zero_reference_rejected(self):
-        with pytest.raises(ValueError):
-            normalize_series([1.0], reference=0.0)
-
-    def test_text_bars(self):
-        bars = render_text_bars(["a", "bb"], [1.0, 2.0], width=10)
-        lines = bars.splitlines()
-        assert len(lines) == 2
-        assert lines[1].count("#") == 10
-        assert lines[0].count("#") == 5
-
-    def test_text_bars_length_mismatch(self):
-        with pytest.raises(ValueError):
-            render_text_bars(["a"], [1.0, 2.0])
-
-    def test_text_bars_empty(self):
-        assert render_text_bars([], []) == ""

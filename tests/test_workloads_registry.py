@@ -250,6 +250,6 @@ class TestEdgeCaseHardening:
             register_workload("x@bs_opt", resnet34, suite="test")
 
     def test_explicit_empty_experiment_workloads_not_replaced(self):
-        from repro.eval.experiments import TransformerSuiteExperiment
+        from repro.eval.experiments import comparison_grid
 
-        assert TransformerSuiteExperiment(workloads=[]).workloads == []
+        assert comparison_grid([]) == []
