@@ -42,15 +42,11 @@ from bench_scenarios import (  # noqa: E402
     cycle_calibration_cold,
     daemon_bench_requests,
     design_space_sweep,
-    engine_array,
-    engine_tile_operands,
     eq3_lines,
     json_v1_warm_load,
     run_ablation_sweep,
-    run_batched_tiles,
     run_direct_schedules,
     run_http_schedules,
-    run_scalar_tiles,
     schedule_transformer_suite,
     sweep_under_tracer,
     write_json_v1_shard,
@@ -200,17 +196,6 @@ def collect(rounds: int = 3) -> dict:
     assert ablation_results[0].ranking, "ablation sweep produced no ranking"
     assert all(run.ok for run in ablation_results[0].runs), "ablation run failed"
 
-    # Batched tile engine vs the scalar stepping loop on the same tiles
-    # (the test_bench_engine.py scenario).
-    engine = engine_array()
-    a_tiles, b_tiles = engine_tile_operands()
-    timings_ms["engine_tiles_scalar"] = 1e3 * _best_of(
-        lambda: run_scalar_tiles(engine, a_tiles, b_tiles), rounds
-    )
-    timings_ms["engine_tiles_batched"] = 1e3 * _best_of(
-        lambda: run_batched_tiles(engine, a_tiles, b_tiles), rounds
-    )
-
     # Store warm load: a fresh handle mmap-loading one >= 10k-decision
     # columnar shard vs parsing the same decisions from the v1 JSON
     # format (the test_bench_store.py scenario).
@@ -262,9 +247,6 @@ def collect(rounds: int = 3) -> dict:
         "store_warm_vs_json_v1": (
             timings_ms["store_warm_load_json_v1"]
             / timings_ms["store_warm_load_columnar"]
-        ),
-        "engine_batched_speedup": (
-            timings_ms["engine_tiles_scalar"] / timings_ms["engine_tiles_batched"]
         ),
         "utilization_activity_overhead": (
             timings_ms["design_space_utilization_activity"]

@@ -35,64 +35,6 @@ TRANSFORMER_SUITE = "transformers"
 TRANSFORMER_SIZES = (128, 256)
 
 
-#: The batched-engine scenario (``test_bench_engine.py`` and the
-#: ``BENCH_<sha>.json`` artifact): one batch of same-depth tiles through
-#: ``CycleAccurateSystolicArray.simulate_tiles`` vs the same tiles
-#: through a scalar ``simulate_tile`` loop.  Small array, many tiles —
-#: the regime where per-tile Python stepping overhead dominates and the
-#: closed-form batched path pays off most.
-ENGINE_TILE_SIZE = 16
-ENGINE_TILE_T = 32
-ENGINE_TILE_BATCH = 64
-ENGINE_TILE_DEPTH = 2
-
-
-def engine_tile_operands():
-    """Deterministic same-depth operand tiles of the engine scenario.
-
-    A mix of full and edge tile shapes, so the batched call exercises the
-    heterogeneous-shape path it runs in production.
-    """
-    import numpy as np
-
-    rng = np.random.default_rng(20230307)
-    a_tiles, b_tiles = [], []
-    for index in range(ENGINE_TILE_BATCH):
-        rows_used = ENGINE_TILE_SIZE if index % 4 else ENGINE_TILE_SIZE - 3
-        cols_used = ENGINE_TILE_SIZE if index % 5 else ENGINE_TILE_SIZE - 7
-        a_tiles.append(
-            rng.integers(-8, 8, size=(ENGINE_TILE_T, rows_used), dtype=np.int64)
-        )
-        b_tiles.append(
-            rng.integers(-8, 8, size=(rows_used, cols_used), dtype=np.int64)
-        )
-    return a_tiles, b_tiles
-
-
-def engine_array():
-    """A fresh array of the engine scenario's geometry."""
-    from repro.sim.systolic_sim import CycleAccurateSystolicArray
-
-    return CycleAccurateSystolicArray(
-        rows=ENGINE_TILE_SIZE,
-        cols=ENGINE_TILE_SIZE,
-        collapse_depth=ENGINE_TILE_DEPTH,
-    )
-
-
-def run_batched_tiles(array, a_tiles, b_tiles):
-    """One batched ``simulate_tiles`` call over the whole scenario batch."""
-    return array.simulate_tiles(a_tiles, b_tiles)
-
-
-def run_scalar_tiles(array, a_tiles, b_tiles):
-    """The same tiles through the scalar register-stepping reference."""
-    return [
-        array.simulate_tile(a_tile, b_tile)
-        for a_tile, b_tile in zip(a_tiles, b_tiles)
-    ]
-
-
 def cycle_calibration_cold():
     """A fresh cycle backend's first ResNet-34 schedule at 128x128.
 

@@ -2,13 +2,12 @@
 
 Not a paper figure.  Two scenarios:
 
-* ``test_cycle_sim_tiled_gemm`` times ``run_tiled_gemm``, which runs
-  every tile through ``simulate_tiles`` (one integer matmul plus the
-  closed-form control schedule; no register is stepped), and re-asserts
-  that its cycle counts equal the closed-form Eqs. (1)/(3)/(4) and that
+* ``test_cycle_sim_tiled_gemm`` times ``run_tiled_gemm``, which steps
+  every tile's registers on ``simulate_tile``, and re-asserts that its
+  measured cycle counts equal the closed-form Eqs. (1)/(3)/(4) and that
   the product is bit-exact;
-* ``test_cycle_calibration_cold_128x128`` times the register-stepped
-  path: a fresh ``cycle`` backend's first ResNet-34 schedule at 128x128,
+* ``test_cycle_calibration_cold_128x128`` times the ``cycle`` backend's
+  calibration: a fresh backend's first ResNet-34 schedule at 128x128,
   which steps nine probe tiles through ``simulate_tile``, and asserts
   that the measured lines are Eq. (3) and the schedule equals the
   analytical backend's.  No wall-clock bound: the timing is recorded,

@@ -6,12 +6,14 @@ example shows the underlying hardware behaviour with the cycle-accurate
 simulator:
 
 * a random integer GEMM is executed tile by tile on a small 16x16 array in
-  normal mode (k = 1) and both shallow modes (k = 2, k = 4);
-* every run produces exactly the same product as NumPy (bit-true
-  integer arithmetic through the carry-save datapath);
-* the measured cycle counts match Eqs. (1)/(3)/(4), and the shallow modes
-  show the clock-gated (transparent) register fraction the power model
-  relies on.
+  normal mode (k = 1) and both shallow modes (k = 2, k = 4), stepping
+  every group-boundary pipeline register cycle by cycle;
+* every run produces exactly the same product as NumPy (exact int64
+  arithmetic; the bit-level carry-save datapath is
+  ``repro.arch.SystolicArrayModel(use_bitlevel=True)``);
+* the cycle counts, measured at the last south-edge capture, match
+  Eqs. (1)/(3)/(4), and the shallow modes show the clock-gated
+  (transparent) register fraction the power model relies on.
 
 Run with:  python examples/functional_simulation.py
 """

@@ -7,9 +7,8 @@ This example closes the loop of the paper's Section II end to end:
    quantized to integers (the paper evaluates 32-bit quantized inference;
    8 bits are used here so the example prints nicely);
 2. the convolution is lowered to its weight-stationary GEMM with im2col;
-3. the GEMM is executed tile by tile on the simulator's batched tile
-   engine (an integer matmul plus the closed-form control schedule) in the
-   pipeline mode the Eq. (7)/Eq. (6) optimizer selects;
+3. the GEMM is executed tile by tile on the register-stepping simulator
+   in the pipeline mode the Eq. (7)/Eq. (6) optimizer selects;
 4. the result is folded back into a feature map and verified against a
    direct convolution.
 

@@ -2,8 +2,9 @@
 
 This package models the hardware organisation the paper describes at the
 block level -- processing elements with configurable transparent pipeline
-registers, the configuration plane, the array fabric, the edge memories and
-the weight-stationary dataflow -- as explicit Python objects.
+registers, the configuration plane, the array fabric, the south-edge
+output accumulators and the weight-stationary dataflow -- as explicit
+Python objects.
 
 The structural model is intentionally object-per-element: it is the
 reference against which the fast vectorised cycle simulator
@@ -20,15 +21,14 @@ Modules
   collapse depth k into per-PE configuration bits.
 * :mod:`repro.arch.array` -- the R x C array fabric executing one tile
   cycle-by-cycle through the PE objects.
-* :mod:`repro.arch.memory` -- west/north SRAM banks and the south output
-  accumulators with access counting.
+* :mod:`repro.arch.memory` -- the south-edge output accumulators.
 * :mod:`repro.arch.dataflow` -- weight-stationary skew schedules for
   normal and shallow pipeline modes.
 """
 
 from repro.arch.control import ConfigurationPlane, PEConfigBits
 from repro.arch.dataflow import WeightStationaryDataflow
-from repro.arch.memory import AccumulatorBank, SRAMBank
+from repro.arch.memory import AccumulatorBank
 from repro.arch.pe import ConfigurablePE, ConventionalPE, PEOutputs
 from repro.arch.registers import PipelineRegister, RegisterActivity
 from repro.arch.array import SystolicArrayModel, TileExecutionResult
@@ -43,7 +43,6 @@ __all__ = [
     "ConfigurationPlane",
     "SystolicArrayModel",
     "TileExecutionResult",
-    "SRAMBank",
     "AccumulatorBank",
     "WeightStationaryDataflow",
 ]

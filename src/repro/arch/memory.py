@@ -1,71 +1,17 @@
-"""Edge memories of the systolic array.
+"""Output accumulators below the south edge of the systolic array.
 
-The paper's Fig. 1(a) shows the memory organisation the dataflow relies on:
-
-* SRAM banks on the *west* edge feed the input features (one bank per row,
-  one word per cycle),
-* SRAM banks on the *north* edge hold the weights that are pre-loaded into
-  the array (one bank per column),
-* output accumulators below the *south* edge add up the partial sums of
-  successive tiles of the tiled matrix multiplication (Fig. 1(c)).
-
-The models here are functional (NumPy-backed) but keep access counters so
-that SRAM traffic and accumulator activity can be reported and so that the
-energy model can include them when asked to (the paper's power numbers
-exclude SRAM power, and so do the headline experiments -- see Fig. 9's
-caption -- but the counters make the omission explicit and reversible).
+The paper's Fig. 1(a) places output accumulators below the *south* edge:
+they add up the partial sums of successive tiles of the tiled matrix
+multiplication (Fig. 1(c)).  The west and north SRAM banks that feed
+activations and weights are not modelled; the simulator counts their
+word traffic in :class:`~repro.sim.stats.SimulationStats` instead (the
+paper's power numbers exclude SRAM power, and so do the headline
+experiments -- see Fig. 9's caption).
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-class SRAMBank:
-    """A single-port SRAM bank with word-level access counting."""
-
-    def __init__(self, name: str, depth: int, word_bits: int) -> None:
-        if depth <= 0 or word_bits <= 0:
-            raise ValueError("SRAM depth and word width must be positive")
-        self.name = name
-        self.depth = depth
-        self.word_bits = word_bits
-        self._data = np.zeros(depth, dtype=np.int64)
-        self.reads = 0
-        self.writes = 0
-
-    def write(self, address: int, value: int) -> None:
-        self._check_address(address)
-        self._data[address] = value
-        self.writes += 1
-
-    def read(self, address: int) -> int:
-        self._check_address(address)
-        self.reads += 1
-        return int(self._data[address])
-
-    def write_block(self, start: int, values: np.ndarray) -> None:
-        """Bulk write (DMA-style fill); counted as one write per word."""
-        values = np.asarray(values, dtype=np.int64)
-        self._check_address(start)
-        self._check_address(start + len(values) - 1)
-        self._data[start : start + len(values)] = values
-        self.writes += len(values)
-
-    def _check_address(self, address: int) -> None:
-        if not 0 <= address < self.depth:
-            raise IndexError(
-                f"address {address} out of range for SRAM bank {self.name!r} "
-                f"of depth {self.depth}"
-            )
-
-    @property
-    def total_accesses(self) -> int:
-        return self.reads + self.writes
-
-    def access_bits(self) -> int:
-        """Total bits moved in or out of the bank (for energy accounting)."""
-        return self.total_accesses * self.word_bits
 
 
 class AccumulatorBank:
@@ -76,23 +22,12 @@ class AccumulatorBank:
     the N (reduction) dimension.
     """
 
-    def __init__(self, cols: int, t_rows: int, accum_bits: int = 64) -> None:
+    def __init__(self, cols: int, t_rows: int) -> None:
         if cols <= 0 or t_rows <= 0:
             raise ValueError("accumulator dimensions must be positive")
         self.cols = cols
         self.t_rows = t_rows
-        self.accum_bits = accum_bits
         self._values = np.zeros((t_rows, cols), dtype=np.int64)
-        self.accumulations = 0
-
-    def accumulate(self, t_index: int, col: int, partial: int) -> None:
-        """Add one partial sum arriving from the bottom of column ``col``."""
-        if not 0 <= t_index < self.t_rows:
-            raise IndexError(f"row index {t_index} out of range")
-        if not 0 <= col < self.cols:
-            raise IndexError(f"column index {col} out of range")
-        self._values[t_index, col] += partial
-        self.accumulations += 1
 
     def accumulate_block(self, block: np.ndarray, col_offset: int = 0) -> None:
         """Add a whole (T x cols_block) tile result at a column offset."""
@@ -104,35 +39,7 @@ class AccumulatorBank:
         if col_offset < 0 or col_offset + block.shape[1] > self.cols:
             raise ValueError("block does not fit at the requested column offset")
         self._values[:, col_offset : col_offset + block.shape[1]] += block
-        self.accumulations += int(block.size)
 
     def read_result(self) -> np.ndarray:
         """The accumulated output matrix (copy)."""
         return self._values.copy()
-
-    def reset(self) -> None:
-        self._values[:] = 0
-
-
-def build_edge_memories(
-    rows: int,
-    cols: int,
-    t_rows: int,
-    input_width: int = 32,
-    depth_per_bank: int = 4096,
-) -> tuple[list[SRAMBank], list[SRAMBank], AccumulatorBank]:
-    """Convenience constructor of the full edge-memory complement.
-
-    Returns (west input banks, north weight banks, south accumulator bank)
-    sized for one R x C array processing tiles with T-row activations.
-    """
-    west = [
-        SRAMBank(f"west[{r}]", depth=depth_per_bank, word_bits=input_width)
-        for r in range(rows)
-    ]
-    north = [
-        SRAMBank(f"north[{c}]", depth=depth_per_bank, word_bits=input_width)
-        for c in range(cols)
-    ]
-    south = AccumulatorBank(cols=cols, t_rows=t_rows)
-    return west, north, south

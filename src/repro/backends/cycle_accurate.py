@@ -2,10 +2,11 @@
 
 Instead of trusting Eq. (3), this backend *measures* the per-tile cycle
 count on the register-stepping simulator
-(:meth:`repro.sim.systolic_sim.CycleAccurateSystolicArray.simulate_tile`)
-and scales it by the Eq. (4) tile count (every tile of a layer takes the
-same number of cycles — the per-tile latency depends only on the array
-geometry, the streamed dimension T and the collapse depth).
+(:meth:`repro.sim.systolic_sim.CycleAccurateSystolicArray.simulate_tiles`,
+a loop of ``simulate_tile`` calls) and scales it by the Eq. (4) tile
+count (every tile of a layer takes the same number of cycles — the
+per-tile latency depends only on the array geometry, the streamed
+dimension T and the collapse depth).
 
 A tile's latency is affine in T (Eqs. (1)/(3)), so each (geometry, mode)
 pair is calibrated once: the backend steps three short full-array probe
@@ -148,11 +149,14 @@ class CycleAccurateBackend(BatchedCachedBackend):
             cols=cols,
             depth=collapse_depth,
         ):
-            for t_rows in self.PROBE_DEPTHS:
-                a_tile, b_tile = random_int_matrices(
-                    t_rows, rows, cols, seed=self.measurement_seed
-                )
-                result = array.simulate_tile(a_tile, b_tile)
+            a_tiles, b_tiles = zip(*(
+                random_int_matrices(t_rows, rows, cols, seed=self.measurement_seed)
+                for t_rows in self.PROBE_DEPTHS
+            ))
+            results = array.simulate_tiles(a_tiles, b_tiles)
+            for t_rows, a_tile, b_tile, result in zip(
+                self.PROBE_DEPTHS, a_tiles, b_tiles, results
+            ):
                 if not np.array_equal(result.output, a_tile @ b_tile):
                     raise RuntimeError(
                         f"cycle-accurate simulation produced a wrong product "

@@ -65,8 +65,7 @@ class ConventionalAccelerator:
     def execute_gemm(self, a_matrix: np.ndarray, b_matrix: np.ndarray) -> TiledGemmResult:
         """Execute ``A @ B`` through :func:`run_tiled_gemm` (always k = 1).
 
-        The batched tile engine: an integer matmul plus the closed-form
-        control schedule; no register is stepped.
+        Every tile's registers are stepped, all of them clocked every cycle.
         """
         a_matrix = np.asarray(a_matrix)
         b_matrix = np.asarray(b_matrix)

@@ -87,6 +87,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import threading
@@ -174,6 +175,22 @@ def _timeout_seconds(text: str) -> float:
             f"got {text!r}"
         )
     return seconds
+
+
+def _finite_float(low: float, *, inclusive: bool):
+    """A ``type=`` for a finite number above ``low`` (or equal to it, if ``inclusive``)."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value) or value < low or (value == low and not inclusive):
+            bound = f">= {low:g}" if inclusive else f"> {low:g}"
+            raise argparse.ArgumentTypeError(f"must be a finite number {bound}, got {text!r}")
+        return value
+
+    return parse
 
 
 def _parse_size(text: str) -> tuple[int, int]:
@@ -346,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--rate-limit",
-        type=float,
+        type=_finite_float(0, inclusive=False),
         default=None,
         help=(
             "per-client token-bucket rate in requests/second, keyed by the "
@@ -355,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--rate-burst",
-        type=float,
+        type=_finite_float(1, inclusive=True),
         default=None,
         help="token-bucket burst depth (default: one second's worth of --rate-limit)",
     )

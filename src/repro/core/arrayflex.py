@@ -182,11 +182,10 @@ class ArrayFlexAccelerator:
         """Execute ``A @ B`` through :func:`run_tiled_gemm`.
 
         When ``collapse_depth`` is None the optimizer picks the mode from
-        the GEMM dimensions.  The output is bit-exact; the cycle counts
-        come from the batched tile engine's closed-form control schedule
-        (no register is stepped).  This is much slower than the
-        analytical path; use it for validation and for modest matrix
-        sizes.
+        the GEMM dimensions.  Every tile's registers are stepped, so the
+        output is bit-exact and the cycle counts are measured.  This is
+        much slower than the analytical path; use it for validation and
+        for modest matrix sizes.
         """
         a_matrix = np.asarray(a_matrix)
         b_matrix = np.asarray(b_matrix)

@@ -1,7 +1,7 @@
 """Layer-level functional inference on the simulated accelerators.
 
 This module executes real (quantized, integer) convolution and linear
-layers on the systolic-array simulator's batched tile engine, closing the
+layers on the register-stepping systolic-array simulator, closing the
 loop between the paper's Section II mapping and its Section IV
 evaluation:
 
@@ -9,9 +9,8 @@ evaluation:
    matrices of the weight-stationary GEMM;
 2. the GEMM is executed tile by tile on
    :func:`repro.sim.tiling.run_tiled_gemm` with a chosen (or
-   optimizer-selected) pipeline collapse depth: an integer matmul per
-   batch of tiles plus the closed-form control schedule, so no register
-   is stepped (only ``simulate_tile`` steps them);
+   optimizer-selected) pipeline collapse depth, stepping every tile's
+   registers on ``simulate_tile``;
 3. the result is folded back into a feature map and can be verified
    against a direct convolution.
 

@@ -133,12 +133,13 @@ class TokenBucket:
         burst: float | None = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if rate is not None and rate <= 0:
-            raise InvalidRequest("rate limit must be positive (or None to disable)")
+        # Written so that NaN fails too: a NaN or infinite bucket admits everything.
+        if rate is not None and not 0 < rate < math.inf:
+            raise InvalidRequest("rate limit must be finite and positive (or None to disable)")
         self.rate = rate
         self.burst = burst if burst is not None else (rate if rate is not None else 0.0)
-        if rate is not None and self.burst < 1:
-            raise InvalidRequest("rate-limit burst must allow at least one request")
+        if rate is not None and not 1 <= self.burst < math.inf:
+            raise InvalidRequest("rate-limit burst must be finite and allow at least one request")
         self._clock = clock
         self._lock = threading.Lock()
         #: client id -> (tokens, last refill timestamp)

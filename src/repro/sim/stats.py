@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -27,7 +27,6 @@ class SimulationStats:
     sram_writes: int = 0
     accumulator_updates: int = 0
     tiles_executed: int = 0
-    extra: dict[str, float] = field(default_factory=dict)
 
     # ------------------------------------------------------------------ #
     @property
@@ -62,8 +61,6 @@ class SimulationStats:
         self.sram_writes += other.sram_writes
         self.accumulator_updates += other.accumulator_updates
         self.tiles_executed += other.tiles_executed
-        for key, value in other.extra.items():
-            self.extra[key] = self.extra.get(key, 0.0) + value
         return self
 
     def as_dict(self) -> dict[str, float]:

@@ -21,27 +21,15 @@ or tag can overflow it (``max|A| * max|B| * rows_used`` and T - 1 both
 at most 2^31 - 1, see :func:`stepping_dtype`) and in int64 otherwise,
 wrapping like ``A @ B``; the output is int64 either way.
 
-The simulator reports the *measured* cycle count; the test-suite checks it
-against the closed-form Eqs. (1) and (3), and the computed product against
-``A @ B``.
+The simulator reports the *measured* cycle count: the compute phase ends
+with the last south-edge capture.  The test-suite checks it against the
+closed-form Eqs. (1) and (3), and the computed product against ``A @ B``.
 
-Two entry points produce those results:
-
-* :meth:`CycleAccurateSystolicArray.simulate_tile` runs one tile and is
-  the only register-stepped path: one loop clocks every group-boundary
-  value and tag register once per cycle;
-* :meth:`CycleAccurateSystolicArray.simulate_tiles` runs a *batch* of
-  tiles that stream the same depth T, stacking the tiles on a leading
-  batch axis and replaying the register trajectory in closed form
-  instead of stepping it.  The control path (tags, skew, capture
-  schedule, activity counts) depends only on the geometry, the mode and
-  T — never on the operand values or on how much of the array a tile
-  fills — so it is derived once per call; the value path is a pure
-  delay network whose south-edge captures reduce to the padded integer
-  product (the derivation is in the method body).  Outputs and every
-  :class:`~repro.sim.stats.SimulationStats` field are bit-identical to
-  running the tiles one at a time through the stepping path
-  (property-tested in ``tests/test_sim_batched.py``).
+:meth:`CycleAccurateSystolicArray.simulate_tile` is the only tile engine:
+one loop clocks every group-boundary value and tag register once per
+cycle.  :meth:`CycleAccurateSystolicArray.simulate_tiles` runs a sequence
+of tiles through it, so every tiled GEMM (:func:`repro.sim.tiling.run_tiled_gemm`)
+and every calibration probe of the ``cycle`` backend steps registers.
 """
 
 from __future__ import annotations
@@ -52,7 +40,6 @@ import numpy as np
 
 from repro.arch.dataflow import WeightStationaryDataflow
 from repro.sim.stats import SimulationStats
-from repro.sim.trace import CycleTrace
 
 
 @dataclass
@@ -68,25 +55,22 @@ class TileSimResult:
         return self.stats.total_cycles
 
 
-@dataclass
-class _TileControl:
-    """The operand-independent control schedule of a depth-T tile run.
+def integer_operand(values) -> np.ndarray:
+    """``values`` as an int64 array; an entry that is not a whole number is refused.
 
-    Everything here follows from (R, C, k, T) alone: the west-edge tag
-    schedule, which (cycle, column) pairs capture an output and for which
-    tag, and how many PEs see a live tag each cycle.  The batched
-    simulation path computes it once per call and shares it across every
-    tile of the batch.
+    Integer arrays pass through (an int64 one without a copy) and
+    whole-valued floats such as ``np.ones`` are cast, but a fractional,
+    non-finite or out-of-int64 entry raises ``ValueError`` instead of
+    being truncated by the cast.
     """
-
-    compute_cycles: int
-    weight_load_cycles: int
-    #: ``counts_below[c]`` = number of south-edge capture events hitting a
-    #: column < c over the whole run, so a tile using ``cols_used`` columns
-    #: performs ``counts_below[cols_used]`` accumulator updates.
-    capture_counts_below: np.ndarray
-    #: Total PE-cycles with a live (non-bubble) tag over the whole run.
-    active_pe_cycles: int
+    array = np.asarray(values)
+    if array.dtype.kind not in "biu":
+        whole = (np.trunc(array) == array) & (array >= -(2.0**63)) & (array < 2.0**63)
+        if not whole.all():
+            raise ValueError(
+                f"operands must be whole numbers within int64, got {array[~whole].flat[0]}"
+            )
+    return array.astype(np.int64, copy=False)
 
 
 def stepping_dtype(a_tile: np.ndarray, b_tile: np.ndarray) -> type[np.signedinteger]:
@@ -111,7 +95,7 @@ def _magnitude(tile: np.ndarray) -> int:
 
 
 class CycleAccurateSystolicArray:
-    """Cycle-accurate weight-stationary systolic array (scalar or batched).
+    """Cycle-accurate weight-stationary systolic array.
 
     Parameters
     ----------
@@ -151,12 +135,7 @@ class CycleAccurateSystolicArray:
         self.dataflow = WeightStationaryDataflow(rows, cols, collapse_depth)
 
     # ------------------------------------------------------------------ #
-    def simulate_tile(
-        self,
-        a_tile: np.ndarray,
-        b_tile: np.ndarray,
-        trace: CycleTrace | None = None,
-    ) -> TileSimResult:
+    def simulate_tile(self, a_tile: np.ndarray, b_tile: np.ndarray) -> TileSimResult:
         """Simulate one tile: weight preload followed by skewed streaming.
 
         ``a_tile`` has shape (T, rows_used), ``b_tile`` has shape
@@ -170,8 +149,8 @@ class CycleAccurateSystolicArray:
         (and T - 1) fit it, so nothing can overflow, and in int64
         otherwise (:func:`stepping_dtype`).
         """
-        a_tile = np.asarray(a_tile, dtype=np.int64)
-        b_tile = np.asarray(b_tile, dtype=np.int64)
+        a_tile = integer_operand(a_tile)
+        b_tile = integer_operand(b_tile)
         if a_tile.ndim != 2 or b_tile.ndim != 2:
             raise ValueError("a_tile and b_tile must be two-dimensional")
         if a_tile.shape[1] != b_tile.shape[0]:
@@ -211,8 +190,6 @@ class CycleAccurateSystolicArray:
         stats.weight_load_cycles = self.dataflow.weight_load_cycles()
         stats.sram_reads += int(rows_used * cols_used)  # weight words
         stats.sram_reads += int(t_rows * rows_used)  # activation words
-        if trace is not None:
-            trace.record(0, CycleTrace.PHASE, weight_load_cycles=stats.weight_load_cycles)
 
         # The west edge is driven for the closed-form number of cycles,
         # but the compute phase reported is the one observed: it ends with
@@ -278,16 +255,7 @@ class CycleAccurateSystolicArray:
             if valid.any():
                 last_capture = cycle
                 output[bottom_tags[valid], column_at[valid]] = new_v[-1][valid]
-                captured = int(np.count_nonzero(valid & used))
-                stats.accumulator_updates += captured
-                if trace is not None:
-                    trace.record(cycle, CycleTrace.OUTPUT_CAPTURED, outputs=captured)
-            if trace is not None and np.any(west_tags >= 0):
-                trace.record(
-                    cycle,
-                    CycleTrace.INPUT_INJECTED,
-                    words=int(np.count_nonzero(west_tags >= 0)),
-                )
+                stats.accumulator_updates += int(np.count_nonzero(valid & used))
 
             # Activity accounting: a live tag drives the k PEs of its group.
             active_pes = k * int(np.count_nonzero(vis_tags >= 0))
@@ -317,183 +285,17 @@ class CycleAccurateSystolicArray:
             collapse_depth=k,
         )
 
-    # ------------------------------------------------------------------ #
-    #: Memory budget of one batched call: int64 elements held by the
-    #: largest transient (the skewed stream, ``tiles x cycles x rows``).
-    #: 2^22 elements = 32 MiB — small enough to stay cache-friendly,
-    #: large enough that realistic batches are never split.
-    MAX_BATCH_ELEMENTS = 1 << 22
+    def simulate_tiles(self, a_tiles, b_tiles) -> list[TileSimResult]:
+        """Simulate tiles one after another on :meth:`simulate_tile`.
 
-    def max_batch_tiles(self, t_rows: int) -> int:
-        """How many depth-T tiles one batched call should carry at most.
-
-        Callers with more same-T tiles than this chunk their batches;
-        the results are bit-identical either way, this only bounds the
-        transient memory of a single :meth:`simulate_tiles` call.
+        ``a_tiles`` and ``b_tiles`` are equal-length sequences of 2-D
+        tiles (a stacked 3-D array is the sequence of its 2-D tiles);
+        returns one :class:`TileSimResult` per ``(a_tile, b_tile)`` pair,
+        in order, each with its registers stepped.
         """
-        cycles = self.dataflow.compute_cycles(t_rows)
-        return max(1, self.MAX_BATCH_ELEMENTS // (cycles * self.rows))
-
-    def _tile_control(self, t_rows: int) -> _TileControl:
-        """The shared control schedule for a depth-``t_rows`` run.
-
-        Derived in one vectorised pass from the west-edge tag schedule:
-        the tag visible at row r, column group g, cycle c is the tag that
-        entered row r at cycle c - g (the horizontal tag pipeline is a
-        pure delay line), so south-edge captures, per-column capture
-        counts and active-PE totals all follow by shifting and summing
-        the schedule — no per-cycle stepping and no operand values.
-        """
-        k = self.collapse_depth
-        n_col_groups = self.cols // k
-        compute_cycles = self.dataflow.compute_cycles(t_rows)
-        tag_schedule = self.dataflow.west_edge_schedule(t_rows)
-
-        # South-edge capture schedule.  The tag under column `col` at
-        # cycle c is the last row's west tag of cycle c - group(col).
-        col_group_of = np.arange(self.cols) // k
-        last_row_tags = tag_schedule[:, self.rows - 1]
-        src = np.arange(compute_cycles)[:, None] - col_group_of[None, :]
-        bottom_tags = np.where(
-            src >= 0, last_row_tags[np.clip(src, 0, compute_cycles - 1)], -1
-        )
-        valid = (bottom_tags >= 0) & (bottom_tags < t_rows)
-        capture_counts_below = np.concatenate(
-            ([0], np.cumsum(np.count_nonzero(valid, axis=0)))
-        )
-
-        # Active-PE accounting: column group g sees the west tags of
-        # cycle c - g, and each live tag activates the k PEs of its group.
-        live_per_cycle = np.count_nonzero(tag_schedule >= 0, axis=1)
-        prefix = np.concatenate(([0], np.cumsum(live_per_cycle)))
-        windows = np.clip(compute_cycles - np.arange(n_col_groups), 0, compute_cycles)
-        active_pe_cycles = int(k * prefix[windows].sum())
-
-        return _TileControl(
-            compute_cycles=compute_cycles,
-            weight_load_cycles=self.dataflow.weight_load_cycles(),
-            capture_counts_below=capture_counts_below,
-            active_pe_cycles=active_pe_cycles,
-        )
-
-    def simulate_tiles(
-        self,
-        a_tiles,
-        b_tiles,
-    ) -> list[TileSimResult]:
-        """Simulate a batch of tiles that stream the same depth T.
-
-        ``a_tiles`` is a sequence of (T, rows_used_i) operand arrays (or
-        one stacked (n_tiles, T, rows_used) array); ``b_tiles`` is the
-        matching sequence of (rows_used_i, cols_used_i) weight tiles (or
-        one stacked 3-D array), or a single 2-D tile shared by the whole
-        batch.  Tiles may fill different fractions of the array — only
-        the streamed depth T must agree, because T (with the geometry and
-        mode) fixes the schedule that all control state follows.
-
-        Returns one :class:`TileSimResult` per tile, in order, with the
-        output and every :class:`SimulationStats` field bit-identical to
-        ``[self.simulate_tile(a, b) for a, b in zip(a_tiles, b_tiles)]``.
-        """
-        a_list = [np.asarray(a, dtype=np.int64) for a in a_tiles]
-        if not a_list:
-            return []
-        if isinstance(b_tiles, np.ndarray) and b_tiles.ndim == 2:
-            b_list = [np.asarray(b_tiles, dtype=np.int64)] * len(a_list)
-        else:
-            b_list = [np.asarray(b, dtype=np.int64) for b in b_tiles]
-        if len(b_list) != len(a_list):
-            raise ValueError(
-                f"got {len(a_list)} A tiles but {len(b_list)} B tiles"
-            )
-        for a_tile, b_tile in zip(a_list, b_list):
-            if a_tile.ndim != 2 or b_tile.ndim != 2:
-                raise ValueError("every tile must be two-dimensional")
-            if a_tile.shape[1] != b_tile.shape[0]:
-                raise ValueError(
-                    f"inner dimensions do not match: "
-                    f"{a_tile.shape} x {b_tile.shape}"
-                )
-            if a_tile.shape[1] > self.rows or b_tile.shape[1] > self.cols:
-                raise ValueError(
-                    f"tile ({a_tile.shape[1]}x{b_tile.shape[1]}) does not "
-                    f"fit the {self.rows}x{self.cols} array"
-                )
-        t_rows = a_list[0].shape[0]
-        if any(a.shape[0] != t_rows for a in a_list):
-            raise ValueError(
-                "all tiles of one batch must stream the same depth T"
-            )
-
-        n_tiles = len(a_list)
-        rows_used = np.array([a.shape[1] for a in a_list], dtype=np.int64)
-        cols_used = np.array([b.shape[1] for b in b_list], dtype=np.int64)
-
-        k = self.collapse_depth
-        n_row_groups = self.rows // k
-        n_col_groups = self.cols // k
-
-        weights = np.zeros((n_tiles, self.rows, self.cols), dtype=np.int64)
-        for i, b_tile in enumerate(b_list):
-            weights[i, : b_tile.shape[0], : b_tile.shape[1]] = b_tile
-
-        # The shared control schedule: tags, skew, capture cycles and
-        # activity counts are the same for every tile of the batch (they
-        # never read operand values) — computed once per call.
-        control = self._tile_control(t_rows)
-        compute_cycles = control.compute_cycles
-
-        # The value datapath has a closed-form trajectory, so the batch
-        # never steps registers cycle by cycle.  Both pipelines are pure
-        # delay lines: column group g sees the west stream of cycle
-        # c - g, and the partial sum entering row group p at cycle c was
-        # produced by group p - 1 at cycle c - 1.  Chasing a south-edge
-        # capture back through both delays, the value captured for tag t
-        # at column `col` is
-        #
-        #     sum_p sum_{r in group p} stream[t + p, r] * W[r, col]
-        #       = sum_r A[t, r] * W[r, col]          (stream[t + group(r), r]
-        #                                             is exactly A[t, r])
-        #
-        # i.e. the padded integer product.  int64 addition wraps
-        # associatively, so the matmul is bit-identical to the scalar
-        # path's register stepping in any summation order — the property
-        # test in tests/test_sim_batched.py pins exactly that.
-        a_padded = np.zeros((n_tiles, t_rows, self.rows), dtype=np.int64)
-        for i, a_tile in enumerate(a_list):
-            a_padded[i, :, : a_tile.shape[1]] = a_tile
-        output = np.matmul(a_padded, weights)
-        accumulator_updates = control.capture_counts_below[cols_used]
-
-        total_regs = 2 * self.rows * self.cols
-        clocked_regs = self.rows * n_col_groups + n_row_groups * self.cols
-        if not self.configurable:
-            clocked_regs = total_regs
-
-        results: list[TileSimResult] = []
-        for i in range(n_tiles):
-            stats = SimulationStats()
-            stats.tiles_executed = 1
-            stats.weight_load_cycles = control.weight_load_cycles
-            stats.compute_cycles = compute_cycles
-            stats.sram_reads = int(rows_used[i] * cols_used[i]) + int(
-                t_rows * rows_used[i]
-            )
-            stats.sram_writes = int(t_rows * cols_used[i])
-            stats.mac_operations = control.active_pe_cycles
-            stats.active_pe_cycles = control.active_pe_cycles
-            stats.total_pe_cycles = compute_cycles * self.rows * self.cols
-            stats.clocked_register_cycles = compute_cycles * clocked_regs
-            stats.gated_register_cycles = compute_cycles * (total_regs - clocked_regs)
-            stats.accumulator_updates = int(accumulator_updates[i])
-            results.append(
-                TileSimResult(
-                    output=output[i, :, : cols_used[i]].copy(),
-                    stats=stats,
-                    collapse_depth=k,
-                )
-            )
-        return results
+        if len(a_tiles) != len(b_tiles):
+            raise ValueError(f"got {len(a_tiles)} A tiles but {len(b_tiles)} B tiles")
+        return [self.simulate_tile(a, b) for a, b in zip(a_tiles, b_tiles)]
 
     # ------------------------------------------------------------------ #
     def expected_tile_cycles(self, t_rows: int) -> int:

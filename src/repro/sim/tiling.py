@@ -7,11 +7,10 @@ south edge are accumulated into the output accumulators sitting below the
 array.  The number of tiles is ``ceil(N / R) × ceil(M / C)`` and the total
 cycle count is the per-tile latency times that number (Eqs. 2 and 4).
 
-This module provides the tiling plan, a tiled execution driver that runs
-batches of tiles through
-:meth:`~repro.sim.systolic_sim.CycleAccurateSystolicArray.simulate_tiles`
-(one integer matmul per batch plus the closed-form control schedule; no
-register is stepped), and the resulting aggregate statistics.
+This module provides the tiling plan, a tiled execution driver that steps
+every tile's registers on
+:meth:`~repro.sim.systolic_sim.CycleAccurateSystolicArray.simulate_tile`,
+and the resulting aggregate statistics.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import numpy as np
 
 from repro.arch.memory import AccumulatorBank
 from repro.sim.stats import SimulationStats
-from repro.sim.systolic_sim import CycleAccurateSystolicArray
+from repro.sim.systolic_sim import CycleAccurateSystolicArray, integer_operand
 
 
 @dataclass(frozen=True)
@@ -107,20 +106,18 @@ def run_tiled_gemm(
     collapse_depth: int = 1,
     configurable: bool = True,
 ) -> TiledGemmResult:
-    """Execute ``A @ B`` tile by tile on the batched tile engine.
+    """Execute ``A @ B`` tile by tile, stepping every tile's registers.
 
-    ``a_matrix`` has shape (T, N) and ``b_matrix`` shape (N, M).  Partial
-    sums of tiles sharing the same output columns are accumulated in an
-    :class:`~repro.arch.memory.AccumulatorBank`, exactly as in Fig. 1(a).
-    Each batch of tiles is one
+    ``a_matrix`` has shape (T, N) and ``b_matrix`` shape (N, M); their
+    entries must be whole numbers (:func:`~repro.sim.systolic_sim.integer_operand`).
+    The tiles of :meth:`TilingPlan.tiles` run through one
     :meth:`~repro.sim.systolic_sim.CycleAccurateSystolicArray.simulate_tiles`
-    call: an integer matmul plus the closed-form control schedule, with
-    the outputs and statistics of the register-stepped
-    :meth:`~repro.sim.systolic_sim.CycleAccurateSystolicArray.simulate_tile`
-    but without stepping any register.
+    call, and partial sums of tiles sharing the same output columns are
+    accumulated in an :class:`~repro.arch.memory.AccumulatorBank`,
+    exactly as in Fig. 1(a).
     """
-    a_matrix = np.asarray(a_matrix, dtype=np.int64)
-    b_matrix = np.asarray(b_matrix, dtype=np.int64)
+    a_matrix = integer_operand(a_matrix)
+    b_matrix = integer_operand(b_matrix)
     if a_matrix.ndim != 2 or b_matrix.ndim != 2:
         raise ValueError("a_matrix and b_matrix must be two-dimensional")
     if a_matrix.shape[1] != b_matrix.shape[0]:
@@ -141,16 +138,13 @@ def run_tiled_gemm(
     stats = SimulationStats()
 
     specs = plan.tiles()
-    chunk = array.max_batch_tiles(t_rows)
-    for start in range(0, len(specs), chunk):
-        batch = specs[start : start + chunk]
-        a_tiles = [a_matrix[:, s.n_start : s.n_stop] for s in batch]
-        b_tiles = [
-            b_matrix[s.n_start : s.n_stop, s.m_start : s.m_stop] for s in batch
-        ]
-        for spec, result in zip(batch, array.simulate_tiles(a_tiles, b_tiles)):
-            accumulators.accumulate_block(result.output, col_offset=spec.m_start)
-            stats.merge(result.stats)
+    results = array.simulate_tiles(
+        [a_matrix[:, s.n_start : s.n_stop] for s in specs],
+        [b_matrix[s.n_start : s.n_stop, s.m_start : s.m_stop] for s in specs],
+    )
+    for spec, result in zip(specs, results):
+        accumulators.accumulate_block(result.output, col_offset=spec.m_start)
+        stats.merge(result.stats)
 
     return TiledGemmResult(
         output=accumulators.read_result(),

@@ -1,57 +1,12 @@
-"""Tests for the edge memories (SRAM banks and output accumulators)."""
+"""Tests for the south-edge output accumulators."""
 
 import numpy as np
 import pytest
 
-from repro.arch.memory import AccumulatorBank, SRAMBank, build_edge_memories
-
-
-class TestSRAMBank:
-    def test_write_then_read(self):
-        bank = SRAMBank("b", depth=16, word_bits=32)
-        bank.write(3, 42)
-        assert bank.read(3) == 42
-
-    def test_access_counters(self):
-        bank = SRAMBank("b", depth=16, word_bits=32)
-        bank.write(0, 1)
-        bank.read(0)
-        bank.read(0)
-        assert bank.writes == 1
-        assert bank.reads == 2
-        assert bank.total_accesses == 3
-
-    def test_access_bits(self):
-        bank = SRAMBank("b", depth=16, word_bits=32)
-        bank.write(0, 1)
-        bank.read(0)
-        assert bank.access_bits() == 64
-
-    def test_block_write(self):
-        bank = SRAMBank("b", depth=16, word_bits=32)
-        bank.write_block(4, np.arange(5))
-        assert bank.read(8) == 4
-        assert bank.writes == 5
-
-    def test_out_of_range_address(self):
-        bank = SRAMBank("b", depth=4, word_bits=8)
-        with pytest.raises(IndexError):
-            bank.read(4)
-        with pytest.raises(IndexError):
-            bank.write(-1, 0)
-
-    def test_invalid_construction(self):
-        with pytest.raises(ValueError):
-            SRAMBank("b", depth=0, word_bits=8)
+from repro.arch.memory import AccumulatorBank
 
 
 class TestAccumulatorBank:
-    def test_single_accumulation(self):
-        acc = AccumulatorBank(cols=4, t_rows=3)
-        acc.accumulate(1, 2, 10)
-        acc.accumulate(1, 2, 5)
-        assert acc.read_result()[1, 2] == 15
-
     def test_block_accumulation_across_tiles(self):
         """Partial sums of tiles along the N dimension add up (Fig. 1c)."""
         acc = AccumulatorBank(cols=4, t_rows=2)
@@ -73,35 +28,8 @@ class TestAccumulatorBank:
         with pytest.raises(ValueError):
             acc.accumulate_block(np.ones((2, 3), dtype=np.int64), col_offset=2)
 
-    def test_index_bounds(self):
-        acc = AccumulatorBank(cols=4, t_rows=2)
-        with pytest.raises(IndexError):
-            acc.accumulate(2, 0, 1)
-        with pytest.raises(IndexError):
-            acc.accumulate(0, 4, 1)
-
-    def test_reset(self):
-        acc = AccumulatorBank(cols=2, t_rows=2)
-        acc.accumulate(0, 0, 5)
-        acc.reset()
-        assert np.all(acc.read_result() == 0)
-
     def test_read_result_returns_copy(self):
         acc = AccumulatorBank(cols=2, t_rows=2)
         result = acc.read_result()
         result[0, 0] = 99
         assert acc.read_result()[0, 0] == 0
-
-
-class TestBuildEdgeMemories:
-    def test_complement_sizes(self):
-        west, north, south = build_edge_memories(rows=8, cols=4, t_rows=16)
-        assert len(west) == 8
-        assert len(north) == 4
-        assert south.cols == 4
-        assert south.t_rows == 16
-
-    def test_bank_naming(self):
-        west, north, _ = build_edge_memories(rows=2, cols=2, t_rows=4)
-        assert west[0].name == "west[0]"
-        assert north[1].name == "north[1]"

@@ -105,6 +105,10 @@ BAD_VALUES = [
     ["client", "--http-timeout", "-5", "metrics"],
     ["ablate", "--timeout", "-1"],
     ["ablate", "--timeout", "inf"],
+    ["serve", "--rate-limit", "nan"],
+    ["serve", "--rate-limit", "inf"],
+    ["serve", "--rate-limit", "5", "--rate-burst", "nan"],
+    ["serve", "--rate-limit", "5", "--rate-burst", "0.5"],
 ]
 
 

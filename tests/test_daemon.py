@@ -8,6 +8,7 @@ updates), graceful drain — including a real SIGTERM against a
 """
 
 import json
+import math
 import os
 import signal
 import socket
@@ -454,6 +455,16 @@ class TestRateLimit:
             limiter.admit("client-0")
         with pytest.raises(RateLimited):
             limiter.admit("client-0")
+
+    @pytest.mark.parametrize(
+        "rate, burst",
+        [(math.nan, None), (5.0, math.nan), (math.inf, None), (5.0, math.inf)],
+    )
+    def test_non_finite_buckets_are_refused(self, rate, burst):
+        """A NaN or infinite rate or burst would build a limiter that
+        reports itself enabled and admits every request."""
+        with pytest.raises(InvalidRequest, match="finite"):
+            TokenBucket(rate, burst)
 
     def test_get_endpoints_are_never_rate_limited(self):
         daemon = SchedulerDaemon(port=0, rate_limit=0.01, rate_burst=1)

@@ -8,7 +8,7 @@ from repro.arch.dataflow import WeightStationaryDataflow
 from repro.core.latency import arrayflex_tile_cycles
 from repro.nn.workloads import random_int_matrices
 from repro.sim.systolic_sim import CycleAccurateSystolicArray, stepping_dtype
-from repro.sim.trace import CycleTrace
+from repro.sim.tiling import run_tiled_gemm
 
 
 class TestConstruction:
@@ -71,6 +71,23 @@ class TestFunctionalCorrectness:
         assert result.total_cycles == arrayflex_tile_cycles(rows, cols, t_rows, k)
 
 
+@st.composite
+def tile_batches(draw):
+    """A random geometry, mode and batch of same-depth tile shapes."""
+    k = draw(st.sampled_from([1, 2, 4]))
+    rows = k * draw(st.integers(1, 4))
+    cols = k * draw(st.integers(1, 4))
+    t_rows = draw(st.integers(1, 24))
+    n_tiles = draw(st.integers(1, 5))
+    shapes = [
+        (draw(st.integers(1, rows)), draw(st.integers(1, cols)))
+        for _ in range(n_tiles)
+    ]
+    seed = draw(st.integers(0, 2**31 - 1))
+    magnitude = draw(st.sampled_from([2**7, 2**31]))
+    return rows, cols, k, t_rows, shapes, seed, magnitude
+
+
 INT32_MAX = 2**31 - 1
 
 #: (A, B, width the registers must step in), each exact at int64.
@@ -101,6 +118,28 @@ class TestRegisterWidth:
     """The registers step in int32 exactly when nothing they hold can
     overflow it (``max|A| * max|B| * rows_used <= 2^31 - 1``); the output
     is int64 either way."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(tile_batches())
+    def test_stepped_tiles_match_matmul_everywhere(self, batch):
+        """Random geometries, modes and edge tiles, with operands in the
+        int8 range (the registers step in int32) and in +-2^31 (they step
+        in int64 and the sums wrap): every output is ``A @ B`` in int64."""
+        rows, cols, k, t_rows, shapes, seed, magnitude = batch
+        array = CycleAccurateSystolicArray(rows=rows, cols=cols, collapse_depth=k)
+        expected_width = np.int32 if magnitude == 2**7 else np.int64
+        rng = np.random.default_rng(seed)
+        for rows_used, cols_used in shapes:
+            a_tile = rng.integers(
+                -magnitude, magnitude, size=(t_rows, rows_used), dtype=np.int64
+            )
+            b_tile = rng.integers(
+                -magnitude, magnitude, size=(rows_used, cols_used), dtype=np.int64
+            )
+            result = array.simulate_tile(a_tile, b_tile)
+            assert stepping_dtype(a_tile, b_tile) is expected_width
+            assert result.output.dtype == np.int64
+            assert np.array_equal(result.output, a_tile @ b_tile)
 
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("case", sorted(WIDTH_CASES))
@@ -217,23 +256,24 @@ class TestCyclesAndStats:
             array.simulate_tile(np.ones((3, 6)), np.ones((6, 4)))
 
 
-class TestTracing:
-    def test_trace_records_phases_inputs_outputs(self):
-        array = CycleAccurateSystolicArray(4, 4, collapse_depth=2)
-        a_tile, b_tile = random_int_matrices(3, 4, 4, seed=0)
-        trace = CycleTrace()
-        array.simulate_tile(a_tile, b_tile, trace=trace)
-        summary = trace.summary()
-        assert summary[CycleTrace.PHASE] == 1
-        assert summary[CycleTrace.INPUT_INJECTED] > 0
-        assert summary[CycleTrace.OUTPUT_CAPTURED] > 0
+def _simulate_tile(a_matrix, b_matrix):
+    return CycleAccurateSystolicArray(4, 4).simulate_tile(a_matrix, b_matrix)
 
-    def test_outputs_follow_inputs(self):
-        array = CycleAccurateSystolicArray(4, 4, collapse_depth=1)
-        a_tile, b_tile = random_int_matrices(3, 4, 4, seed=0)
-        trace = CycleTrace()
-        array.simulate_tile(a_tile, b_tile, trace=trace)
-        first_in = trace.first_cycle(CycleTrace.INPUT_INJECTED)
-        first_out = trace.first_cycle(CycleTrace.OUTPUT_CAPTURED)
-        assert first_in is not None and first_out is not None
-        assert first_out > first_in
+
+def _run_tiled_gemm(a_matrix, b_matrix):
+    return run_tiled_gemm(a_matrix, b_matrix, rows=4, cols=4)
+
+
+class TestOperandValues:
+    """Operands are cast to int64 only when the cast is exact."""
+
+    @pytest.mark.parametrize("run", [_simulate_tile, _run_tiled_gemm])
+    @pytest.mark.parametrize("entry", [0.5, float("nan"), 1e30])
+    def test_non_whole_entries_are_refused_not_truncated(self, run, entry):
+        with pytest.raises(ValueError, match="whole numbers"):
+            run(np.full((3, 4), entry), np.eye(4))
+
+    @pytest.mark.parametrize("run", [_simulate_tile, _run_tiled_gemm])
+    def test_whole_valued_floats_run(self, run):
+        result = run(np.ones((3, 4)), np.ones((4, 4)))
+        assert np.array_equal(result.output, np.full((3, 4), 4))

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.latency import arrayflex_tile_cycles, tile_count
 from repro.nn.workloads import random_int_matrices
+from repro.sim.systolic_sim import CycleAccurateSystolicArray
 from repro.sim.tiling import TilingPlan, run_tiled_gemm
 
 
@@ -51,6 +52,22 @@ class TestTiledExecution:
     def test_result_matches_numpy(self, k):
         a_matrix, b_matrix = random_int_matrices(9, 20, 13, seed=k)
         result = run_tiled_gemm(a_matrix, b_matrix, rows=8, cols=8, collapse_depth=k)
+        assert np.array_equal(result.output, a_matrix @ b_matrix)
+
+    def test_every_tile_is_register_stepped(self, monkeypatch):
+        """The driver has no tile engine of its own: each tile of the plan
+        is one ``simulate_tile`` call."""
+        stepped = []
+        step = CycleAccurateSystolicArray.simulate_tile
+
+        def counting_step(self, a_tile, b_tile):
+            stepped.append(a_tile.shape)
+            return step(self, a_tile, b_tile)
+
+        monkeypatch.setattr(CycleAccurateSystolicArray, "simulate_tile", counting_step)
+        a_matrix, b_matrix = random_int_matrices(6, 10, 9, seed=3)
+        result = run_tiled_gemm(a_matrix, b_matrix, rows=4, cols=4, collapse_depth=2)
+        assert len(stepped) == TilingPlan(n_dim=10, m_dim=9, rows=4, cols=4).total_tiles == 9
         assert np.array_equal(result.output, a_matrix @ b_matrix)
 
     def test_total_cycles_are_per_tile_times_tiles(self):
