@@ -100,7 +100,7 @@ def collect(rounds: int = 3) -> dict:
         lambda: batched.schedule_model(resnet, config_128), rounds
     )
     cycle = CycleAccurateBackend()
-    # Warm: calibrates and fills the decision LRU; the timed rounds read it.
+    # Warm: calibrates every mode once; the timed rounds reuse the lines.
     cycle.schedule_model(resnet, config_16)
     timings_ms["schedule_resnet34_cycle_16x16"] = 1e3 * _best_of(
         lambda: cycle.schedule_model(resnet, config_16), rounds

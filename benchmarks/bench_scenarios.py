@@ -321,9 +321,9 @@ def rss_delta_json_worker(path) -> float:
 #: direct ``SchedulingService.submit()`` library calls and once as
 #: ``POST /v1/schedule`` round-trips against a daemon wrapping an
 #: identical service.  The streamed dimension T encodes both the run and
-#: the call index, so no timed call ever degenerates into a dedup or
-#: decision-cache hit: the measured ratio is real scheduling work with
-#: vs without the HTTP layer on top.
+#: the call index, so no timed call ever degenerates into a dedup hit:
+#: the measured ratio is real scheduling work with vs without the HTTP
+#: layer on top.
 DAEMON_BENCH_CALLS = 8
 DAEMON_BENCH_LAYERS = 384
 DAEMON_BENCH_SIZE = 64

@@ -54,9 +54,9 @@ def test_backend_cycle_accurate_resnet34(benchmark):
     """Measured scheduling on a 16x16 array (calibrated, warm steady state).
 
     The cycle backend steps three short probe tiles once per mode, and
-    its first schedule runs the vectorised mode search on those measured
-    lines; every later round answers from the decision LRU.  The benchmark
-    therefore reports that warm steady state, which is the regime any
+    every schedule runs the vectorised mode search on those measured
+    lines; only the first round calibrates.  The benchmark therefore
+    reports that calibrated steady state, which is the regime any
     repeated-use deployment of this backend runs in.
     """
     config = ArrayFlexConfig(rows=16, cols=16)
@@ -100,7 +100,7 @@ def test_warm_cache_rerun_speeds_up_design_space_sweep(benchmark, tmp_path):
 
     "Rerun" means what CI sees: a brand-new process — so every round
     builds a fresh backend and a fresh store handle, and every decision
-    comes off disk, not from the in-memory LRU of a previous round.
+    comes off disk.
     """
     models = list(model_zoo().values())
 
@@ -120,7 +120,9 @@ def test_warm_cache_rerun_speeds_up_design_space_sweep(benchmark, tmp_path):
     assert warm_rerun() == reference  # bit-identical decisions and scores
     probe = BatchedCachedBackend(store=DecisionStore(tmp_path))
     DesignSpaceExplorer(models, backend=probe).explore(DESIGN_POINTS)
-    assert probe.cache_info()["misses"] == 0  # nothing re-derived
+    counters = probe.store.counters()  # nothing re-derived, so nothing put
+    assert counters["merges"] == 0
+    assert counters["pending_rows"] == 0
 
     analytical_s = _best_of(cold_analytical)
     warm_s = _best_of(warm_rerun)

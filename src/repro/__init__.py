@@ -24,7 +24,7 @@ Architecture with Configurable Transparent Pipelining* (DATE 2023):
 * :mod:`repro.baselines` -- the conventional fixed-pipeline baseline.
 * :mod:`repro.backends` -- the execution backends that schedule whole
   workloads layer by layer: the per-layer analytical reference, the
-  batched/cached engine (one vectorised mode search, identical numbers)
+  batched engine (one vectorised mode search, identical numbers)
   and the same engine on cycle counts measured by the cycle-accurate
   simulator; plus the disk-persistent decision cache
   (:mod:`repro.backends.store`) behind design-space sweeps.

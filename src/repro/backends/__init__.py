@@ -7,8 +7,7 @@ backend                   what it does
 ========================  =====================================================
 ``analytical``            reference closed forms (Eqs. 1–7), per layer
 ``batched``               the engine: same numbers from one vectorised Eq. (6)
-                          mode search per batch of layers, memoised across
-                          repeated shapes and sweeps
+                          mode search per batch of distinct layer shapes
 ``cycle``                 the engine on measured per-tile cycles: lines fitted
                           once per (geometry, mode) to register-stepped probe
                           tiles
@@ -46,9 +45,8 @@ def attach_store(
 
     What :class:`~repro.core.design_space.DesignSpaceExplorer`'s
     ``cache_dir=``, the store's one entry point, does with its backend:
-    ``cache_dir`` requires the decision-cache-owning ``batched`` backend
-    (the default it implies) and refuses to clobber a store the caller
-    already configured.  The
+    ``cache_dir`` requires the ``batched`` backend (the default it
+    implies) and refuses to clobber a store the caller already configured.  The
     ``cycle`` backend shares the batched engine but is refused too: the
     store's rows carry Eq. (3) cycles, so answering from them would not
     be measured.  With ``cache_dir=None`` the backend argument passes
@@ -57,7 +55,7 @@ def attach_store(
     A caller-provided backend *instance* is never mutated: the store is
     attached to a deep copy (which routes through the backends'
     ``__getstate__``/``__setstate__``, preserving subclass type and tuned
-    state while giving the clone fresh locks and an independent cache),
+    state while giving the clone fresh locks),
     so persistence stays confined to the component that asked for it.
     """
     if cache_dir is None:
@@ -66,10 +64,7 @@ def attach_store(
     if not isinstance(backend, BatchedCachedBackend) or isinstance(
         backend, CycleAccurateBackend
     ):
-        raise ValueError(
-            "cache_dir requires the decision-cache-owning batched backend "
-            "(the default)"
-        )
+        raise ValueError("cache_dir requires the batched backend (the default)")
     if backend.store is not None:
         raise ValueError("backend already has a store; drop cache_dir")
     clone = copy.deepcopy(backend)

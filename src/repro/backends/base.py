@@ -18,8 +18,7 @@ Three backends implement it, with one reference and one engine:
   reference: the per-layer loops of this base class over the closed
   forms of :mod:`repro.core`;
 * :class:`~repro.backends.batched.BatchedCachedBackend` is the engine:
-  one vectorised Eq. (6) mode search per batch of layers behind an LRU of
-  decisions;
+  one vectorised Eq. (6) mode search per batch of distinct layer shapes;
 * :class:`~repro.backends.cycle_accurate.CycleAccurateBackend` runs that
   same engine on measured per-tile cycles (lines fitted to
   register-stepped probe tiles) instead of Eq. (3).
@@ -83,8 +82,7 @@ class ExecutionBackend(abc.ABC):
     cache are shared here.  Backends are stateless with respect to the
     accelerator configuration — the configuration is an argument of every
     call — so one backend instance can serve arbitrarily many design
-    points (which is what lets the batched backend's cache span a whole
-    design-space sweep).
+    points.
     """
 
     #: Registry key and CLI spelling of the backend.

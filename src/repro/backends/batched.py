@@ -1,19 +1,13 @@
-"""Batched, memoised fast backend.
+"""Batched fast backend: the one mode-search engine.
 
-Two observations make model scheduling much cheaper than the per-layer
-reference path without changing a single number:
+The Eq. (6) mode search needs only per-tile cycles and per-mode clock
+periods, so all layers of a model (and all supported depths) can be
+evaluated in one vectorised NumPy pass instead of a Python loop per layer
+per depth.  CNNs repeat GEMM shapes heavily (every ResNet/ConvNeXt stage
+repeats its block), so a batch is deduplicated by ``(m, n, t)`` first and
+each distinct shape is solved once.
 
-* the Eq. (6) mode search needs only per-tile cycles and per-mode clock
-  periods, so all layers of a model (and all supported depths) can be
-  evaluated in one vectorised NumPy pass instead of a Python loop per
-  layer per depth;
-* CNNs repeat GEMM shapes heavily (every ResNet/ConvNeXt stage repeats
-  its block, and design-space sweeps revisit the same workloads point
-  after point), so decisions memoised by
-  ``(GEMM dims, array geometry, mode set, activity model, technology)``
-  are near-free on re-encounter.
-
-:class:`BatchedCachedBackend` combines both behind the
+:class:`BatchedCachedBackend` does both behind the
 :class:`~repro.backends.base.ExecutionBackend` interface.  It is the one
 mode-search engine: its per-tile cycles come from one overridable method,
 :meth:`BatchedCachedBackend._tile_cycles` (Eq. (3) here, measured lines on
@@ -28,25 +22,23 @@ layer, at the layer's effective activity, for every component of the
 :class:`~repro.timing.power_model.ArrayPowerBreakdown`.
 ``tests/test_backends.py`` pins the parity down.
 
-With a :class:`~repro.backends.store.DecisionStore` attached, the LRU is
-additionally spilled to disk: every freshly solved decision goes to the
-store, which buffers it until its shard's next merge (at the latest, when
-the process exits or its owner closes), and memory misses consult the
-store before falling back to the NumPy solve, so a new process (a rerun
-design-space sweep, a pool worker) starts warm.  The store's shards
-are memory-mapped columnar arrays read through a zero-copy
-:class:`~repro.backends.store.ShardView` — all pool workers share one
-page-cache copy, and a stored row is only materialised into a
-:class:`Decision` when this backend actually misses its in-memory LRU.
-All cache bookkeeping is serialised on an internal lock, which makes one
-backend instance safe to share across the threads of
-:class:`~repro.serve.SchedulingService`.
+The backend keeps no decisions in memory.  With a
+:class:`~repro.backends.store.DecisionStore` attached, a batch's distinct
+shapes are first read from the store, and only the rest are solved; every
+freshly solved decision goes to the store, which buffers it until its
+shard's next merge (at the latest, when the process exits or its owner
+closes), so a new process (a rerun design-space sweep, a pool worker)
+starts warm.  The store's shards are memory-mapped columnar arrays read
+through a zero-copy :class:`~repro.backends.store.ShardView` — all pool
+workers share one page-cache copy, and a stored row is materialised into
+a :class:`Decision` only when a batch asks for its shape.  One backend
+instance is safe to share across the threads of
+:class:`~repro.serve.SchedulingService`: the store and the per-configuration
+component memo carry their own locks.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from collections.abc import Callable, Iterable
 
 import numpy as np
@@ -68,7 +60,6 @@ from repro.core.metrics import (
     resolve_workload,
 )
 from repro.nn.gemm_mapping import GemmShape
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import get_tracer
 from repro.timing.area_model import AreaModel
 from repro.timing.power_model import ArrayPowerBreakdown, PowerModel
@@ -304,42 +295,14 @@ def _breakdown_at(power: dict[str, np.ndarray], i: int) -> ArrayPowerBreakdown:
 
 
 class BatchedCachedBackend(ExecutionBackend):
-    """Vectorised mode optimisation with an LRU decision cache."""
+    """Vectorised mode optimisation, optionally backed by a decision store."""
 
     name = "batched"
 
-    def __init__(self, cache_size: int = 65536, store: DecisionStore | None = None) -> None:
+    def __init__(self, store: DecisionStore | None = None) -> None:
         super().__init__()
-        if cache_size <= 0:
-            raise ValueError("cache_size must be positive")
-        self.cache_size = cache_size
         #: Optional disk persistence layer; see :mod:`repro.backends.store`.
         self.store = store
-        self._cache: OrderedDict[tuple, Decision] = OrderedDict()
-        #: The cache counters live as instruments on this registry (the
-        #: serving layer attaches it to its own, so ``/metrics`` reads
-        #: them merged); ``cache_info()`` keeps the historical dict shape.
-        self.metrics = MetricsRegistry()
-        self._hits = self.metrics.counter("backend_cache_hits_total", backend=self.name)
-        self._misses = self.metrics.counter(
-            "backend_cache_misses_total", backend=self.name
-        )
-        self._store_hits = self.metrics.counter(
-            "backend_cache_store_hits_total", backend=self.name
-        )
-        self._lock = threading.RLock()
-
-    # ------------------------------------------------------------------ #
-    # Pickling (the cache lock cannot cross process boundaries)
-    # ------------------------------------------------------------------ #
-    def __getstate__(self) -> dict:
-        state = super().__getstate__()
-        state.pop("_lock", None)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        super().__setstate__(state)
-        self._lock = threading.RLock()
 
     # ------------------------------------------------------------------ #
     # Scheduling
@@ -477,7 +440,7 @@ class BatchedCachedBackend(ExecutionBackend):
 
         A design point of a sweep scores a whole workload suite, so the
         ArrayFlex decisions of all its models come from one
-        :meth:`_decide_batch` over their concatenated GEMMs: one cache and
+        :meth:`_decide_batch` over their concatenated GEMMs: one dedup and
         store pass, one mode search and at most one store merge per
         configuration, instead of one of each per model.  Each model's
         slice is then summed in layer order, so every pair equals its
@@ -520,110 +483,41 @@ class BatchedCachedBackend(ExecutionBackend):
         )
 
     # ------------------------------------------------------------------ #
-    # Cache bookkeeping
-    # ------------------------------------------------------------------ #
-    def cache_info(self) -> dict[str, int]:
-        """Hit/miss/size counters of the decision cache.
-
-        ``store_hits`` counts memory misses that were answered from the
-        attached :class:`~repro.backends.store.DecisionStore` instead of
-        being re-derived; ``misses`` counts lookups that fell through to
-        the NumPy solve pass — per GEMM occurrence, so duplicate shapes
-        in one cold batch each count even though they share one solve.
-        """
-        return {
-            "hits": self._hits.value,
-            "misses": self._misses.value,
-            "store_hits": self._store_hits.value,
-            "size": len(self._cache),
-            "max_size": self.cache_size,
-        }
-
-    def cache_clear(self) -> None:
-        """Drop the in-memory cache and counters (the disk store persists)."""
-        with self._lock:
-            self._cache.clear()
-            self._hits.reset()
-            self._misses.reset()
-            self._store_hits.reset()
-
-    @staticmethod
-    def _config_key(config: ArrayFlexConfig) -> tuple:
-        return config.cache_key()
-
-    # ------------------------------------------------------------------ #
     # The vectorised decision pass
     # ------------------------------------------------------------------ #
     def _decide_batch(
         self, gemms: list[GemmShape], config: ArrayFlexConfig
     ) -> list[Decision]:
-        """Decisions for a batch of GEMMs: cache/store lookups + one NumPy pass.
+        """One decision per GEMM: store reads plus one NumPy pass.
 
-        The lock guards only the cache bookkeeping; the NumPy solve and
-        all store disk I/O run outside it, so service threads overlap
-        their real work.  Two threads racing on the same cold keys at
-        worst both solve them — identical numbers, last write wins.
+        The batch is deduplicated by ``(m, n, t)``; each distinct shape is
+        read at most once from an attached store, the rest are solved in
+        one :meth:`_solve_vectorised` pass and put back into the store.
         """
-        config_key = self._config_key(config)
-        # Disk I/O before taking the backend lock (the store has its own).
-        stored = self.store.load(config_key) if self.store is not None else None
-        keys = [(gemm.m, gemm.n, gemm.t, config_key) for gemm in gemms]
-        decisions: list[Decision | None] = [None] * len(gemms)
-        missing: list[int] = []
-        unique_keys: dict[tuple, int] = {}
-        unique_gemms: list[GemmShape] = []
-        hits = store_hits = 0
-        with self._lock:
-            for i, (gemm, key) in enumerate(zip(gemms, keys)):
-                cached = self._cache.get(key)
-                if cached is not None:
-                    self._cache.move_to_end(key)
-                    hits += 1
-                    decisions[i] = cached
-                    continue
-                if stored is not None:
-                    row = stored.get(DecisionStore.gemm_key(gemm.m, gemm.n, gemm.t))
-                    if row is not None:
-                        cached = decision_from_row(row)
-                        self._cache[key] = cached
-                        store_hits += 1
-                        decisions[i] = cached
-                        continue
-                missing.append(i)
-                if key not in unique_keys:
-                    unique_keys[key] = len(unique_gemms)
-                    unique_gemms.append(gemm)
-            # One counter update per batch, not one lock round-trip per GEMM.
-            self._hits.inc(hits)
-            self._store_hits.inc(store_hits)
-            self._misses.inc(len(missing))
-            # Store hits insert too: enforce the cap on every path.
-            while len(self._cache) > self.cache_size:
-                self._cache.popitem(last=False)
-
+        unique: dict[tuple[int, int, int], GemmShape] = {}
+        for gemm in gemms:
+            unique.setdefault((gemm.m, gemm.n, gemm.t), gemm)
+        decisions: dict[tuple[int, int, int], Decision] = {}
+        if self.store is not None:
+            config_key = config.cache_key()
+            stored = self.store.load(config_key)
+            for key in unique:
+                row = stored.get(key)
+                if row is not None:
+                    decisions[key] = decision_from_row(row)
+        missing = [gemm for key, gemm in unique.items() if key not in decisions]
         if missing:
             with get_tracer().span(
-                "backend.mode_search", backend=self.name, layers=len(unique_gemms)
+                "backend.mode_search", backend=self.name, layers=len(missing)
             ):
-                fresh = self._solve_vectorised(unique_gemms, config)
+                fresh = self._solve_vectorised(missing, config)
+            solved = {(g.m, g.n, g.t): d for g, d in zip(missing, fresh)}
+            decisions.update(solved)
             if self.store is not None:
                 self.store.put_many(
-                    config_key,
-                    {
-                        DecisionStore.gemm_key(g.m, g.n, g.t): decision_to_row(d)
-                        for g, d in zip(unique_gemms, fresh)
-                    },
+                    config_key, {key: decision_to_row(d) for key, d in solved.items()}
                 )
-            with self._lock:
-                for key, position in unique_keys.items():
-                    self._cache[key] = fresh[position]
-                for i in missing:
-                    # From `fresh`, not the cache: a concurrent batch may
-                    # have evicted the entry already.
-                    decisions[i] = fresh[unique_keys[keys[i]]]
-                while len(self._cache) > self.cache_size:
-                    self._cache.popitem(last=False)
-        return decisions  # type: ignore[return-value]
+        return [decisions[(gemm.m, gemm.n, gemm.t)] for gemm in gemms]
 
     def _solve_vectorised(
         self, gemms: list[GemmShape], config: ArrayFlexConfig

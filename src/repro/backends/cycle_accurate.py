@@ -22,8 +22,8 @@ Everything else is the batched engine
 (:class:`~repro.backends.batched.BatchedCachedBackend`): this class only
 overrides its cycle source, so the Eq. (6) mode search runs over the
 *measured* cycles of every supported mode (same shallow-first tie-break)
-and the LRU of decisions, the vectorised pricing and the suite totals
-come with it.  The first use of a geometry therefore calibrates every
+and the batch dedup, the vectorised pricing and the suite totals come
+with it.  The first use of a geometry therefore calibrates every
 mode of the configuration's menu.  Two consequences:
 
 * the conventional baseline stays closed-form (Eqs. (1)/(2)), as on

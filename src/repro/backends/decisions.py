@@ -1,8 +1,9 @@
 """The per-(GEMM, configuration) decision record and its store codec.
 
-The decision-caching :class:`~repro.backends.batched.BatchedCachedBackend`
-memoises the outcome of one mode decision as a :class:`Decision` and
-spills it to the :class:`~repro.backends.store.DecisionStore` as one row.
+:class:`~repro.backends.batched.BatchedCachedBackend` returns the outcome
+of one mode decision as a :class:`Decision` and, with a
+:class:`~repro.backends.store.DecisionStore` attached, writes it there as
+one row.
 
 On disk a shard is one NumPy structured array (:data:`DECISION_DTYPE`):
 the three GEMM dimensions followed by the fifteen columns of
@@ -10,7 +11,7 @@ the three GEMM dimensions followed by the fifteen columns of
 values round-trip bit-exactly.  The array form is what makes the store's
 zero-copy read path possible: shards are memory-mapped read-only and rows
 are materialised one at a time through :func:`record_to_row`, only when a
-backend actually misses its in-memory LRU.
+backend's batch asks for that shape.
 
 The row layout is versioned through :data:`repro.backends.store.
 DECISION_MODEL_VERSION`; changing it bumps that version and purges every
@@ -158,8 +159,8 @@ def record_to_row(record: np.void) -> list:
     :func:`decision_from_row`.
     """
     # .item() already yields native Python ints/floats per the dtype, so
-    # slicing the tuple is the whole decode (this runs once per LRU miss
-    # on the warm path — keep it lean).
+    # slicing the tuple is the whole decode (this runs once per distinct
+    # shape of a batch on the warm path — keep it lean).
     return list(record.item()[3:])
 
 
@@ -179,7 +180,7 @@ def records_index(array: np.ndarray) -> dict[tuple[int, int, int], int]:
 
 
 def decision_to_layer(index: int, gemm: GemmShape, decision: Decision) -> LayerMetrics:
-    """Rehydrate one cached decision into the standard per-layer record."""
+    """Rehydrate one decision into the standard per-layer record."""
     return LayerMetrics(
         index=index,
         gemm=gemm,

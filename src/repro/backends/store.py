@@ -1,7 +1,7 @@
 """Disk-persistent decision cache (v2: columnar, memory-mapped shards).
 
-:class:`DecisionStore` spills the batched backend's LRU decision cache
-to an on-disk store so a rerun design-space sweep
+:class:`DecisionStore` keeps the batched backend's mode decisions in an
+on-disk store so a rerun design-space sweep
 (``DesignSpaceExplorer(cache_dir=...)``, the store's one entry point)
 skips re-deriving mode decisions entirely.  One *shard* holds every
 cached decision of one accelerator configuration; shards are named by a
@@ -21,7 +21,7 @@ The v2 on-disk format is columnar:
   instead of N parsed heaps, and a warm load costs an mmap plus one
   key-index build instead of a JSON parse.  Rows are materialised into
   Python lists one at a time (:class:`ShardView.get`), only when a
-  backend actually misses its in-memory LRU.
+  backend's batch asks for that shape.
 * ``decisions-<digest>.meta.json`` — a small sidecar recording the shard's
   store version, configuration key and row count.
 
@@ -182,7 +182,7 @@ class ShardView:
     ``(m, n, t) -> row position`` index.  ``get`` materialises exactly one
     row into the canonical list form (:func:`~repro.backends.decisions.
     record_to_row`), so a warm backend pays per-row decode cost only on
-    the rows it actually misses in memory.
+    the shapes its batches ask for.
     """
 
     __slots__ = ("array", "_index")
@@ -217,7 +217,7 @@ def _empty_view() -> ShardView:
 class DecisionStore:
     """On-disk, versioned store of ``(GEMM, configuration) -> decision``.
 
-    Decisions are the per-layer metrics rows cached by
+    Decisions are the per-layer metrics rows solved by
     :class:`~repro.backends.batched.BatchedCachedBackend` (mode, cycles,
     operating point, activity, utilization and the per-component power
     breakdown); they are stored as one

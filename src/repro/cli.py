@@ -728,7 +728,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         f"served {stats['requests']} requests "
         f"({stats['deduplicated']} deduplicated) on {stats['max_workers']} threads"
     )
-    print(f"decision cache: {stats['hits']} hits, {stats['misses']} solved")
     timed_out = int(stats.get("timed_out", 0))
     if timed_out:
         print(f"WARNING: {timed_out} requests timed out after {args.timeout}s")
@@ -739,10 +738,10 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the HTTP/JSON scheduler daemon until drained.
 
-    Like ``batch``, always the batched backend (the daemon serves its
-    decision cache).  SIGTERM and SIGINT (Ctrl-C) trigger a graceful
-    drain: the listening socket closes, in-flight requests finish, and
-    the process exits 0.
+    Like ``batch``, always the batched backend.  SIGTERM and SIGINT
+    (Ctrl-C) trigger a graceful drain: the listening socket closes,
+    in-flight requests finish, and the process exits 0.  A
+    ``--rate-burst`` without ``--rate-limit`` exits 2.
     """
     from repro.serve import SchedulerDaemon
 

@@ -12,8 +12,8 @@ geometry + supported collapse depths) is evaluated over a workload suite
 and scored on latency saving, power saving, EDP gain and area overhead
 relative to a conventional fixed-pipeline array of the same geometry.
 
-Evaluation runs on a pluggable execution backend (default: the batched /
-cached backend, numerically identical to the analytical reference; it
+Evaluation runs on a pluggable execution backend (default: the batched
+backend, numerically identical to the analytical reference; it
 scores a whole point — every GEMM of every workload — in one mode search).
 Pass ``cache_dir`` to persist those decisions on disk, so a rerun sweep —
 another process, a CI job — starts warm and skips the mode search
@@ -126,8 +126,8 @@ class DesignSpaceExplorer:
         self.models = [self._resolve_model(model) for model in models]
         self.technology = technology or TechnologyModel.default_28nm()
         #: Backend evaluating every (design point, model) pair.  Defaults
-        #: to the batched/cached backend: bit-identical to the analytical
-        #: reference and much faster on sweeps, where workloads repeat.
+        #: to the batched backend: bit-identical to the analytical
+        #: reference and much faster on sweeps.
         #: ``cache_dir`` attaches the disk-persistent decision store.
         self.backend = create_backend(attach_store(backend, cache_dir), default="batched")
         self.max_workers = max_workers
@@ -288,14 +288,14 @@ class DesignSpaceExplorer:
         """Fan the sweep out over a process pool, one task per point.
 
         The pool initializer installs this explorer (with its backend and
-        that backend's cache state) in every worker once; each task then
-        scores one whole point with :meth:`evaluate_point` and ships one
-        small result back.  A point's decisions therefore come from one
-        mode search and reach a configured store from one worker, so
-        concurrent workers never race on a shard's read-merge-replace
-        (equal points write equal rows).  Under an enabled tracer the span
-        context travels with every task and the workers' spans are
-        re-parented here.
+        whatever lines that backend has calibrated) in every worker once;
+        each task then scores one whole point with :meth:`evaluate_point`
+        and ships one small result back.  A point's decisions therefore
+        come from one mode search and reach a configured store from one
+        worker, so concurrent workers never race on a shard's
+        read-merge-replace (equal points write equal rows).  Under an
+        enabled tracer the span context travels with every task and the
+        workers' spans are re-parented here.
         """
         tracer = get_tracer()
         with ProcessPoolExecutor(

@@ -2,22 +2,16 @@
 
 Counters, gauges and bucketed histograms live as *instruments* inside a
 :class:`MetricsRegistry`.  Each component (daemon middleware, scheduling
-service, cached backends) owns instruments in its own
-registry; the daemon :meth:`~MetricsRegistry.attach`\\ es those child
-registries to one root, so ``/metrics`` — JSON or Prometheus text — is a
-single merged read with no component knowing about any other.
+service) owns instruments in its own registry; the daemon
+:meth:`~MetricsRegistry.attach`\\ es those child registries to one root, so
+``/metrics`` is a single merged read with no component knowing about any
+other.  It has two forms, :meth:`~MetricsRegistry.to_json` and
+:meth:`~MetricsRegistry.to_prometheus`, which group the same families the
+same way.
 
 Instruments are keyed by ``(name, sorted(labels))``; getting an existing
 key returns the same instrument, so call sites never pre-register.
-Everything is picklable (the cached backends ship to process-pool
-workers): locks are dropped and re-created, and attached child
-registries are *not* carried along — the pickle is the owner's own
-instruments only.
-
-Design constraints: increments must stay cheap (one lock, one add), and
-each component's legacy snapshot shape (``DaemonMetrics.snapshot()``,
-``SchedulingService.stats()``, the backends' ``cache_info()``) must be
-reconstructible bit-identically from its instruments.
+Increments must stay cheap: one lock, one add.
 """
 
 from __future__ import annotations
@@ -47,32 +41,17 @@ class Counter:
         with self._lock:
             self._value += amount
 
-    def reset(self) -> None:
-        """Zero the counter (cache-clear semantics of the legacy stores)."""
-        with self._lock:
-            self._value = 0
-
     @property
     def value(self):
         return self._value
 
-    def __getstate__(self) -> dict:
-        return {"name": self.name, "labels": self.labels, "value": self._value}
-
-    def __setstate__(self, state: dict) -> None:
-        self.name = state["name"]
-        self.labels = state["labels"]
-        self._value = state["value"]
-        self._lock = threading.Lock()
-
 
 class Gauge:
-    """A value that goes up and down (set-only; no callback form).
+    """A value that goes up and down (set/add cells; no callback form).
 
-    Callback gauges would capture their owner in a closure and break the
-    picklability the process-pool backends rely on, so gauges here are
-    plain set/add cells and "live" values are set at read time by the
-    owner (e.g. the daemon sets ``inflight`` when building a payload).
+    "Live" values are set at read time by their owner: the daemon sets
+    ``daemon_inflight`` and ``daemon_uptime_seconds`` before each
+    ``/metrics`` read.
     """
 
     __slots__ = ("name", "labels", "_value", "_lock")
@@ -94,15 +73,6 @@ class Gauge:
     @property
     def value(self):
         return self._value
-
-    def __getstate__(self) -> dict:
-        return {"name": self.name, "labels": self.labels, "value": self._value}
-
-    def __setstate__(self, state: dict) -> None:
-        self.name = state["name"]
-        self.labels = state["labels"]
-        self._value = state["value"]
-        self._lock = threading.Lock()
 
 
 #: The latency buckets the daemon has always exposed (ms, roughly
@@ -156,25 +126,6 @@ class Histogram:
             out[edge] = running
         out["+Inf"] = total
         return out
-
-    def __getstate__(self) -> dict:
-        return {
-            "name": self.name,
-            "labels": self.labels,
-            "buckets": self.buckets,
-            "counts": list(self._counts),
-            "sum": self._sum,
-            "count": self._count,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self.name = state["name"]
-        self.labels = state["labels"]
-        self.buckets = state["buckets"]
-        self._counts = state["counts"]
-        self._sum = state["sum"]
-        self._count = state["count"]
-        self._lock = threading.Lock()
 
 
 class MetricsRegistry:
@@ -235,25 +186,40 @@ class MetricsRegistry:
         """Every instrument of one metric name (across labels/children)."""
         return [inst for inst in self.collect() if inst.name == name]
 
-    def to_prometheus(self) -> str:
-        """Prometheus text exposition (version 0.0.4) of every instrument."""
+    def _families(self) -> list[tuple[str, list]]:
+        """``(name, instruments)`` per metric name, names sorted."""
         by_name: dict = {}
         for inst in self.collect():
             by_name.setdefault(inst.name, []).append(inst)
+        return sorted(by_name.items())
+
+    def to_json(self) -> dict:
+        """``{name: [sample, ...]}`` of every instrument, JSON-ready.
+
+        A counter or gauge sample is ``{"labels", "value"}``; a histogram
+        sample is ``{"labels", "buckets", "sum", "count"}`` with cumulative
+        ``buckets`` keyed by their Prometheus ``le`` label.
+        """
+        return {
+            name: [_json_sample(inst) for inst in instruments]
+            for name, instruments in self._families()
+        }
+
+    def to_prometheus(self) -> str:
+        """Prometheus text exposition (version 0.0.4) of every instrument."""
         lines = []
-        for name in sorted(by_name):
-            kind = by_name[name][0]
+        for name, instruments in self._families():
+            kind = instruments[0]
             if isinstance(kind, Histogram):
                 lines.append(f"# TYPE {name} histogram")
             elif isinstance(kind, Gauge):
                 lines.append(f"# TYPE {name} gauge")
             else:
                 lines.append(f"# TYPE {name} counter")
-            for inst in by_name[name]:
+            for inst in instruments:
                 if isinstance(inst, Histogram):
                     for edge, count in inst.cumulative().items():
-                        le = "+Inf" if edge == "+Inf" else _format_value(edge)
-                        labels = _prom_labels({**inst.labels, "le": le})
+                        labels = _prom_labels({**inst.labels, "le": _le(edge)})
                         lines.append(f"{name}_bucket{labels} {count}")
                     labels = _prom_labels(inst.labels)
                     lines.append(f"{name}_sum{labels} {_format_value(inst.sum)}")
@@ -263,16 +229,17 @@ class MetricsRegistry:
                     lines.append(f"{name}{labels} {_format_value(inst.value)}")
         return "\n".join(lines) + "\n"
 
-    def __getstate__(self) -> dict:
-        # Child registries stay with their owners; a pickled registry
-        # carries only the instruments it directly owns.
-        with self._lock:
-            return {"instruments": dict(self._instruments)}
 
-    def __setstate__(self, state: dict) -> None:
-        self._instruments = state["instruments"]
-        self._children = []
-        self._lock = threading.Lock()
+def _json_sample(inst) -> dict:
+    sample = {"labels": dict(inst.labels)}
+    if isinstance(inst, Histogram):
+        cumulative = inst.cumulative()
+        sample["buckets"] = {_le(edge): count for edge, count in cumulative.items()}
+        sample["sum"] = inst.sum
+        sample["count"] = cumulative["+Inf"]
+    else:
+        sample["value"] = inst.value
+    return sample
 
 
 def _prom_labels(labels: dict) -> str:
@@ -286,6 +253,11 @@ def _prom_labels(labels: dict) -> str:
 
 def _escape(value: str) -> str:
     return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+
+
+def _le(edge) -> str:
+    """A bucket edge as its ``le`` label (``"+Inf"`` for the overflow bucket)."""
+    return "+Inf" if edge == "+Inf" else _format_value(edge)
 
 
 def _format_value(value) -> str:

@@ -5,7 +5,7 @@ A long-running, stdlib-only (:mod:`http.server`) process boundary around
 versioned JSON protocol of :mod:`repro.serve.protocol`, and every
 request routes through the same ``submit(Request) -> Response`` core a
 library caller uses — so daemon results are bit-identical to in-process
-ones, dedup and decision-cache warmth included.
+ones, request dedup included.
 
 Endpoints
 ---------
@@ -19,11 +19,12 @@ Endpoints
                        (ArrayFlex, conventional) pair -> ``{"pairs":
                        [[flex, conv], ...]}``.
 ``GET /metrics``       request/outcome/rejection counters, per-backend
-                       latency histograms, the service's dedup counters
-                       and the backend's decision-cache counters — all
-                       read from one unified metrics registry; with
-                       ``Accept: text/plain`` the same registry is served
-                       as Prometheus text exposition instead of JSON.
+                       latency histograms, the service's dedup counters,
+                       the in-flight depth, the uptime and (with a rate
+                       limit) the limiter's bucket count, read from one
+                       metrics registry: ``{"v": 1, "metrics": {family:
+                       [samples]}}``, or with ``Accept: text/plain`` the
+                       same families as Prometheus text exposition.
 ``GET /healthz``       liveness: status (``ok``/``draining``), uptime,
                        in-flight depth.
 
@@ -110,13 +111,16 @@ class SchedulerDaemon:
     """One scheduling service behind a threaded HTTP/JSON front door.
 
     ``service`` defaults to a fresh :class:`SchedulingService` built
-    from ``backend``/``max_workers``; pass an existing
-    service to share its warmth (the daemon then also owns closing it on
-    drain).  ``max_inflight`` bounds the admission queue,
-    ``rate_limit``/``rate_burst`` configure the per-client token bucket
-    (``None`` disables it), and
-    ``default_timeout`` is the per-request deadline applied when a wire
-    request carries none (``None``: wait forever).
+    from ``backend``/``max_workers``; pass an existing service instead of
+    them to share it (the daemon then also owns closing it on drain).
+    ``max_inflight`` bounds the admission queue, ``rate_limit``/
+    ``rate_burst`` configure the per-client token bucket (``None``
+    disables it), and ``default_timeout`` is the per-request deadline
+    applied when a wire request carries none (``None``: wait forever).
+    Arguments that would be ignored — ``backend`` or ``max_workers`` next
+    to a ready service, a burst without a rate — raise
+    :class:`~repro.serve.errors.InvalidRequest` before any thread pool is
+    built.
     """
 
     def __init__(
@@ -133,19 +137,18 @@ class SchedulerDaemon:
         default_timeout: float | None = None,
         drain_timeout: float = 30.0,
     ) -> None:
-        if service is None:
-            service = SchedulingService(backend=backend, max_workers=max_workers)
-        elif backend is not None:
+        if service is not None and (backend is not None or max_workers is not None):
             raise InvalidRequest(
-                "pass either a ready service or a backend argument, not both"
+                "pass either a ready service or backend/max_workers arguments, not both"
             )
-        self.service = service
         self.gate = AdmissionGate(max_inflight)
         self.limiter = TokenBucket(rate_limit, rate_burst)
+        if service is None:
+            service = SchedulingService(backend=backend, max_workers=max_workers)
+        self.service = service
         self.metrics = DaemonMetrics()
-        #: The unified registry behind ``/metrics``: the daemon's own
-        #: middleware counters plus the service's (which in turn carries
-        #: the backend's cache counters) — one merged read, no component
+        #: The registry behind ``/metrics``: the daemon's own middleware
+        #: counters plus the service's — one merged read, no component
         #: knowing about any other.
         self.registry = MetricsRegistry()
         self.registry.attach(self.metrics.registry)
@@ -257,42 +260,21 @@ class SchedulerDaemon:
         }
 
     def metrics_payload(self) -> dict:
-        service_stats = self.service.stats()
-        payload: dict = {
-            "v": PROTOCOL_VERSION,
-            "uptime_s": round(self.uptime_s(), 3),
-            "inflight": self.gate.depth,
-            "daemon": self.metrics.snapshot(),
-            "service": service_stats,
-            "rates": _hit_rates(service_stats),
-        }
-        if self.limiter.enabled:
-            payload["rate_limiter"] = {
-                "rate_per_s": self.limiter.rate,
-                "burst": self.limiter.burst,
-                "clients": self.limiter.clients(),
-            }
-        return payload
+        """``/metrics`` as JSON: ``{"v": 1, "metrics": {family: [samples]}}``."""
+        self._set_live_gauges()
+        return {"v": PROTOCOL_VERSION, "metrics": self.registry.to_json()}
 
     def prometheus_payload(self) -> str:
-        """``/metrics`` as Prometheus text exposition, from the unified
-        registry (served on ``Accept: text/plain`` content negotiation)."""
-        self.registry.gauge("daemon_inflight").set(self.gate.depth)
-        self.registry.gauge("daemon_uptime_seconds").set(round(self.uptime_s(), 3))
+        """``/metrics`` as Prometheus text exposition (served on
+        ``Accept: text/plain``): the same families as the JSON form."""
+        self._set_live_gauges()
         return self.registry.to_prometheus()
 
-
-def _hit_rates(stats: dict) -> dict:
-    """Dedup and decision-cache hit rates from raw counters."""
-    rates: dict[str, float] = {}
-    requests = int(stats.get("requests", 0) or 0)
-    if requests:
-        rates["dedup"] = round(int(stats.get("deduplicated", 0)) / requests, 4)
-    hits = stats.get("hits")
-    misses = stats.get("misses")
-    if hits is not None and misses is not None and (hits + misses):
-        rates["decision_cache"] = round(hits / (hits + misses), 4)
-    return rates
+    def _set_live_gauges(self) -> None:
+        self.registry.gauge("daemon_inflight").set(self.gate.depth)
+        self.registry.gauge("daemon_uptime_seconds").set(round(self.uptime_s(), 3))
+        if self.limiter.enabled:
+            self.registry.gauge("daemon_rate_limit_clients").set(self.limiter.clients())
 
 
 # ---------------------------------------------------------------------- #

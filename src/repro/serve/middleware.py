@@ -36,7 +36,7 @@ import threading
 import time
 from collections.abc import Callable
 
-from repro.obs.metrics import DEFAULT_BUCKETS_MS, Histogram, MetricsRegistry
+from repro.obs.metrics import DEFAULT_BUCKETS_MS, MetricsRegistry
 from repro.serve.errors import AdmissionRejected, InvalidRequest, RateLimited
 
 __all__ = [
@@ -115,7 +115,8 @@ class TokenBucket:
     """Per-client token buckets: ``rate`` tokens/second, ``burst`` deep.
 
     A disabled limiter (``rate=None``) admits everything — the daemon
-    default, so a single-user deployment needs no configuration.  Client
+    default, so a single-user deployment needs no configuration — and
+    refuses a ``burst``, which it would ignore.  Client
     ids are whatever the caller keys on (the daemon uses the
     ``X-Client-Id`` header, falling back to the peer host).  Buckets are
     created full, so a new client can burst immediately — and a bucket
@@ -133,6 +134,8 @@ class TokenBucket:
         burst: float | None = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
+        if rate is None and burst is not None:
+            raise InvalidRequest("a rate-limit burst needs a rate limit")
         # Written so that NaN fails too: a NaN or infinite bucket admits everything.
         if rate is not None and not 0 < rate < math.inf:
             raise InvalidRequest("rate limit must be finite and positive (or None to disable)")
@@ -186,38 +189,18 @@ class TokenBucket:
             return len(self._buckets)
 
 
-def _histogram_snapshot(histogram: Histogram) -> dict:
-    """The daemon's historical histogram read shape, from an instrument."""
-    cumulative = {
-        ("+Inf" if edge == "+Inf" else f"{edge:g}"): count
-        for edge, count in histogram.cumulative().items()
-    }
-    total = histogram.count
-    sum_ms = histogram.sum
-    return {
-        "count": total,
-        "sum_ms": round(sum_ms, 4),
-        "mean_ms": round(sum_ms / total, 4) if total else 0.0,
-        "buckets_le_ms": cumulative,
-    }
-
-
 class DaemonMetrics:
     """The /metrics counters: requests, rejections, latency histograms.
 
     ``observe(endpoint, outcome, backend, latency_ms)`` records one
     answered request; rejections (shed before any backend work) are
-    recorded by ``reject(endpoint, code)``.  ``snapshot()`` returns one
-    JSON-ready dict; the daemon merges it with the service's serving and
-    decision-cache counters.
-
-    Every count lives on :attr:`registry` (one
-    :class:`repro.obs.MetricsRegistry`, injectable so the daemon can
-    attach it to its root): ``daemon_requests_total{endpoint}``,
+    recorded by ``reject(endpoint, code)``.  Every count lives on
+    :attr:`registry` (one :class:`repro.obs.MetricsRegistry`, injectable
+    so the daemon can attach it to its root):
+    ``daemon_requests_total{endpoint}``,
     ``daemon_outcomes_total{endpoint,outcome}``,
     ``daemon_rejections_total{endpoint,code}`` and the per-backend
-    ``daemon_latency_ms{backend}`` histograms.  ``snapshot()`` rebuilds
-    the historical JSON shape from those instruments, bit-identically.
+    ``daemon_latency_ms{backend}`` histograms.
     """
 
     def __init__(self, registry: MetricsRegistry | None = None) -> None:
@@ -238,27 +221,3 @@ class DaemonMetrics:
         self.registry.counter(
             "daemon_rejections_total", endpoint=endpoint, code=code
         ).inc()
-
-    def snapshot(self) -> dict:
-        requests = {
-            inst.labels["endpoint"]: inst.value
-            for inst in self.registry.family("daemon_requests_total")
-        }
-        outcomes = {
-            f"{inst.labels['endpoint']}:{inst.labels['outcome']}": inst.value
-            for inst in self.registry.family("daemon_outcomes_total")
-        }
-        rejections = {
-            f"{inst.labels['endpoint']}:{inst.labels['code']}": inst.value
-            for inst in self.registry.family("daemon_rejections_total")
-        }
-        histograms = {
-            inst.labels["backend"]: _histogram_snapshot(inst)
-            for inst in self.registry.family("daemon_latency_ms")
-        }
-        return {
-            "requests": dict(sorted(requests.items())),
-            "outcomes": dict(sorted(outcomes.items())),
-            "rejections": dict(sorted(rejections.items())),
-            "latency_ms_by_backend": dict(sorted(histograms.items())),
-        }

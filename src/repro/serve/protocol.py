@@ -221,6 +221,8 @@ def _model_from_wire(payload: object) -> str | tuple[GemmShape, ...]:
             raise InvalidRequest("model name must be non-empty")
         return payload
     if isinstance(payload, list) and payload:
+        # This loop runs once per layer of every explicit-GEMM request, so
+        # it indexes and constructs positionally (m, n, t, name).
         gemms = []
         for index, item in enumerate(payload):
             if not isinstance(item, (list, tuple)) or len(item) not in (3, 4):
@@ -228,14 +230,14 @@ def _model_from_wire(payload: object) -> str | tuple[GemmShape, ...]:
                     f"model entry {index} must be [m, n, t] or [m, n, t, name]"
                 )
             try:
-                m, n, t = (int(value) for value in item[:3])
+                m, n, t = int(item[0]), int(item[1]), int(item[2])
             except (TypeError, ValueError, OverflowError) as exc:
                 raise InvalidRequest(
                     f"model entry {index} has non-integer dimensions"
                 ) from exc
             name = str(item[3]) if len(item) == 4 else f"gemm{index}"
             try:
-                gemms.append(GemmShape(m=m, n=n, t=t, name=name))
+                gemms.append(GemmShape(m, n, t, name))
             except ValueError as exc:
                 raise InvalidRequest(f"model entry {index}: {exc}") from exc
         return tuple(gemms)

@@ -18,27 +18,23 @@ the same typed surface.  A request that can never succeed (an unknown
 workload name, a layer the engine cannot count in int64) raises
 :class:`~repro.serve.errors.InvalidRequest`.
 
-Two layers of work elimination stack up:
-
-* **request dedup** — identical requests (same workload, same
-  configuration identity per :meth:`ArrayFlexConfig.cache_key`, which
-  folds in the configured :mod:`repro.core.activity` model — the same
-  workload priced under ``constant`` and ``utilization`` activity is two
-  distinct computations, never one shared future) are submitted once and
-  share one future, across ``submit`` calls;
-* **decision cache** — distinct requests still share per-layer mode
-  decisions through the backend's LRU (CNN suites repeat GEMM shapes
-  heavily).
+Identical requests (same workload, same configuration identity per
+:meth:`ArrayFlexConfig.cache_key`, which folds in the configured
+:mod:`repro.core.activity` model — the same workload priced under
+``constant`` and ``utilization`` activity is two distinct computations,
+never one shared future) are submitted once and share one future, across
+``submit`` calls.  Within one request the backend solves each distinct
+GEMM shape once (CNN suites repeat shapes heavily).
 
 The service keeps nothing on disk: recomputing a decision is cheaper
 than loading it.  A caller may still hand it a backend that carries a
 :class:`~repro.backends.store.DecisionStore`; :meth:`close` then flushes
 that store's buffered rows.
 
-Execution fans out over a thread pool that shares one warm backend: the
-backend's cache bookkeeping is lock-serialised, but the NumPy solve and
-schedule construction run concurrently.  ``max_workers`` is auto-sized
-from :func:`os.cpu_count`.  Large design-space sweeps fan out over
+Execution fans out over a thread pool that shares one backend; the
+NumPy solves and schedule construction run concurrently.
+``max_workers`` is auto-sized from :func:`os.cpu_count`.  Large
+design-space sweeps fan out over
 :class:`~repro.core.design_space.DesignSpaceExplorer`'s own process pool
 instead.
 """
@@ -55,12 +51,7 @@ from threading import Event, RLock
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import get_tracer
 
-from repro.backends import (
-    BatchedCachedBackend,
-    ExecutionBackend,
-    ModelTotals,
-    create_backend,
-)
+from repro.backends import ExecutionBackend, ModelTotals, create_backend
 from repro.core.config import ArrayFlexConfig
 from repro.core.metrics import ModelSchedule, WorkloadArgument
 from repro.nn.gemm_mapping import GemmShape
@@ -96,22 +87,19 @@ class SchedulingService:
         self,
         backend: ExecutionBackend | str | None = None,
         max_workers: int | None = None,
-        cache_size: int = 65536,
         dedup_size: int = 4096,
     ) -> None:
         if max_workers is not None and max_workers < 1:
             raise InvalidRequest("max_workers must be at least 1")
         if dedup_size < 1:
             raise InvalidRequest("dedup_size must be at least 1")
-        if backend is None:
-            backend = BatchedCachedBackend(cache_size=cache_size)
         self.backend = create_backend(backend, default="batched")
         self.max_workers = max_workers or default_max_workers()
         #: Bound on the dedup map: completed futures (and their results)
         #: beyond this are dropped oldest-first, so a long-lived service
         #: over a stream of distinct requests cannot grow without limit.
         #: Evicted entries only cost a duplicate recomputation on
-        #: re-encounter — the backend's decision cache still absorbs it.
+        #: re-encounter.
         self.dedup_size = dedup_size
         # Re-entrant: a future that completes instantly runs its
         # done-callback inline on the submitting thread, inside submit()'s
@@ -122,16 +110,13 @@ class SchedulingService:
         #: waiter never cancels a computation other callers still await.
         #: Entries are dropped by the future's done-callback.
         self._waiters: dict[int, int] = {}
-        #: One registry carrying the serving counters, with the backend's
-        #: own registry attached — the daemon attaches this in turn,
-        #: making ``/metrics`` a single merged read.
+        #: The serving counters; the daemon attaches this registry to its
+        #: own, making ``/metrics`` a single merged read.
         self.registry = MetricsRegistry()
         self._ctr_requests = self.registry.counter("service_requests_total")
         self._ctr_submitted = self.registry.counter("service_submitted_total")
         self._ctr_deduplicated = self.registry.counter("service_deduplicated_total")
         self._ctr_timed_out = self.registry.counter("service_timed_out_total")
-        if isinstance(self.backend, BatchedCachedBackend):
-            self.registry.attach(self.backend.metrics)
         #: Set by the first :meth:`close`; makes closing idempotent and
         #: safe from a signal handler (an Event is set without taking any
         #: lock another thread might hold across the interrupted frame).
@@ -395,21 +380,15 @@ class SchedulingService:
     # Introspection / lifecycle
     # ------------------------------------------------------------------ #
     def stats(self) -> dict[str, int]:
-        """Serving and backend cache counters.
-
-        Touches no disk, so a live ``/metrics`` can call it per scrape.
-        """
+        """The thread count and the serving counters; touches no disk."""
         with self._lock:
-            counters = {
+            return {
                 "max_workers": self.max_workers,
                 "requests": self._ctr_requests.value,
                 "submitted": self._ctr_submitted.value,
                 "deduplicated": self._ctr_deduplicated.value,
                 "timed_out": self._ctr_timed_out.value,
             }
-        if isinstance(self.backend, BatchedCachedBackend):
-            counters.update(self.backend.cache_info())
-        return counters
 
     @property
     def closed(self) -> bool:

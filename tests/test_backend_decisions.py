@@ -279,4 +279,6 @@ class TestWarmEqualsCold:
         assert cold.schedule_model(self.WORKLOAD, config).layers == reference.layers
         warm = BatchedCachedBackend(store=DecisionStore(tmp_path))
         assert warm.schedule_model(self.WORKLOAD, config).layers == reference.layers
-        assert warm.cache_info()["misses"] == 0
+        counters = warm.store.counters()  # nothing solved, so nothing put
+        assert counters["merges"] == 0
+        assert counters["pending_rows"] == 0

@@ -28,6 +28,7 @@ from repro.backends import (
     AnalyticalBackend,
     BatchedCachedBackend,
     CycleAccurateBackend,
+    DecisionStore,
     ExecutionBackend,
     create_backend,
 )
@@ -36,6 +37,7 @@ from repro.core.config import ArrayFlexConfig
 from repro.core.design_space import DesignPoint, DesignSpaceExplorer
 from repro.core.clock import ClockModel
 from repro.core.latency import arrayflex_total_cycles
+from repro.core.metrics import resolve_workload
 from repro.nn.gemm_mapping import GemmShape
 from repro.nn.models import convnext_tiny, mobilenet_v1, resnet34
 from repro.sim.systolic_sim import CycleAccurateSystolicArray
@@ -110,8 +112,9 @@ class TestParityHarness:
 
 class TestSuiteTotals:
     """One decision pass over a whole suite equals per-model totals, bit
-    for bit: under every harness configuration, with an LRU smaller than
-    the suite's distinct GEMMs, and with a workload listed twice."""
+    for bit: under every harness configuration, with a store that holds
+    only some of the suite's distinct GEMMs, and with a workload listed
+    twice."""
 
     @staticmethod
     def suites():
@@ -122,10 +125,10 @@ class TestSuiteTotals:
             "cnn": [mobilenet_v1(), resnet34()],
         }
 
-    @pytest.mark.parametrize("cache_size", [65536, 7])
+    @pytest.mark.parametrize("stored_shapes", [65536, 7])
     @pytest.mark.parametrize("suite_key", ["harness", "repeated", "cnn"])
     @pytest.mark.parametrize("config_key", sorted(parity_configs()))
-    def test_matches_per_model_totals(self, config_key, suite_key, cache_size):
+    def test_matches_per_model_totals(self, config_key, suite_key, stored_shapes, tmp_path):
         config = parity_configs()[config_key]
         suite = self.suites()[suite_key]
         per_model = BatchedCachedBackend()
@@ -136,9 +139,20 @@ class TestSuiteTotals:
             )
             for model in suite
         ]
-        backend = BatchedCachedBackend(cache_size=cache_size)
+        # Store the suite's first ``stored_shapes`` distinct GEMMs: all of
+        # them (65536 exceeds every suite), or seven, so that the pass
+        # mixes stored rows with fresh solves.
+        distinct = list(
+            {(g.m, g.n, g.t): g for model in suite for g in resolve_workload(model)[0]}.values()
+        )
+        seed = DecisionStore(tmp_path)
+        BatchedCachedBackend(store=seed).schedule_model_totals(distinct[:stored_shapes], config)
+        seed.flush()
+        store = DecisionStore(tmp_path)
+        backend = BatchedCachedBackend(store=store)
         assert backend.schedule_suite_totals(suite, config) == expected
-        assert backend.cache_info()["size"] <= cache_size
+        store.flush()
+        assert store.counters()["rows_merged"] == max(len(distinct) - stored_shapes, 0)
 
 
 class TestBatchedParity:
@@ -239,49 +253,6 @@ class TestInt64Bounds:
             assert BatchedCachedBackend().schedule_model_totals(
                 layers, config, conventional=conventional
             ) == analytical.schedule_model_totals(layers, config, conventional=conventional)
-
-
-class TestBatchedCache:
-    def test_repeat_model_hits_cache(self, config):
-        backend = BatchedCachedBackend()
-        model = resnet34()
-        first = backend.schedule_model(model, config)
-        misses_after_first = backend.cache_info()["misses"]
-        second = backend.schedule_model(model, config)
-        info = backend.cache_info()
-        assert second.layers == first.layers
-        assert info["misses"] == misses_after_first
-        assert info["hits"] >= len(model.gemms())
-
-    def test_cache_spans_configs_without_collisions(self):
-        backend = BatchedCachedBackend()
-        gemm = GemmShape(m=512, n=2304, t=49, name="l28")
-        small = backend.schedule_layer(gemm, ArrayFlexConfig.paper_128x128())
-        large = backend.schedule_layer(gemm, ArrayFlexConfig.paper_256x256())
-        assert small.cycles != large.cycles  # different geometries, both cached
-        assert backend.cache_info()["size"] == 2
-
-    def test_lru_eviction_bounds_size(self, config):
-        backend = BatchedCachedBackend(cache_size=8)
-        for t in range(1, 30):
-            backend.schedule_layer(GemmShape(m=64, n=64, t=t, name="x"), config)
-        assert backend.cache_info()["size"] <= 8
-
-    def test_cache_clear(self, config):
-        backend = BatchedCachedBackend()
-        backend.schedule_layer(GemmShape(m=8, n=8, t=8, name="x"), config)
-        backend.cache_clear()
-        assert backend.cache_info() == {
-            "hits": 0,
-            "misses": 0,
-            "store_hits": 0,
-            "size": 0,
-            "max_size": backend.cache_size,
-        }
-
-    def test_invalid_cache_size_rejected(self):
-        with pytest.raises(ValueError):
-            BatchedCachedBackend(cache_size=0)
 
 
 class TestCycleAccurateParity:
@@ -455,7 +426,7 @@ class TestDesignSpaceBackends:
             models, backend=_UnregisteredBackend(), max_workers=2
         ).explore(self.POINTS)
         tuned = DesignSpaceExplorer(
-            models, backend=BatchedCachedBackend(cache_size=7), max_workers=2
+            models, backend=CycleAccurateBackend(measurement_seed=7), max_workers=2
         ).explore(self.POINTS)
         reference = DesignSpaceExplorer(models).explore(self.POINTS)
         assert custom == reference

@@ -147,8 +147,9 @@ class TestSweepStore:
         )
         restart = DesignSpaceExplorer(models, cache_dir=tmp_path, max_workers=1)
         assert restart.explore(self.POINTS) == cold
-        assert restart.backend.cache_info()["misses"] == 0
-        assert restart.backend.store.counters()["merges"] == 0
+        counters = restart.backend.store.counters()  # nothing solved, so nothing put
+        assert counters["merges"] == 0
+        assert counters["pending_rows"] == 0
 
 
 class TestImplicitFanOut:

