@@ -20,15 +20,19 @@ Three ablations:
 
 from bench_scenarios import ablation_study
 
-from repro.eval import CsaAblationExperiment, DirectionAblationExperiment
+from repro.eval.experiments import (
+    csa_ablation,
+    direction_ablation,
+    render_abl_csa,
+    render_abl_dirs,
+)
 
 
 def test_csa_ablation(benchmark):
-    experiment = CsaAblationExperiment(rows=128, cols=128)
-    result = benchmark(experiment.run)
+    result = benchmark(csa_ablation)
 
     print()
-    print(experiment.render(result))
+    print(render_abl_csa(result))
 
     by_depth = {entry.collapse_depth: entry for entry in result.entries}
 
@@ -46,11 +50,10 @@ def test_csa_ablation(benchmark):
 
 
 def test_direction_ablation(benchmark):
-    experiment = DirectionAblationExperiment(rows=128, cols=128, depths=(2, 4))
-    result = benchmark(experiment.run)
+    result = benchmark(direction_ablation)
 
     print()
-    print(experiment.render(result))
+    print(render_abl_dirs(result))
 
     for entry in result.entries:
         # Each single direction already helps...

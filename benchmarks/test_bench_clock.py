@@ -10,16 +10,15 @@ graph-based static timing analysis of the collapsed pipeline block.
 
 import pytest
 
-from repro.eval import ClockFrequencyExperiment
+from repro.eval.experiments import operating_points, render_clock
 from repro.core.config import ArrayFlexConfig
 
 
 def test_operating_points_and_sta(benchmark):
-    experiment = ClockFrequencyExperiment(kmax=4)
-    result = benchmark(experiment.run)
+    result = benchmark(operating_points)
 
     print()
-    print(experiment.render(result))
+    print(render_clock(result))
 
     # The paper's reported operating points.
     assert result.conventional_ghz == pytest.approx(2.0, abs=1e-9)

@@ -11,7 +11,7 @@ layer of the three CNNs plus a synthetic T sweep, at both array sizes.
 
 import pytest
 
-from repro.eval import Eq7ValidationExperiment
+from repro.eval.experiments import eq7_validation, render_eq7
 from repro.nn.workloads import synthetic_gemm_sweep
 
 
@@ -22,11 +22,10 @@ def test_eq7_analytical_vs_discrete(benchmark, size):
         n_values=[512, 2304],
         m_values=[256, 1024],
     )
-    experiment = Eq7ValidationExperiment(rows=size, cols=size, extra_gemms=extra)
-    result = benchmark(experiment.run)
+    result = benchmark(eq7_validation, rows=size, cols=size, extra_gemms=extra)
 
     print()
-    print(experiment.render(result))
+    print(render_eq7(result))
 
     # "Fairly accurately": at least 80% of the layers agree exactly.
     assert result.agreement_rate >= 0.80

@@ -13,7 +13,7 @@ Paper findings reproduced here:
 
 import pytest
 
-from repro.eval import Fig5Experiment
+from repro.eval.experiments import fig5_depth_sweep, render_fig5
 
 
 @pytest.mark.parametrize(
@@ -22,11 +22,10 @@ from repro.eval import Fig5Experiment
     ids=["layer20", "layer28"],
 )
 def test_fig5_execution_time_vs_depth(benchmark, layer_index, expected_best_depth):
-    experiment = Fig5Experiment(layer_index=layer_index)
-    result = benchmark(experiment.run)
+    result = benchmark(fig5_depth_sweep, layer_index)
 
     print()
-    print(experiment.render(result))
+    print(render_fig5(result))
 
     # The sweep covers exactly the paper's depths.
     assert [p.collapse_depth for p in result.points] == [1, 2, 3, 4]
@@ -44,7 +43,7 @@ def test_fig5_execution_time_vs_depth(benchmark, layer_index, expected_best_dept
 
 def test_fig5_layer_shapes_match_paper():
     """The GEMM dimensions quoted in Section III-C fall out of the model zoo."""
-    result20 = Fig5Experiment(layer_index=20).run()
-    result28 = Fig5Experiment(layer_index=28).run()
+    result20 = fig5_depth_sweep(20)
+    result28 = fig5_depth_sweep(28)
     assert result20.gemm.as_tuple() == (256, 2304, 196)
     assert result28.gemm.as_tuple() == (512, 2304, 49)

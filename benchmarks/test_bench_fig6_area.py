@@ -5,15 +5,14 @@ ArrayFlex per-PE area overhead of approximately 16%, consumed by the
 carry-save adder, the bypass multiplexers and the two configuration bits.
 """
 
-from repro.eval import Fig6Experiment
+from repro.eval.experiments import fig6_area, render_fig6
 
 
 def test_fig6_pe_area_overhead(benchmark):
-    experiment = Fig6Experiment(rows=8, cols=8)
-    result = benchmark(experiment.run)
+    result = benchmark(fig6_area)
 
     print()
-    print(experiment.render(result))
+    print(render_fig6(result))
 
     # ArrayFlex PEs are strictly larger than conventional PEs.
     assert result.arrayflex_pe_um2 > result.conventional_pe_um2

@@ -13,14 +13,19 @@ size:
 Run with:  python examples/cnn_suite_comparison.py
 """
 
-from repro.eval import Fig6Experiment
-from repro.eval.experiments import comparison_grid, render_fig8, render_fig9, value_range
+from repro.eval.experiments import (
+    comparison_grid,
+    fig6_area,
+    render_fig6,
+    render_fig8,
+    render_fig9,
+    value_range,
+)
 from repro.nn.models import model_zoo
 
 
 def main() -> None:
-    area = Fig6Experiment()
-    print(area.render())
+    print(render_fig6(fig6_area()))
     print()
 
     grid = comparison_grid(list(model_zoo().values()), sizes=(128, 256))

@@ -14,14 +14,13 @@ k in {1, 2, 3, 4} and scaling the clock accordingly.
 Run with:  python examples/resnet34_layer_study.py
 """
 
-from repro.eval import Fig5Experiment
+from repro.eval.experiments import fig5_depth_sweep, render_fig5
 
 
 def main() -> None:
     for layer_index in (20, 28):
-        experiment = Fig5Experiment(layer_index=layer_index)
-        result = experiment.run()
-        print(experiment.render(result))
+        result = fig5_depth_sweep(layer_index)
+        print(render_fig5(result))
         print(
             f"--> best collapse depth for layer {layer_index}: k = {result.best_depth} "
             f"({result.best_time_us:.2f} us, "

@@ -99,16 +99,22 @@ from repro.core.arrayflex import ArrayFlexAccelerator
 from repro.core.config import ArrayFlexConfig
 from repro.core.metrics import ModelSchedule
 from repro.timing.power_model import ArrayPowerBreakdown
+from repro.eval.ablation import default_study
 from repro.eval.experiments import (
-    AblationExperiment,
-    ClockFrequencyExperiment,
-    CsaAblationExperiment,
-    DirectionAblationExperiment,
-    Eq7ValidationExperiment,
-    Fig5Experiment,
-    Fig6Experiment,
     comparison_grid,
+    csa_ablation,
+    direction_ablation,
+    eq7_validation,
+    fig5_depth_sweep,
+    fig6_area,
+    operating_points,
+    render_abl_csa,
+    render_abl_dirs,
     render_activity,
+    render_clock,
+    render_eq7,
+    render_fig5,
+    render_fig6,
     render_fig7,
     render_fig8,
     render_fig9,
@@ -122,8 +128,8 @@ from repro.workloads import get_suite, get_workload, list_suites, workload_entry
 #: tables it prints.  The factories of the experiments that schedule
 #: workloads take the ``--backend`` name.
 EXPERIMENT_FACTORIES = {
-    "fig5": lambda: [Fig5Experiment(20).render(), Fig5Experiment(28).render()],
-    "fig6": lambda: [Fig6Experiment().render()],
+    "fig5": lambda: [render_fig5(fig5_depth_sweep(20)), render_fig5(fig5_depth_sweep(28))],
+    "fig6": lambda: [render_fig6(fig6_area())],
     "fig7": lambda backend: [
         render_fig7(comparison_grid([convnext_tiny()], sizes=(128,), backend=backend)[0])
     ],
@@ -133,10 +139,10 @@ EXPERIMENT_FACTORIES = {
     "fig9": lambda backend: [
         render_fig9(comparison_grid(list(model_zoo().values()), backend=backend))
     ],
-    "eq7": lambda: [Eq7ValidationExperiment().render()],
-    "clock": lambda: [ClockFrequencyExperiment().render()],
-    "abl_csa": lambda: [CsaAblationExperiment().render()],
-    "abl_dirs": lambda: [DirectionAblationExperiment().render()],
+    "eq7": lambda: [render_eq7(eq7_validation())],
+    "clock": lambda: [render_clock(operating_points())],
+    "abl_csa": lambda: [render_abl_csa(csa_ablation())],
+    "abl_dirs": lambda: [render_abl_dirs(direction_ablation())],
     "transformers": lambda backend: [
         render_transformers(comparison_grid(get_suite("transformers"), backend=backend))
     ],
@@ -149,7 +155,7 @@ EXPERIMENT_FACTORIES = {
             )
         )
     ],
-    "ablation": lambda backend: [AblationExperiment(backend=backend).render()],
+    "ablation": lambda backend: [default_study(backend=backend).run().render()],
 }
 
 #: The experiments whose results depend on the execution backend.
@@ -200,12 +206,12 @@ def _parse_size(text: str) -> tuple[int, int]:
     return int(rows), int(cols)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI grammar.
+def _knob_parents(exclusive_selection: bool = False) -> tuple[argparse.ArgumentParser, ...]:
+    """Parent parsers of the flags that set a design knob: geometry,
+    depths, activity model and workload selection, in that order.
 
-    Flags read by several commands live in small ``add_help=False``
-    parent parsers attached only to the commands whose handler reads
-    them, so an unsupported flag is a parse error by construction.
+    With ``exclusive_selection``, ``--models`` and ``--suite`` exclude
+    each other (``ablate``); ``batch`` combines them.
     """
     geometry = argparse.ArgumentParser(add_help=False)
     geometry.add_argument("--rows", type=int, default=128, help="array rows (default: 128)")
@@ -229,6 +235,34 @@ def build_parser() -> argparse.ArgumentParser:
             "array, datapath energy scales with the occupied-PE fraction)"
         ),
     )
+    selection = argparse.ArgumentParser(add_help=False)
+    names = selection.add_mutually_exclusive_group() if exclusive_selection else selection
+    names.add_argument(
+        "--models", nargs="+", help="registry workload names (see the 'workloads' command)"
+    )
+    names.add_argument(
+        "--suite",
+        choices=list(list_suites()),
+        default=None,
+        help="a whole registry suite (default: cnn when --models is not given)",
+    )
+    selection.add_argument(
+        "--batch-size",
+        type=_positive_int,
+        default=1,
+        help="map the workloads to batched inference (T x batch; default: 1)",
+    )
+    return geometry, depths, activity, selection
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI grammar.
+
+    Flags read by several commands live in small ``add_help=False``
+    parent parsers attached only to the commands whose handler reads
+    them, so an unsupported flag is a parse error by construction.
+    """
+    geometry, depths, activity, selection = _knob_parents()
     backend = argparse.ArgumentParser(add_help=False)
     backend.add_argument(
         "--backend",
@@ -248,23 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
             "registry workload name, e.g. resnet34 or bert_base; append @bsN "
             "for batched inference (see the 'workloads' command; default: resnet34)"
         ),
-    )
-    suites = list(list_suites())
-    selection = argparse.ArgumentParser(add_help=False)
-    selection.add_argument(
-        "--models", nargs="+", help="registry workload names (see the 'workloads' command)"
-    )
-    selection.add_argument(
-        "--suite",
-        choices=suites,
-        default=None,
-        help="a whole registry suite (default: cnn when --models is not given)",
-    )
-    selection.add_argument(
-        "--batch-size",
-        type=_positive_int,
-        default=1,
-        help="map the workloads to batched inference (T x batch; default: 1)",
     )
     workers = argparse.ArgumentParser(add_help=False)
     workers.add_argument(
@@ -436,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
         "workloads", help="list the workload registry (grouped by suite)"
     )
     workloads.add_argument(
-        "--suite", choices=suites, default=None, help="only list one suite (default: all)"
+        "--suite", choices=list(list_suites()), default=None, help="only list one suite (default: all)"
     )
 
     experiment_ids = subparsers.add_parser(
@@ -447,18 +464,26 @@ def build_parser() -> argparse.ArgumentParser:
             name, parents=[backend] if name in _SCHEDULING_EXPERIMENTS else []
         )
 
+    ablate_geometry, ablate_depths, ablate_activity, ablate_selection = _knob_parents(
+        exclusive_selection=True
+    )
     ablate = subparsers.add_parser(
         "ablate",
-        parents=[selection, geometry, depths, workers, activity],
+        parents=[ablate_selection, ablate_geometry, ablate_depths, workers, ablate_activity],
         help=(
             "run a declarative ablation study (baseline plus one-off runs "
             "over design knobs) and print the per-component importance ranking"
         ),
         description=(
-            "Run a declarative ablation study. The flags fix the baseline of "
-            "every knob that no --component ablates; --models overrides --suite."
+            "Run a declarative ablation study. A knob flag given fixes that "
+            "knob for every run, so a --component on the same knob is refused; "
+            "the stock study starts its activity-model, geometry and depths "
+            "components at --activity-model, --rows/--cols and --depths."
         ),
     )
+    # Its own copies of the knob flags, so that this touches no other
+    # command: a knob flag left out reads None.
+    ablate.set_defaults(rows=None, cols=None, depths=None, activity_model=None, batch_size=None)
     ablate.add_argument(
         "--component",
         action="append",
@@ -885,46 +910,54 @@ def _parse_component(text: str):
 
 
 def _cmd_ablate(args: argparse.Namespace) -> int:
-    """Run a declarative ablation study and print the importance ranking."""
-    from repro.eval.ablation import AblationStudy, Component
+    """Run a declarative ablation study and print the importance ranking.
 
+    A knob flag given fixes its knob for every run, so a ``--component``
+    on the same knob meets the study's "both fixed and ablated" refusal
+    (exit 2).  Without ``--component``, the stock study flips the
+    activity model, doubles the array and drops the deepest mode, each
+    starting from its flag.
+    """
+    from repro.eval.ablation import DEFAULT_SETTINGS, AblationStudy, Component
+
+    fixed = {
+        knob: value
+        for knob, value in {
+            "backend": args.backend,
+            "activity_model": args.activity_model,
+            "depths": args.depths,
+            "batch": args.batch_size,
+            "workloads": args.models,
+            "suite": args.suite,
+        }.items()
+        if value is not None
+    }
+    if args.rows is not None or args.cols is not None:
+        rows, cols = DEFAULT_SETTINGS["geometry"]
+        fixed["geometry"] = (
+            rows if args.rows is None else args.rows,
+            cols if args.cols is None else args.cols,
+        )
     if args.component:
         components = [_parse_component(text) for text in args.component]
     else:
-        # The stock study anchored at the baseline flags: flip the
-        # activity model, double the array, drop the deepest mode.
-        depths = tuple(args.depths)
+        baseline = {**DEFAULT_SETTINGS, **fixed}
+        activity = baseline["activity_model"]
+        rows, cols = baseline["geometry"]
+        depths = baseline["depths"]
         components = [
-            Component("activity_model", "constant", ("utilization",)),
             Component(
-                "geometry",
-                (args.rows, args.cols),
-                ((args.rows * 2, args.cols * 2),),
+                "activity_model", activity, tuple(sorted(set(ACTIVITY_MODELS) - {activity}))
             ),
+            Component("geometry", (rows, cols), ((rows * 2, cols * 2),)),
         ]
         if len(depths) > 1:
             components.append(
                 Component("depths", depths, (tuple(sorted(depths)[:-1]),))
             )
-    names = {component.name for component in components}
-    # An explicit --backend is fixed even when a component ablates the
-    # backend: the study then refuses the knob as both fixed and ablated.
-    fixed: dict[str, object] = {}
-    if args.backend is not None:
-        fixed["backend"] = args.backend
-    if "activity_model" not in names:
-        fixed["activity_model"] = args.activity_model
-    if "geometry" not in names:
-        fixed["geometry"] = (args.rows, args.cols)
-    if "depths" not in names:
-        fixed["depths"] = tuple(args.depths)
-    if "batch" not in names:
-        fixed["batch"] = args.batch_size
-    if "workloads" not in names and "suite" not in names:
-        if args.models:
-            fixed["workloads"] = tuple(args.models)
-        else:
-            fixed["suite"] = args.suite or "cnn"
+        # The stock components start from their flags instead of fixing them.
+        for component in components:
+            fixed.pop(component.name, None)
     study = AblationStudy(
         components=components,
         fixed=fixed,

@@ -1,19 +1,19 @@
 """Evaluation harness: the paper's figures and tables, plus ablations.
 
-Figs. 7-9 and the two beyond-paper suites compare ArrayFlex with the
+Every artifact is a function computing its result plus a ``render_*``
+function printing it, both in :mod:`repro.eval.experiments`.  Figs. 7-9
+and the two beyond-paper suites compare ArrayFlex with the
 fixed-pipeline SA on whole workloads; they are selections of one table,
-:func:`comparison_grid` (size x activity model x workload), each with a
-``render_*`` function in :mod:`repro.eval.experiments`.  Every other
-artifact has an experiment class:
+:func:`comparison_grid` (size x activity model x workload):
 
 =========================  ==============================================
 Artifact                   Source
 =========================  ==============================================
-Fig. 5                     ``Fig5Experiment`` -- execution time vs
-                           collapse depth for ResNet-34 layers 20 and 28
-                           on a 132x132 array.
-Fig. 6                     ``Fig6Experiment`` -- PE area overhead of
-                           reconfigurability.
+Fig. 5                     ``fig5_depth_sweep`` / ``render_fig5`` --
+                           execution time vs collapse depth for ResNet-34
+                           layers 20 and 28 on a 132x132 array.
+Fig. 6                     ``fig6_area`` / ``render_fig6`` -- PE area
+                           overhead of reconfigurability.
 Fig. 7                     ``render_fig7`` -- per-layer execution time
                            of ConvNeXt (128x128).
 Fig. 8                     ``render_fig8`` -- total execution time of
@@ -25,18 +25,18 @@ Transformer suite          ``render_transformers`` -- the Fig. 8/9
                            decode.
 Activity study             ``render_activity`` -- constant vs
                            utilization activity energies.
-Eq. (7)                    ``Eq7ValidationExperiment`` -- analytical vs
-                           discrete optimal collapse depth.
-Operating points           ``ClockFrequencyExperiment`` -- Section IV
-                           (2.0/1.8/1.7/1.4 GHz) and the STA cross-check
-                           of Eq. (5).
-CSA ablation               ``CsaAblationExperiment`` -- Section III-B:
-                           what collapsing would cost without the
-                           carry-save adders.
-Collapse directions        ``DirectionAblationExperiment`` -- vertical-
-                           only vs horizontal-only vs both.
-Knob importance            ``AblationExperiment`` -- the stock
-                           :class:`AblationStudy` ranking.
+Eq. (7)                    ``eq7_validation`` / ``render_eq7`` --
+                           analytical vs discrete optimal collapse depth.
+Operating points           ``operating_points`` / ``render_clock`` --
+                           Section IV (2.0/1.8/1.7/1.4 GHz) and the STA
+                           cross-check of Eq. (5).
+CSA ablation               ``csa_ablation`` / ``render_abl_csa`` --
+                           Section III-B: what collapsing would cost
+                           without the carry-save adders.
+Collapse directions        ``direction_ablation`` / ``render_abl_dirs``
+                           -- vertical-only vs horizontal-only vs both.
+Knob importance            ``default_study().run().render()`` -- the
+                           stock :class:`AblationStudy` ranking.
 =========================  ==============================================
 """
 
@@ -47,29 +47,27 @@ from repro.eval.ablation import (
     default_study,
 )
 from repro.eval.experiments import (
-    AblationExperiment,
-    ClockFrequencyExperiment,
-    CsaAblationExperiment,
-    DirectionAblationExperiment,
-    Eq7ValidationExperiment,
-    Fig5Experiment,
-    Fig6Experiment,
     GridRow,
     comparison_grid,
+    csa_ablation,
+    direction_ablation,
+    eq7_validation,
+    fig5_depth_sweep,
+    fig6_area,
+    operating_points,
 )
 from repro.eval.report import format_ratio, format_table
 from repro.eval.sweep import collapse_depth_sweep
 
 __all__ = [
-    "Fig5Experiment",
-    "Fig6Experiment",
+    "fig5_depth_sweep",
+    "fig6_area",
     "GridRow",
     "comparison_grid",
-    "Eq7ValidationExperiment",
-    "ClockFrequencyExperiment",
-    "CsaAblationExperiment",
-    "DirectionAblationExperiment",
-    "AblationExperiment",
+    "eq7_validation",
+    "operating_points",
+    "csa_ablation",
+    "direction_ablation",
     "AblationStudy",
     "Component",
     "StudyResult",

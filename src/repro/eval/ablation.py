@@ -289,6 +289,12 @@ class AblationStudy:
                 f"knobs {sorted(overlap)} are both fixed and ablated; "
                 f"declare each knob in exactly one place"
             )
+        selection = {"workloads", "suite"}
+        if selection & set(self.fixed) and selection & set(names):
+            raise ValueError(
+                "knobs 'workloads' and 'suite' select the same workloads (a "
+                "workload list replaces the suite); fix the selection or ablate it"
+            )
 
     # ------------------------------------------------------------------ #
     # Run-set generation (pure function of the declaration)

@@ -1,19 +1,18 @@
 """The paper's figures and tables plus ablations, computed and rendered.
 
+Every artifact is a function that computes a small result (a list of
+rows or a dataclass) plus a ``render_*`` function that turns the result
+into the text table the CLI, the benchmarks and the examples print.  The
+computations use only the public library API, so they double as
+integration tests of that API.
+
 The ArrayFlex-vs-conventional comparison behind Figs. 7-9, the
 transformer suite and the activity study is one table,
 :func:`comparison_grid`; each of those artifacts is a selection of its
-rows plus a ``render_*`` function.
-
-Every other artifact is an experiment object of the same shape:
-
-* ``run()`` computes a structured result (a small dataclass) using only the
-  public library API, so the experiments double as integration tests of
-  that API;
-* ``render(result)`` turns the result into the text table printed by the
-  benchmark harness and the examples;
-* ``paper_reference`` documents what the paper reports for the same
-  artifact, so EXPERIMENTS.md can show measured-vs-paper side by side.
+rows.  Fig. 5, Fig. 6, Eq. (7), the operating points and the two design
+ablations each compute their own dataclass (:func:`fig5_depth_sweep`,
+:func:`fig6_area`, :func:`eq7_validation`, :func:`operating_points`,
+:func:`csa_ablation`, :func:`direction_ablation`).
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from repro.core.optimizer import PipelineOptimizer
 from repro.eval.report import format_percent, format_ratio, format_table
 from repro.eval.sweep import DepthSweepPoint, collapse_depth_sweep
 from repro.nn.gemm_mapping import GemmShape
-from repro.nn.models import CnnModel, convnext_tiny, model_zoo, resnet34
+from repro.nn.models import convnext_tiny, model_zoo, resnet34
 from repro.timing.area_model import AreaModel
 from repro.timing.delay_model import DelayModel
 from repro.timing.sta import PipelineBlockNetlist, StaticTimingAnalyzer
@@ -66,67 +65,49 @@ class Fig5Result:
         return 1.0 - self.best_time_us / self.conventional_time_us
 
 
-class Fig5Experiment:
-    """Fig. 5: ResNet-34 layers 20 / 28 on a 132x132 array, k in {1, 2, 3, 4}.
+def fig5_depth_sweep(layer_index: int, technology: TechnologyModel | None = None) -> Fig5Result:
+    """Fig. 5: ResNet-34 layer 20 or 28 on a 132x132 array, k in {1, 2, 3, 4}.
 
     The paper finds the execution-time minimum at k = 2 for layer 20
     (large T = 196) and at k = 4 for layer 28 (small T = 49), with the
     conventional fixed-pipeline SA shown as a reference line.
     """
+    if layer_index not in (20, 28):
+        raise ValueError("the paper's Fig. 5 studies layers 20 and 28")
+    config = ArrayFlexConfig.fig5_132x132(technology)
+    gemm = resnet34().gemm(layer_index)
+    conventional_cycles = LatencyModel(config).conventional_total_cycles(gemm)
+    conventional_time_ns = ClockModel(config).conventional_execution_time_ns(
+        conventional_cycles
+    )
+    return Fig5Result(
+        layer_index=layer_index,
+        gemm=gemm,
+        points=collapse_depth_sweep(gemm, config, depths=(1, 2, 3, 4)),
+        conventional_time_us=conventional_time_ns / 1000.0,
+    )
 
-    experiment_id = "fig5"
-    paper_reference = {
-        "layer20_best_k": 2,
-        "layer28_best_k": 4,
-        "array": "132x132",
-        "depths": (1, 2, 3, 4),
-    }
 
-    def __init__(self, layer_index: int = 20, technology: TechnologyModel | None = None):
-        if layer_index not in (20, 28):
-            raise ValueError("the paper's Fig. 5 studies layers 20 and 28")
-        self.layer_index = layer_index
-        self.config = ArrayFlexConfig.fig5_132x132(technology)
-
-    def run(self) -> Fig5Result:
-        gemm = resnet34().gemm(self.layer_index)
-        points = collapse_depth_sweep(gemm, self.config, depths=(1, 2, 3, 4))
-        latency = LatencyModel(self.config)
-        clock = ClockModel(self.config)
-        conventional_cycles = latency.conventional_total_cycles(gemm)
-        conventional_time_us = (
-            clock.conventional_execution_time_ns(conventional_cycles) / 1000.0
+def render_fig5(result: Fig5Result) -> str:
+    rows = [
+        (
+            f"k={p.collapse_depth}",
+            p.cycles,
+            f"{p.clock_frequency_ghz:.1f}",
+            p.execution_time_us,
+            format_percent(1.0 - p.execution_time_us / result.conventional_time_us),
         )
-        return Fig5Result(
-            layer_index=self.layer_index,
-            gemm=gemm,
-            points=points,
-            conventional_time_us=conventional_time_us,
-        )
-
-    def render(self, result: Fig5Result | None = None) -> str:
-        result = result or self.run()
-        rows = [
-            (
-                f"k={p.collapse_depth}",
-                p.cycles,
-                f"{p.clock_frequency_ghz:.1f}",
-                p.execution_time_us,
-                format_percent(1.0 - p.execution_time_us / result.conventional_time_us),
-            )
-            for p in result.points
-        ]
-        rows.append(
-            ("conventional", "-", "2.0", result.conventional_time_us, "0.0%")
-        )
-        return format_table(
-            ["mode", "cycles", "clock (GHz)", "time (us)", "saving vs conventional"],
-            rows,
-            title=(
-                f"Fig. 5 -- ResNet-34 layer {result.layer_index} "
-                f"(M={result.gemm.m}, N={result.gemm.n}, T={result.gemm.t}), 132x132 SA"
-            ),
-        )
+        for p in result.points
+    ]
+    rows.append(("conventional", "-", "2.0", result.conventional_time_us, "0.0%"))
+    return format_table(
+        ["mode", "cycles", "clock (GHz)", "time (us)", "saving vs conventional"],
+        rows,
+        title=(
+            f"Fig. 5 -- ResNet-34 layer {result.layer_index} "
+            f"(M={result.gemm.m}, N={result.gemm.n}, T={result.gemm.t}), 132x132 SA"
+        ),
+    )
 
 
 # ---------------------------------------------------------------------- #
@@ -144,61 +125,47 @@ class Fig6Result:
     cols: int
 
 
-class Fig6Experiment:
+def fig6_area(technology: TechnologyModel | None = None) -> Fig6Result:
     """Fig. 6: physical-layout area comparison of 8x8 conventional vs ArrayFlex.
 
     The paper reports a per-PE area overhead of approximately 16%, consumed
     by the carry-save adder, the bypass multiplexers and the two
     configuration bits.
     """
+    area_model = AreaModel(technology or TechnologyModel.default_28nm())
+    rows = cols = 8
+    return Fig6Result(
+        conventional_pe_um2=area_model.conventional_pe_area().total,
+        arrayflex_pe_um2=area_model.arrayflex_pe_area().total,
+        pe_overhead=area_model.pe_area_overhead(),
+        structural_overhead=area_model.pe_structural_overhead(),
+        conventional_array_um2=area_model.array_area_um2(rows, cols, configurable=False),
+        arrayflex_array_um2=area_model.array_area_um2(rows, cols, configurable=True),
+        rows=rows,
+        cols=cols,
+    )
 
-    experiment_id = "fig6"
-    paper_reference = {"pe_area_overhead": 0.16, "array": "8x8"}
 
-    def __init__(self, rows: int = 8, cols: int = 8, technology: TechnologyModel | None = None):
-        self.rows = rows
-        self.cols = cols
-        self.area_model = AreaModel(technology or TechnologyModel.default_28nm())
-
-    def run(self) -> Fig6Result:
-        conventional = self.area_model.conventional_pe_area()
-        arrayflex = self.area_model.arrayflex_pe_area()
-        return Fig6Result(
-            conventional_pe_um2=conventional.total,
-            arrayflex_pe_um2=arrayflex.total,
-            pe_overhead=self.area_model.pe_area_overhead(),
-            structural_overhead=self.area_model.pe_structural_overhead(),
-            conventional_array_um2=self.area_model.array_area_um2(
-                self.rows, self.cols, configurable=False
-            ),
-            arrayflex_array_um2=self.area_model.array_area_um2(
-                self.rows, self.cols, configurable=True
-            ),
-            rows=self.rows,
-            cols=self.cols,
-        )
-
-    def render(self, result: Fig6Result | None = None) -> str:
-        result = result or self.run()
-        rows = [
-            ("conventional PE", result.conventional_pe_um2, "-"),
-            ("ArrayFlex PE", result.arrayflex_pe_um2, format_percent(result.pe_overhead)),
-            (
-                f"conventional {result.rows}x{result.cols} array",
-                result.conventional_array_um2,
-                "-",
-            ),
-            (
-                f"ArrayFlex {result.rows}x{result.cols} array",
-                result.arrayflex_array_um2,
-                format_percent(result.pe_overhead),
-            ),
-        ]
-        return format_table(
-            ["block", "area (um^2)", "overhead"],
-            rows,
-            title="Fig. 6 -- area of conventional vs ArrayFlex PEs",
-        )
+def render_fig6(result: Fig6Result) -> str:
+    rows = [
+        ("conventional PE", result.conventional_pe_um2, "-"),
+        ("ArrayFlex PE", result.arrayflex_pe_um2, format_percent(result.pe_overhead)),
+        (
+            f"conventional {result.rows}x{result.cols} array",
+            result.conventional_array_um2,
+            "-",
+        ),
+        (
+            f"ArrayFlex {result.rows}x{result.cols} array",
+            result.arrayflex_array_um2,
+            format_percent(result.pe_overhead),
+        ),
+    ]
+    return format_table(
+        ["block", "area (um^2)", "overhead"],
+        rows,
+        title="Fig. 6 -- area of conventional vs ArrayFlex PEs",
+    )
 
 
 # ---------------------------------------------------------------------- #
@@ -493,6 +460,7 @@ def render_activity(rows: Sequence[GridRow]) -> str:
     )
 
 
+
 # ---------------------------------------------------------------------- #
 # Eq. (7) -- analytical vs discrete optimum
 # ---------------------------------------------------------------------- #
@@ -516,81 +484,64 @@ class Eq7Result:
         return sum(entry.agree for entry in self.entries) / len(self.entries)
 
 
-class Eq7ValidationExperiment:
+def eq7_validation(
+    rows: int = 128,
+    cols: int = 128,
+    technology: TechnologyModel | None = None,
+    extra_gemms: Sequence[GemmShape] = (),
+) -> Eq7Result:
     """Eq. (7): does the analytical k_hat predict the discrete optimum?
 
     The paper notes that "the best pipeline organization per CNN layer is
     approximated fairly accurately (assuming continuous values) by
-    Equation (7)"; this experiment quantifies the agreement over the layers
-    of the three CNNs plus a synthetic T sweep.
+    Equation (7)"; this quantifies the agreement over the layers of the
+    three CNNs plus ``extra_gemms`` (e.g. a synthetic T sweep).  k_hat is
+    rounded to the nearest supported depth, ties to the shallower one.
     """
-
-    experiment_id = "eq7"
-    paper_reference = {"claim": "Eq. 7 approximates the per-layer optimum fairly accurately"}
-
-    def __init__(
-        self,
-        rows: int = 128,
-        cols: int = 128,
-        technology: TechnologyModel | None = None,
-        extra_gemms: list[GemmShape] | None = None,
-    ):
-        self.config = ArrayFlexConfig(
-            rows=rows, cols=cols, technology=technology or TechnologyModel.default_28nm()
-        )
-        self.extra_gemms = extra_gemms or []
-
-    def _candidate_gemms(self) -> list[GemmShape]:
-        gemms: list[GemmShape] = []
-        for model in model_zoo().values():
-            gemms.extend(model.gemms())
-        gemms.extend(self.extra_gemms)
-        return gemms
-
-    def _round_to_supported(self, k_hat: float) -> int:
-        depths = self.config.sorted_depths()
-        return min(depths, key=lambda d: (abs(d - k_hat), d))
-
-    def run(self) -> Eq7Result:
-        optimizer = PipelineOptimizer(self.config)
-        entries = []
-        for gemm in self._candidate_gemms():
-            decision = optimizer.best_depth(gemm)
-            k_hat = decision.analytical_depth
-            rounded = self._round_to_supported(k_hat)
-            entries.append(
-                Eq7Entry(
-                    gemm=gemm,
-                    analytical_depth=k_hat,
-                    analytical_rounded=rounded,
-                    discrete_best=decision.collapse_depth,
-                    agree=rounded == decision.collapse_depth,
-                )
+    config = ArrayFlexConfig(
+        rows=rows, cols=cols, technology=technology or TechnologyModel.default_28nm()
+    )
+    depths = config.sorted_depths()
+    gemms = [gemm for model in model_zoo().values() for gemm in model.gemms()]
+    optimizer = PipelineOptimizer(config)
+    entries = []
+    for gemm in [*gemms, *extra_gemms]:
+        decision = optimizer.best_depth(gemm)
+        k_hat = decision.analytical_depth
+        rounded = min(depths, key=lambda depth: (abs(depth - k_hat), depth))
+        entries.append(
+            Eq7Entry(
+                gemm=gemm,
+                analytical_depth=k_hat,
+                analytical_rounded=rounded,
+                discrete_best=decision.collapse_depth,
+                agree=rounded == decision.collapse_depth,
             )
-        return Eq7Result(entries=entries)
+        )
+    return Eq7Result(entries=entries)
 
-    def render(self, result: Eq7Result | None = None) -> str:
-        result = result or self.run()
-        rows = [
-            (
-                entry.gemm.name,
-                entry.gemm.t,
-                round(entry.analytical_depth, 2),
-                entry.analytical_rounded,
-                entry.discrete_best,
-                entry.agree,
-            )
-            for entry in result.entries[:40]
-        ]
-        table = format_table(
-            ["layer", "T", "k_hat", "rounded", "discrete best", "agree"],
-            rows,
-            title="Eq. 7 -- analytical vs discrete optimal collapse depth (first 40 layers)",
+
+def render_eq7(result: Eq7Result) -> str:
+    rows = [
+        (
+            entry.gemm.name,
+            entry.gemm.t,
+            round(entry.analytical_depth, 2),
+            entry.analytical_rounded,
+            entry.discrete_best,
+            entry.agree,
         )
-        return table + (
-            f"\nagreement over {len(result.entries)} layers: "
-            f"{format_percent(result.agreement_rate)}"
-        )
+        for entry in result.entries[:40]
+    ]
+    table = format_table(
+        ["layer", "T", "k_hat", "rounded", "discrete best", "agree"],
+        rows,
+        title="Eq. 7 -- analytical vs discrete optimal collapse depth (first 40 layers)",
+    )
+    return table + (
+        f"\nagreement over {len(result.entries)} layers: "
+        f"{format_percent(result.agreement_rate)}"
+    )
 
 
 # ---------------------------------------------------------------------- #
@@ -604,57 +555,43 @@ class ClockResult:
     sta_period_ps: dict[int, float]
 
 
-class ClockFrequencyExperiment:
-    """Section IV operating points, with Eq. (5) cross-checked against STA."""
+def operating_points(technology: TechnologyModel | None = None) -> ClockResult:
+    """Section IV operating points, with Eq. (5) cross-checked against STA.
 
-    experiment_id = "tab_freq"
-    paper_reference = {
-        "conventional_ghz": 2.0,
-        "k1_ghz": 1.8,
-        "k2_ghz": 1.7,
-        "k4_ghz": 1.4,
-    }
+    Covers every collapse depth of a kmax = 4 pipeline block, the deepest
+    mode the paper's arrays support.
+    """
+    technology = technology or TechnologyModel.default_28nm()
+    delay_model = DelayModel(technology)
+    analyzer = StaticTimingAnalyzer(PipelineBlockNetlist(kmax=4, technology=technology))
+    depths = range(1, 5)
+    return ClockResult(
+        conventional_ghz=delay_model.conventional_operating_point().clock_frequency_ghz,
+        mode_ghz={
+            depth: delay_model.arrayflex_operating_point(depth).clock_frequency_ghz
+            for depth in depths
+        },
+        eq5_period_ps={depth: delay_model.clock_period_ps(depth) for depth in depths},
+        sta_period_ps={depth: analyzer.minimum_clock_period_ps(depth) for depth in depths},
+    )
 
-    def __init__(self, technology: TechnologyModel | None = None, kmax: int = 4):
-        self.technology = technology or TechnologyModel.default_28nm()
-        self.kmax = kmax
 
-    def run(self) -> ClockResult:
-        delay_model = DelayModel(self.technology)
-        netlist = PipelineBlockNetlist(kmax=self.kmax, technology=self.technology)
-        analyzer = StaticTimingAnalyzer(netlist)
-        mode_ghz = {}
-        eq5 = {}
-        sta = {}
-        for depth in range(1, self.kmax + 1):
-            point = delay_model.arrayflex_operating_point(depth)
-            mode_ghz[depth] = point.clock_frequency_ghz
-            eq5[depth] = delay_model.clock_period_ps(depth)
-            sta[depth] = analyzer.minimum_clock_period_ps(depth)
-        return ClockResult(
-            conventional_ghz=delay_model.conventional_operating_point().clock_frequency_ghz,
-            mode_ghz=mode_ghz,
-            eq5_period_ps=eq5,
-            sta_period_ps=sta,
-        )
-
-    def render(self, result: ClockResult | None = None) -> str:
-        result = result or self.run()
-        rows = [("conventional", "-", "-", f"{result.conventional_ghz:.1f}")]
-        for depth in sorted(result.mode_ghz):
-            rows.append(
-                (
-                    f"ArrayFlex k={depth}",
-                    result.eq5_period_ps[depth],
-                    result.sta_period_ps[depth],
-                    f"{result.mode_ghz[depth]:.1f}",
-                )
+def render_clock(result: ClockResult) -> str:
+    rows = [("conventional", "-", "-", f"{result.conventional_ghz:.1f}")]
+    for depth in sorted(result.mode_ghz):
+        rows.append(
+            (
+                f"ArrayFlex k={depth}",
+                result.eq5_period_ps[depth],
+                result.sta_period_ps[depth],
+                f"{result.mode_ghz[depth]:.1f}",
             )
-        return format_table(
-            ["design point", "Eq. 5 period (ps)", "STA period (ps)", "clock (GHz)"],
-            rows,
-            title="Operating points (Section IV) and STA cross-check",
         )
+    return format_table(
+        ["design point", "Eq. 5 period (ps)", "STA period (ps)", "clock (GHz)"],
+        rows,
+        title="Operating points (Section IV) and STA cross-check",
+    )
 
 
 # ---------------------------------------------------------------------- #
@@ -675,85 +612,67 @@ class CsaAblationResult:
     model_name: str
 
 
-class CsaAblationExperiment:
+def csa_ablation(technology: TechnologyModel | None = None) -> CsaAblationResult:
     """What pipeline collapsing would cost without the 3:2 carry-save adders.
 
     Section III-B argues that chaining k carry-propagate adders would make
     the clock degradation prohibitive; this ablation quantifies it by
-    re-running the ConvNeXt comparison with the no-CSA clock model
-    (k serial CPAs on the critical path).
+    re-running ConvNeXt-T on a 128x128 array at every fixed depth under
+    the no-CSA clock model (k serial CPAs on the critical path).
     """
+    technology = technology or TechnologyModel.default_28nm()
+    model = convnext_tiny()
+    config = ArrayFlexConfig(rows=128, cols=128, technology=technology)
+    delay_model = DelayModel(technology)
+    latency = LatencyModel(config)
+    conventional = AnalyticalBackend().schedule_model_conventional(model, config)
 
-    experiment_id = "abl_csa"
-    paper_reference = {
-        "claim": "carry-save adders keep the clock degradation small (Section III-B)"
-    }
+    entries = []
+    for depth in config.sorted_depths():
+        with_csa = delay_model.clock_period_ps(depth)
+        without_csa = delay_model.clock_period_ps_without_csa(depth)
 
-    def __init__(
-        self,
-        model: CnnModel | None = None,
-        rows: int = 128,
-        cols: int = 128,
-        technology: TechnologyModel | None = None,
-    ):
-        self.model = model or convnext_tiny()
-        self.technology = technology or TechnologyModel.default_28nm()
-        self.config = ArrayFlexConfig(rows=rows, cols=cols, technology=self.technology)
-
-    def run(self) -> CsaAblationResult:
-        delay_model = DelayModel(self.technology)
-        latency = LatencyModel(self.config)
-        conventional = AnalyticalBackend().schedule_model_conventional(
-            self.model, self.config
-        )
-
-        entries = []
-        for depth in self.config.sorted_depths():
-            with_csa = delay_model.clock_period_ps(depth)
-            without_csa = delay_model.clock_period_ps_without_csa(depth)
-
-            # Fixed-depth runs of the whole model under each clock model.
-            total_with = 0.0
-            total_without = 0.0
-            for gemm in self.model.gemms():
-                cycles = latency.total_cycles(gemm, depth)
-                total_with += cycles * with_csa / 1000.0
-                total_without += cycles * without_csa / 1000.0
-            conventional_total_ns = conventional.total_time_ns
-            entries.append(
-                CsaAblationEntry(
-                    collapse_depth=depth,
-                    period_with_csa_ps=with_csa,
-                    period_without_csa_ps=without_csa,
-                    model_saving_with_csa=1.0 - total_with / conventional_total_ns,
-                    model_saving_without_csa=1.0 - total_without / conventional_total_ns,
-                )
+        # Fixed-depth runs of the whole model under each clock model.
+        total_with = 0.0
+        total_without = 0.0
+        for gemm in model.gemms():
+            cycles = latency.total_cycles(gemm, depth)
+            total_with += cycles * with_csa / 1000.0
+            total_without += cycles * without_csa / 1000.0
+        entries.append(
+            CsaAblationEntry(
+                collapse_depth=depth,
+                period_with_csa_ps=with_csa,
+                period_without_csa_ps=without_csa,
+                model_saving_with_csa=1.0 - total_with / conventional.total_time_ns,
+                model_saving_without_csa=1.0 - total_without / conventional.total_time_ns,
             )
-        return CsaAblationResult(entries=entries, model_name=self.model.name)
-
-    def render(self, result: CsaAblationResult | None = None) -> str:
-        result = result or self.run()
-        rows = [
-            (
-                f"k={entry.collapse_depth}",
-                entry.period_with_csa_ps,
-                entry.period_without_csa_ps,
-                format_percent(entry.model_saving_with_csa),
-                format_percent(entry.model_saving_without_csa),
-            )
-            for entry in result.entries
-        ]
-        return format_table(
-            [
-                "mode",
-                "period w/ CSA (ps)",
-                "period w/o CSA (ps)",
-                f"{result.model_name} saving w/ CSA",
-                "saving w/o CSA",
-            ],
-            rows,
-            title="Ablation -- collapsing with vs without carry-save adders",
         )
+    return CsaAblationResult(entries=entries, model_name=model.name)
+
+
+def render_abl_csa(result: CsaAblationResult) -> str:
+    rows = [
+        (
+            f"k={entry.collapse_depth}",
+            entry.period_with_csa_ps,
+            entry.period_without_csa_ps,
+            format_percent(entry.model_saving_with_csa),
+            format_percent(entry.model_saving_without_csa),
+        )
+        for entry in result.entries
+    ]
+    return format_table(
+        [
+            "mode",
+            "period w/ CSA (ps)",
+            "period w/o CSA (ps)",
+            f"{result.model_name} saving w/ CSA",
+            "saving w/o CSA",
+        ],
+        rows,
+        title="Ablation -- collapsing with vs without carry-save adders",
+    )
 
 
 # ---------------------------------------------------------------------- #
@@ -776,126 +695,63 @@ class DirectionAblationResult:
     cols: int
 
 
-class DirectionAblationExperiment:
+def direction_ablation() -> DirectionAblationResult:
     """How much of the cycle reduction comes from each collapse direction.
 
     The paper collapses both the vertical reduction pipeline and the
-    horizontal broadcast; this ablation evaluates each in isolation for a
-    representative late-CNN GEMM.
+    horizontal broadcast; this ablation evaluates each in isolation at
+    k = 2 and 4 for ResNet-34 layer 28 on a 128x128 array, the small-T
+    case where collapsing pays.
     """
-
-    experiment_id = "abl_dirs"
-    paper_reference = {
-        "claim": "both directions are collapsed (Section III): R/k and C/k terms"
-    }
-
-    def __init__(
-        self,
-        gemm: GemmShape | None = None,
-        rows: int = 128,
-        cols: int = 128,
-        depths: tuple[int, ...] = (2, 4),
-    ):
-        # Default: ResNet-34 layer 28, the small-T case where collapsing pays.
-        self.gemm = gemm or resnet34().gemm(28)
-        self.rows = rows
-        self.cols = cols
-        self.depths = depths
-
-    def run(self) -> DirectionAblationResult:
-        tiles = tile_count(self.gemm.n, self.gemm.m, self.rows, self.cols)
-        entries = []
-        conventional = arrayflex_tile_cycles(self.rows, self.cols, self.gemm.t, 1) * tiles
-        for depth in self.depths:
-            entries.append(
-                DirectionAblationEntry(
-                    collapse_depth=depth,
-                    cycles_both=arrayflex_tile_cycles(self.rows, self.cols, self.gemm.t, depth)
-                    * tiles,
-                    cycles_vertical_only=arrayflex_tile_cycles_vertical_only(
-                        self.rows, self.cols, self.gemm.t, depth
-                    )
-                    * tiles,
-                    cycles_horizontal_only=arrayflex_tile_cycles_horizontal_only(
-                        self.rows, self.cols, self.gemm.t, depth
-                    )
-                    * tiles,
-                    cycles_conventional=conventional,
-                )
+    gemm = resnet34().gemm(28)
+    rows = cols = 128
+    tiles = tile_count(gemm.n, gemm.m, rows, cols)
+    conventional = arrayflex_tile_cycles(rows, cols, gemm.t, 1) * tiles
+    entries = [
+        DirectionAblationEntry(
+            collapse_depth=depth,
+            cycles_both=arrayflex_tile_cycles(rows, cols, gemm.t, depth) * tiles,
+            cycles_vertical_only=arrayflex_tile_cycles_vertical_only(
+                rows, cols, gemm.t, depth
             )
-        return DirectionAblationResult(
-            entries=entries, gemm=self.gemm, rows=self.rows, cols=self.cols
-        )
-
-    def render(self, result: DirectionAblationResult | None = None) -> str:
-        result = result or self.run()
-        rows = []
-        for entry in result.entries:
-            base = entry.cycles_conventional
-            rows.append(
-                (
-                    f"k={entry.collapse_depth}",
-                    entry.cycles_conventional,
-                    entry.cycles_vertical_only,
-                    entry.cycles_horizontal_only,
-                    entry.cycles_both,
-                    format_percent(1.0 - entry.cycles_both / base),
-                )
+            * tiles,
+            cycles_horizontal_only=arrayflex_tile_cycles_horizontal_only(
+                rows, cols, gemm.t, depth
             )
-        return format_table(
-            [
-                "mode",
-                "normal cycles",
-                "vertical-only",
-                "horizontal-only",
-                "both",
-                "cycle reduction (both)",
-            ],
-            rows,
-            title=(
-                f"Ablation -- collapse directions for {result.gemm.name} "
-                f"(T={result.gemm.t}) on {result.rows}x{result.cols}"
-            ),
+            * tiles,
+            cycles_conventional=conventional,
         )
+        for depth in (2, 4)
+    ]
+    return DirectionAblationResult(entries=entries, gemm=gemm, rows=rows, cols=cols)
 
 
-# ---------------------------------------------------------------------- #
-# Beyond the paper: declarative knob-importance study over the design space
-# ---------------------------------------------------------------------- #
-class AblationExperiment:
-    """Which design knob mattered?  The stock declarative ablation study.
-
-    A thin experiment wrapper over :class:`~repro.eval.ablation.
-    AblationStudy`: runs the baseline-plus-one-off set of the given (or
-    default) study through :class:`~repro.serve.SchedulingService` and
-    renders the per-component importance ranking.  Declare a custom
-    study for any other "did my knob matter" question; this instance
-    exists so the ranking shows up in ``python -m repro experiment
-    ablation`` and EXPERIMENTS.md.
-    """
-
-    experiment_id = "ablation"
-    paper_reference = {
-        "claim": (
-            "beyond the paper: rank every design knob (activity model, "
-            "array geometry, collapse-depth set) by the latency/energy/EDP "
-            "delta its one-off flip causes against the paper baseline"
-        )
-    }
-
-    def __init__(self, study=None, backend: ExecutionBackend | str | None = None):
-        from repro.eval.ablation import default_study
-
-        if study is None:
-            study = default_study(
-                backend=create_backend(backend, default="batched")
+def render_abl_dirs(result: DirectionAblationResult) -> str:
+    rows = []
+    for entry in result.entries:
+        base = entry.cycles_conventional
+        rows.append(
+            (
+                f"k={entry.collapse_depth}",
+                entry.cycles_conventional,
+                entry.cycles_vertical_only,
+                entry.cycles_horizontal_only,
+                entry.cycles_both,
+                format_percent(1.0 - entry.cycles_both / base),
             )
-        self.study = study
-
-    def run(self):
-        return self.study.run()
-
-    def render(self, result=None) -> str:
-        result = result or self.run()
-        return result.render()
-
+        )
+    return format_table(
+        [
+            "mode",
+            "normal cycles",
+            "vertical-only",
+            "horizontal-only",
+            "both",
+            "cycle reduction (both)",
+        ],
+        rows,
+        title=(
+            f"Ablation -- collapse directions for {result.gemm.name} "
+            f"(T={result.gemm.t}) on {result.rows}x{result.cols}"
+        ),
+    )

@@ -13,14 +13,16 @@ which calls :func:`generate_experiments_markdown` and overwrites the file.
 from __future__ import annotations
 
 from repro.eval.experiments import (
-    ClockFrequencyExperiment,
-    CsaAblationExperiment,
-    DirectionAblationExperiment,
-    Eq7ValidationExperiment,
-    Fig5Experiment,
-    Fig6Experiment,
     GridRow,
     comparison_grid,
+    csa_ablation,
+    direction_ablation,
+    eq7_validation,
+    fig5_depth_sweep,
+    fig6_area,
+    operating_points,
+    render_fig5,
+    render_fig6,
     shallow_layer_savings,
     value_range,
 )
@@ -32,8 +34,7 @@ from repro.workloads import get_suite
 def _fig5_section() -> list[str]:
     lines = ["## Fig. 5 — execution time vs collapse depth (132x132 SA)", ""]
     for layer_index, paper_best in ((20, 2), (28, 4)):
-        experiment = Fig5Experiment(layer_index=layer_index)
-        result = experiment.run()
+        result = fig5_depth_sweep(layer_index)
         lines.append(
             f"* **Layer {layer_index}** (M, N, T) = {result.gemm.as_tuple()}: "
             f"paper minimum at k = {paper_best}; measured minimum at "
@@ -42,15 +43,14 @@ def _fig5_section() -> list[str]:
         )
         lines.append("")
         lines.append("```")
-        lines.append(experiment.render(result))
+        lines.append(render_fig5(result))
         lines.append("```")
         lines.append("")
     return lines
 
 
 def _fig6_section() -> list[str]:
-    experiment = Fig6Experiment()
-    result = experiment.run()
+    result = fig6_area()
     return [
         "## Fig. 6 — PE area overhead of reconfigurability",
         "",
@@ -60,7 +60,7 @@ def _fig6_section() -> list[str]:
         "the rest calibrated layout/clock-gating/config-distribution overhead).",
         "",
         "```",
-        experiment.render(result),
+        render_fig6(result),
         "```",
         "",
     ]
@@ -216,7 +216,7 @@ def _activity_section(grid: list[GridRow]) -> list[str]:
 
 
 def _eq7_section() -> list[str]:
-    result = Eq7ValidationExperiment().run()
+    result = eq7_validation()
     return [
         "## Eq. (7) — analytical vs discrete optimal collapse depth",
         "",
@@ -230,7 +230,7 @@ def _eq7_section() -> list[str]:
 
 
 def _clock_section() -> list[str]:
-    result = ClockFrequencyExperiment().run()
+    result = operating_points()
     return [
         "## Operating points (Section IV) and STA cross-check",
         "",
@@ -248,8 +248,8 @@ def _clock_section() -> list[str]:
 
 
 def _ablation_section() -> list[str]:
-    csa = CsaAblationExperiment().run()
-    directions = DirectionAblationExperiment().run()
+    csa = csa_ablation()
+    directions = direction_ablation()
     lines = [
         "## Ablations",
         "",

@@ -100,6 +100,10 @@ MAX_BATCH_REQUESTS = 4096
 #: or the next request of a keep-alive connection) before it is closed.
 READ_TIMEOUT_S = 2.0
 
+#: Seconds a drain waits for in-flight requests before it closes the
+#: service anyway, so a stuck backend cannot keep SIGTERM from exiting.
+DRAIN_TIMEOUT_S = 30.0
+
 _POST_ROUTES = ("/v1/schedule", "/v1/batch", "/v1/compare")
 
 #: Structured access log (opt-in: silent unless a handler is configured
@@ -135,7 +139,6 @@ class SchedulerDaemon:
         rate_limit: float | None = None,
         rate_burst: float | None = None,
         default_timeout: float | None = None,
-        drain_timeout: float = 30.0,
     ) -> None:
         if service is not None and (backend is not None or max_workers is not None):
             raise InvalidRequest(
@@ -157,7 +160,6 @@ class SchedulerDaemon:
         if level:
             configure_logging(level=level, json_lines=True)
         self.default_timeout = default_timeout
-        self.drain_timeout = drain_timeout
         self._started = time.monotonic()
         self._draining = threading.Event()
         self._drained = threading.Event()
@@ -234,8 +236,8 @@ class SchedulerDaemon:
         self._draining.set()
         self._server.server_close()
         # In-flight requests complete behind the gate; a stuck backend is
-        # bounded by drain_timeout so SIGTERM always terminates.
-        self.gate.wait_idle(timeout=self.drain_timeout)
+        # bounded by DRAIN_TIMEOUT_S so SIGTERM always terminates.
+        self.gate.wait_idle(timeout=DRAIN_TIMEOUT_S)
         self.service.close()
         self._drained.set()
 
@@ -243,7 +245,7 @@ class SchedulerDaemon:
         """Request a drain and block until it completes (or ``timeout``)."""
         self.request_drain()
         return self._drained.wait(
-            timeout=timeout if timeout is not None else self.drain_timeout + 5.0
+            timeout=timeout if timeout is not None else DRAIN_TIMEOUT_S + 5.0
         )
 
     # ------------------------------------------------------------------ #

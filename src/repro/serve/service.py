@@ -59,6 +59,13 @@ from repro.serve.errors import InvalidRequest
 from repro.serve.protocol import Request, Response, coerce_request
 
 
+#: Bound on the dedup map: completed futures (and their results) beyond
+#: this many are dropped oldest-first, so a long-lived service over a
+#: stream of distinct requests cannot grow without limit.  An evicted
+#: entry only costs a duplicate recomputation on re-encounter.
+DEDUP_SIZE = 4096
+
+
 def default_max_workers() -> int:
     """Thread-count default, auto-sized from the machine's CPU count.
 
@@ -87,20 +94,11 @@ class SchedulingService:
         self,
         backend: ExecutionBackend | str | None = None,
         max_workers: int | None = None,
-        dedup_size: int = 4096,
     ) -> None:
         if max_workers is not None and max_workers < 1:
             raise InvalidRequest("max_workers must be at least 1")
-        if dedup_size < 1:
-            raise InvalidRequest("dedup_size must be at least 1")
         self.backend = create_backend(backend, default="batched")
         self.max_workers = max_workers or default_max_workers()
-        #: Bound on the dedup map: completed futures (and their results)
-        #: beyond this are dropped oldest-first, so a long-lived service
-        #: over a stream of distinct requests cannot grow without limit.
-        #: Evicted entries only cost a duplicate recomputation on
-        #: re-encounter.
-        self.dedup_size = dedup_size
         # Re-entrant: a future that completes instantly runs its
         # done-callback inline on the submitting thread, inside submit()'s
         # critical section.
@@ -265,7 +263,7 @@ class SchedulingService:
             future.add_done_callback(
                 lambda done, key=key: self._forget_failed(key, done)
             )
-            if len(self._futures) > self.dedup_size:
+            if len(self._futures) > DEDUP_SIZE:
                 self._evict_completed_locked()
             return key, future, False
 
@@ -308,7 +306,7 @@ class SchedulingService:
         dedup map exists to prevent.
         """
         for key in list(self._futures):
-            if len(self._futures) <= self.dedup_size:
+            if len(self._futures) <= DEDUP_SIZE:
                 break
             if self._futures[key].done():
                 del self._futures[key]

@@ -9,8 +9,9 @@ This package is the Python substitute for that flow:
 * :mod:`repro.timing.delay_model` -- composition of the PE critical path
   and the clock-period model of Eq. (5), including the discrete operating
   points the paper reports (2.0 / 1.8 / 1.7 / 1.4 GHz).
-* :mod:`repro.timing.sta` -- a small graph-based static-timing analyzer
-  over a gate-level netlist of a collapsed pipeline block, including
+* :mod:`repro.timing.sta` -- a small static-timing analyzer over a
+  gate-level netlist of a collapsed pipeline block (a dict of cells in
+  topological order, walked once per configured depth), including
   false-path exclusion for unused collapse depths.
 * :mod:`repro.timing.area_model` -- per-PE and per-array area, reproducing
   the ~16% PE area overhead of Fig. 6.

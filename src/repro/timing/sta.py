@@ -1,4 +1,4 @@
-"""Graph-based static timing analysis of a collapsible pipeline block.
+"""Static timing analysis of a collapsible pipeline block.
 
 The paper obtains Tclock(k) from a commercial static-timing analyzer after
 declaring the unused collapse configurations as false paths
@@ -9,16 +9,17 @@ static timing analyzer.").
 
 This module reproduces that methodology on a small scale:
 
-* :class:`PipelineBlockNetlist` builds a directed acyclic graph of the
-  combinational logic seen by the worst-case path of one collapsed group of
-  ``kmax`` PEs: the horizontal chain of bypass multiplexers that broadcasts
-  an activation across the group's columns, the multiplier of the top PE of
-  the vertical group, the cascade of 3:2 carry-save adders and vertical
-  bypass multiplexers down the group, the final carry-propagate adder and
-  the capture flip-flop.
+* :class:`PipelineBlockNetlist` builds the combinational logic seen by the
+  worst-case path of one collapsed group of ``kmax`` PEs as a dict from
+  node name to :class:`Cell`, in topological order: the horizontal chain
+  of bypass multiplexers that broadcasts an activation across the group's
+  columns, the multiplier of the top PE of the vertical group, the cascade
+  of 3:2 carry-save adders and vertical bypass multiplexers down the
+  group, the final carry-propagate adder and the capture flip-flop.
 * :class:`StaticTimingAnalyzer` finds the longest register-to-register
-  path for a *configured* collapse depth ``k <= kmax``, excluding the
-  false paths that cross a group boundary of the configured mode.
+  path for a *configured* collapse depth ``k <= kmax`` in one pass over
+  that dict, excluding the false paths that cross a group boundary of the
+  configured mode.
 
 The analyzer's result equals the closed-form Eq. (5) delay
 ``d_FF + d_mul + d_add + k (d_CSA + 2 d_mux)``, which is exactly the point:
@@ -28,8 +29,7 @@ the equation is a faithful summary of the real critical path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import NamedTuple
 
 from repro.timing.technology import TechnologyModel
 
@@ -50,6 +50,14 @@ class TimingPath:
         return " -> ".join(self.nodes) + f"  [{self.delay_ps:.1f} ps]"
 
 
+class Cell(NamedTuple):
+    """One netlist node: its cell kind, its delay and the nodes driving it."""
+
+    kind: str
+    delay: float
+    fanin: tuple[str, ...]
+
+
 class PipelineBlockNetlist:
     """Gate-level netlist of one collapsible group of ``kmax`` PEs.
 
@@ -67,9 +75,11 @@ class PipelineBlockNetlist:
     * ``pe{i}/cpa``        -- carry-propagate adder of PE i.
     * ``pe{i}/capture_ff`` -- output pipeline register of PE i.
 
-    Every node stores its cell delay; the longest-path arrival time at a
-    capture flip-flop plus the flip-flop overhead (``d_FF``) is the minimum
-    clock period.
+    ``graph`` maps each node to its :class:`Cell` in build order, and
+    every node's fan-in is built before it (and listed in build order),
+    so the dict is a topological order of the block.  The longest-path
+    arrival time at a capture flip-flop plus the flip-flop overhead
+    (``d_FF``) is the minimum clock period.
     """
 
     def __init__(self, kmax: int, technology: TechnologyModel | None = None) -> None:
@@ -79,45 +89,34 @@ class PipelineBlockNetlist:
         self.technology = technology or TechnologyModel.default_28nm()
         self.graph = self._build()
 
-    def _build(self) -> nx.DiGraph:
+    def _build(self) -> dict[str, Cell]:
         tech = self.technology
-        graph = nx.DiGraph()
-        graph.add_node("launch_ff", cell="ff", delay=0.0)
+        graph = {"launch_ff": Cell("ff", 0.0, ())}
 
         # Horizontal broadcast chain: one bypass mux per column of the group.
-        for j in range(self.kmax):
-            graph.add_node(f"hmux{j}", cell="mux", delay=tech.d_mux_ps)
-            if j == 0:
-                graph.add_edge("launch_ff", "hmux0")
-            else:
-                graph.add_edge(f"hmux{j - 1}", f"hmux{j}")
+        hmuxes = tuple(f"hmux{j}" for j in range(self.kmax))
+        driver = "launch_ff"
+        for name in hmuxes:
+            graph[name] = Cell("mux", tech.d_mux_ps, (driver,))
+            driver = name
 
+        above = "launch_ff"
         for i in range(self.kmax):
-            graph.add_node(f"pe{i}/mul", cell="mul", delay=tech.d_mul_ps)
-            graph.add_node(f"pe{i}/csa", cell="csa", delay=tech.d_csa_ps)
-            graph.add_node(f"pe{i}/vmux", cell="mux", delay=tech.d_mux_ps)
-            graph.add_node(f"pe{i}/cpa", cell="add", delay=tech.d_add_ps)
-            graph.add_node(f"pe{i}/capture_ff", cell="ff", delay=0.0)
-
+            pe = f"pe{i}/"
             # The multiplier of any PE of the group may be fed from any
             # position of the horizontal broadcast chain (it depends on the
             # PE's column offset inside the collapsed block).
-            for j in range(self.kmax):
-                graph.add_edge(f"hmux{j}", f"pe{i}/mul")
-
+            graph[pe + "mul"] = Cell("mul", tech.d_mul_ps, hmuxes)
             # Vertical reduction: the product enters the CSA together with
             # the running carry-save pair coming from the PE above (or from
             # the launching register for the top PE); the CSA output goes
             # through the vertical bypass mux either transparently into the
             # next PE's CSA or into this PE's CPA and capture register.
-            graph.add_edge(f"pe{i}/mul", f"pe{i}/csa")
-            if i == 0:
-                graph.add_edge("launch_ff", "pe0/csa")
-            else:
-                graph.add_edge(f"pe{i - 1}/vmux", f"pe{i}/csa")
-            graph.add_edge(f"pe{i}/csa", f"pe{i}/vmux")
-            graph.add_edge(f"pe{i}/vmux", f"pe{i}/cpa")
-            graph.add_edge(f"pe{i}/cpa", f"pe{i}/capture_ff")
+            graph[pe + "csa"] = Cell("csa", tech.d_csa_ps, (above, pe + "mul"))
+            graph[pe + "vmux"] = Cell("mux", tech.d_mux_ps, (pe + "csa",))
+            graph[pe + "cpa"] = Cell("add", tech.d_add_ps, (pe + "vmux",))
+            graph[pe + "capture_ff"] = Cell("ff", 0.0, (pe + "cpa",))
+            above = pe + "vmux"
         return graph
 
     def combinational_paths_exist_beyond(self, depth: int) -> bool:
@@ -137,50 +136,44 @@ class StaticTimingAnalyzer:
         self.technology = netlist.technology
 
     # ------------------------------------------------------------------ #
-    def _active_subgraph(self, configured_k: int) -> nx.DiGraph:
-        """Subgraph containing only the paths exercised at depth ``configured_k``.
+    def _false_edges(self, configured_k: int) -> set[tuple[str, str]]:
+        """The (driver, node) edges no path exercises at depth ``configured_k``.
 
         With a configured depth of ``k``, the vertical bypass multiplexer of
         every k-th PE selects the opaque (registered) path and the
         horizontal broadcast re-registers every k columns, so combinational
-        edges that would cross those boundaries are false and removed.
+        edges that would cross those boundaries are false.
         """
         if configured_k < 1 or configured_k > self.netlist.kmax:
             raise ValueError(
                 f"configured collapse depth {configured_k} outside "
                 f"[1, {self.netlist.kmax}]"
             )
-        graph = self.netlist.graph.copy()
-        false_edges = []
+        false_edges = set()
         for i in range(self.netlist.kmax - 1):
             if (i + 1) % configured_k == 0:
-                false_edges.append((f"pe{i}/vmux", f"pe{i + 1}/csa"))
-                false_edges.append((f"hmux{i}", f"hmux{i + 1}"))
-        graph.remove_edges_from(false_edges)
-        return graph
+                false_edges.add((f"pe{i}/vmux", f"pe{i + 1}/csa"))
+                false_edges.add((f"hmux{i}", f"hmux{i + 1}"))
+        return false_edges
 
     def critical_path(self, configured_k: int) -> TimingPath:
         """Longest register-to-register path for the configured depth.
 
         The returned delay includes the flip-flop clocking overhead
-        (``d_FF``), making it directly comparable to Eq. (5).
+        (``d_FF``), making it directly comparable to Eq. (5).  Among
+        equally late drivers, the one built first is on the path.
         """
-        graph = self._active_subgraph(configured_k)
+        false_edges = self._false_edges(configured_k)
         arrival: dict[str, float] = {}
         predecessor: dict[str, str | None] = {}
-        for node in nx.topological_sort(graph):
-            node_delay = graph.nodes[node]["delay"]
-            preds = list(graph.predecessors(node))
-            if preds:
-                best_pred = max(preds, key=lambda p: arrival[p])
-                arrival[node] = arrival[best_pred] + node_delay
-                predecessor[node] = best_pred
-            else:
-                arrival[node] = node_delay
-                predecessor[node] = None
+        for node, cell in self.netlist.graph.items():
+            drivers = [d for d in cell.fanin if (d, node) not in false_edges]
+            best = max(drivers, key=arrival.__getitem__, default=None)
+            arrival[node] = (arrival[best] if best is not None else 0.0) + cell.delay
+            predecessor[node] = best
 
-        capture_nodes = [n for n in graph.nodes if n.endswith("capture_ff")]
-        end = max(capture_nodes, key=lambda n: arrival[n])
+        capture_nodes = [n for n in arrival if n.endswith("capture_ff")]
+        end = max(capture_nodes, key=arrival.__getitem__)
         nodes = [end]
         while predecessor[nodes[-1]] is not None:
             nodes.append(predecessor[nodes[-1]])  # type: ignore[arg-type]
@@ -194,6 +187,4 @@ class StaticTimingAnalyzer:
 
     def false_path_count(self, configured_k: int) -> int:
         """Number of physical edges declared false at the configured depth."""
-        full_edges = self.netlist.graph.number_of_edges()
-        active_edges = self._active_subgraph(configured_k).number_of_edges()
-        return full_edges - active_edges
+        return len(self._false_edges(configured_k))

@@ -236,24 +236,31 @@ class TestCommands:
         assert message in err
 
 
-#: sha256 of the stdout of ``experiment <id>`` for the five renders of the
-#: comparison grid (Python 3.11, NumPy 2.4); every backend prints the same
-#: bytes.
-GRID_RENDER_SHA256 = {
+#: sha256 of the stdout of ``experiment <id>`` for every id (Python 3.11,
+#: NumPy 2.4): the five renders of the comparison grid, then the seven
+#: other artifacts.  Every backend prints the same bytes.
+RENDER_SHA256 = {
     "fig7": "480bc86ad30c0f324e10018b7f1781a38097a10302ffb61376760b89603e2427",
     "fig8": "e7fdcb434c0becb28ab2f01e3c3cf055da48586a7bbf4de820c88a650e494dd2",
     "fig9": "bd1de0159809db227d47b4b567cf23e6881239acb0ab95b2b8f3a2b1ec9a9a41",
     "transformers": "251ac916909b5e75f8004b09063adbff340c1cd308144baacc1b63b950d9037c",
     "activity": "b276706961a85250b39f2f3ad01658403c54fb7ba40beaf9c2f44ef8ed0e9b0f",
+    "fig5": "b2d34c76c48f5bc85664680ea5827fea1f2aed06871b72bec5d7d2a4cf1b0655",
+    "fig6": "8557a0b3b8be13f70bed75628c3d53157ea753d66c842986fd144f241f955960",
+    "eq7": "c378331a38348ed5a02d5e66c09e8f0f973074f844cbed304598b2a3d6a109f8",
+    "clock": "fe27e0098bddee85c96bc0dc53e3731c039dadf3cff804a4653c50936f897455",
+    "abl_csa": "97de26f1a3a63c63ca15bdcd43fe108ee759f21aed5133d4fd7ea70bd1742a07",
+    "abl_dirs": "cdd5ea706c2e5fb29f9a392b1b5614c40b69af4ff4173bd38f6b5911d791ab0c",
+    "ablation": "5a853331394ca4a7215d5e8556f2cd2efc0f0f5e03a83ca9a32be785579c4972",
 }
 
 
 class TestGridRenders:
     @pytest.mark.parametrize(
         "argv, digest",
-        [(["experiment", name], digest) for name, digest in GRID_RENDER_SHA256.items()]
-        + [(["experiment", "activity", "--backend", "cycle"], GRID_RENDER_SHA256["activity"])],
-        ids=[*GRID_RENDER_SHA256, "activity-cycle"],
+        [(["experiment", name], digest) for name, digest in RENDER_SHA256.items()]
+        + [(["experiment", "activity", "--backend", "cycle"], RENDER_SHA256["activity"])],
+        ids=[*RENDER_SHA256, "activity-cycle"],
     )
     def test_rendered_bytes_are_pinned(self, argv, digest, capsys):
         assert main(argv) == 0
@@ -611,6 +618,48 @@ class TestAblateCommand:
             ]
         ) == 2
         assert "both fixed and ablated" in capsys.readouterr().err
+
+    #: Invocations that ran at an earlier version and dropped a flag:
+    #: ``--models`` dropped ``--suite``, a ``--component`` replaced the
+    #: explicit flag of its knob (``--models`` sets ``workloads``, which
+    #: replaces ``suite``), and the stock study started the activity model
+    #: at ``constant`` whatever ``--activity-model`` said.
+    IGNORED_FLAGS = {
+        "models-and-suite": (["--suite", "cnn"], 2, "not allowed with argument --models"),
+        "rows-and-geometry": (["--component", "geometry=16x16:32x32"], 2, "both fixed"),
+        "activity-model-and-component": (
+            ["--activity-model", "utilization", "--component", "activity_model=constant:utilization"],
+            2,
+            "both fixed",
+        ),
+        "depths-and-component": (
+            ["--depths", "1", "2", "--component", "depths=1+2:1"], 2, "both fixed"
+        ),
+        "batch-size-and-component": (
+            ["--batch-size", "2", "--component", "batch=1:2"], 2, "both fixed"
+        ),
+        "models-and-workloads": (
+            ["--component", "workloads=mobilenet_v1:resnet34"], 2, "both fixed"
+        ),
+        "models-and-suite-component": (
+            ["--component", "suite=cnn:transformers"], 2, "select the same workloads"
+        ),
+        "activity-model-anchors-stock-study": (
+            ["--activity-model", "utilization"], 0, "activity_model=constant "
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "extra, code, text", IGNORED_FLAGS.values(), ids=list(IGNORED_FLAGS)
+    )
+    def test_no_flag_is_silently_ignored(self, extra, code, text, capsys):
+        try:
+            status = main([*self.FAST, *extra])
+        except SystemExit as exc:  # an argparse refusal
+            status = exc.code
+        captured = capsys.readouterr()
+        assert status == code
+        assert text in (captured.err if code else captured.out)
 
     def test_backend_component_without_backend_flag(self, capsys):
         assert main([*self.FAST, "--component", "backend=batched:analytical"]) == 0

@@ -115,6 +115,17 @@ class TestDeclaration:
                 fixed={"batch": 8},
             )
 
+    @pytest.mark.parametrize("fixed, ablated", [("workloads", "suite"), ("suite", "workloads")])
+    def test_workload_selection_fixed_and_ablated_rejected(self, fixed, ablated):
+        """A workload list replaces the suite, so fixing one of them while
+        ablating the other would leave a component with no effect."""
+        values = {"workloads": ("mobilenet_v1", ("resnet34",)), "suite": ("cnn", ("transformers",))}
+        with pytest.raises(ValueError, match="select the same workloads"):
+            AblationStudy(
+                components=[Component(ablated, *values[ablated])],
+                fixed={fixed: values[fixed][0]},
+            )
+
     def test_unknown_metric_and_executor_rejected(self):
         with pytest.raises(ValueError, match="metric"):
             tiny_study(metric="throughput")
@@ -314,15 +325,9 @@ class TestDefaultStudy:
         assert len(study.generate_runs()) == 4
 
     def test_ablation_experiment_runs_and_renders(self):
-        from repro.eval.experiments import AblationExperiment
-        from repro.eval.ablation import AblationStudy
-
-        experiment = AblationExperiment(
-            study=AblationStudy(
-                components=[Component("activity_model", "constant", ("utilization",))],
-                fixed={"workloads": ("mobilenet_v1",), "geometry": (16, 16)},
-            )
+        """``experiment ablation`` prints a study's run-and-render."""
+        study = AblationStudy(
+            components=[Component("activity_model", "constant", ("utilization",))],
+            fixed={"workloads": ("mobilenet_v1",), "geometry": (16, 16)},
         )
-        text = experiment.render()
-        assert "Component importance" in text
-        assert experiment.experiment_id == "ablation"
+        assert "Component importance" in study.run().render()

@@ -4,13 +4,15 @@ import pytest
 
 from repro.cli import _SCHEDULING_EXPERIMENTS, EXPERIMENT_FACTORIES
 from repro.eval.experiments import (
-    ClockFrequencyExperiment,
-    CsaAblationExperiment,
-    DirectionAblationExperiment,
-    Eq7ValidationExperiment,
-    Fig5Experiment,
-    Fig6Experiment,
     comparison_grid,
+    csa_ablation,
+    direction_ablation,
+    eq7_validation,
+    fig5_depth_sweep,
+    fig6_area,
+    operating_points,
+    render_fig5,
+    render_fig6,
     render_fig7,
     render_fig8,
     render_fig9,
@@ -24,29 +26,29 @@ from repro.workloads import get_suite
 class TestFig5:
     def test_only_paper_layers_accepted(self):
         with pytest.raises(ValueError):
-            Fig5Experiment(layer_index=5)
+            fig5_depth_sweep(5)
 
     def test_layer20_minimum_at_k2(self):
-        result = Fig5Experiment(layer_index=20).run()
+        result = fig5_depth_sweep(20)
         assert result.best_depth == 2
 
     def test_layer28_minimum_at_k4(self):
-        result = Fig5Experiment(layer_index=28).run()
+        result = fig5_depth_sweep(28)
         assert result.best_depth == 4
 
     def test_render_mentions_conventional_reference(self):
-        text = Fig5Experiment(layer_index=20).render()
+        text = render_fig5(fig5_depth_sweep(20))
         assert "conventional" in text
         assert "132x132" in text
 
 
 class TestFig6:
     def test_overhead_close_to_paper(self):
-        result = Fig6Experiment().run()
+        result = fig6_area()
         assert result.pe_overhead == pytest.approx(0.16, abs=0.02)
 
     def test_render_contains_both_designs(self):
-        text = Fig6Experiment().render()
+        text = render_fig6(fig6_area())
         assert "conventional PE" in text and "ArrayFlex PE" in text
 
 
@@ -102,21 +104,21 @@ class TestFig8AndFig9:
 
 class TestOtherExperiments:
     def test_eq7_agreement_high(self):
-        result = Eq7ValidationExperiment().run()
+        result = eq7_validation()
         assert result.agreement_rate >= 0.8
 
     def test_clock_experiment_paper_frequencies(self):
-        result = ClockFrequencyExperiment().run()
+        result = operating_points()
         assert result.conventional_ghz == pytest.approx(2.0)
         assert result.mode_ghz[4] == pytest.approx(1.4)
 
     def test_csa_ablation_shows_csa_benefit(self):
-        result = CsaAblationExperiment().run()
+        result = csa_ablation()
         deepest = max(result.entries, key=lambda e: e.collapse_depth)
         assert deepest.model_saving_with_csa > deepest.model_saving_without_csa
 
     def test_direction_ablation_both_wins(self):
-        result = DirectionAblationExperiment().run()
+        result = direction_ablation()
         for entry in result.entries:
             assert entry.cycles_both < min(
                 entry.cycles_vertical_only, entry.cycles_horizontal_only
