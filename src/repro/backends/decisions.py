@@ -32,6 +32,10 @@ from repro.timing.power_model import ArrayPowerBreakdown
 #: scalars and the eight :class:`ArrayPowerBreakdown` components.
 DECISION_ROW_WIDTH = 15
 
+#: Where a :func:`decision_to_row` row holds the layer's execution time
+#: and its total power, the two numbers a design-space sweep reads.
+ROW_TIME_NS, ROW_POWER_MW = 3, 14
+
 #: The columnar on-disk layout of one decision: the within-shard GEMM key
 #: (m, n, t) followed by the :func:`decision_to_row` columns, in order.
 DECISION_DTYPE = np.dtype(

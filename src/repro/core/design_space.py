@@ -13,8 +13,9 @@ and scored on latency saving, power saving, EDP gain and area overhead
 relative to a conventional fixed-pipeline array of the same geometry.
 
 Evaluation runs on a pluggable execution backend (default: the batched
-backend, numerically identical to the analytical reference; it
-scores a whole point — every GEMM of every workload — in one mode search).
+backend, numerically identical to the analytical reference).  It scores
+a whole point as columns: every distinct GEMM shape of every workload
+goes through one mode search, and no per-layer decision object is built.
 Pass ``cache_dir`` to persist those decisions on disk, so a rerun sweep —
 another process, a CI job — starts warm and skips the mode search
 entirely.

@@ -19,7 +19,7 @@ model" — also lives here, next to the data model every backend builds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 from repro.core.energy import RunEnergyReport
 from repro.nn.gemm_mapping import GemmShape
@@ -140,6 +140,19 @@ class LayerMetrics:
         }
 
 
+def _in_layer_order(values: Iterable[float]) -> float:
+    """``values`` added left to right, as every backend's totals path adds.
+
+    The builtin ``sum`` compensates float rounding from Python 3.12 on,
+    which would set the reference's totals apart from the engine's in the
+    last bits.  Starts from the int 0, as ``sum`` does.
+    """
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
 @dataclass
 class ModelSchedule:
     """The complete schedule of one model on one accelerator."""
@@ -157,7 +170,7 @@ class ModelSchedule:
 
     @property
     def total_time_ns(self) -> float:
-        return sum(layer.execution_time_ns for layer in self.layers)
+        return _in_layer_order(layer.execution_time_ns for layer in self.layers)
 
     @property
     def total_time_ms(self) -> float:
@@ -165,7 +178,7 @@ class ModelSchedule:
 
     @property
     def total_energy_nj(self) -> float:
-        return sum(layer.energy_nj for layer in self.layers)
+        return _in_layer_order(layer.energy_nj for layer in self.layers)
 
     @property
     def average_power_mw(self) -> float:
@@ -212,7 +225,7 @@ class ModelSchedule:
         if total == 0:
             return 0.0
         return (
-            sum(
+            _in_layer_order(
                 getattr(layer, attribute) * layer.execution_time_ns
                 for layer in self.layers
             )

@@ -121,11 +121,6 @@ class CycleAccurateSystolicArray:
             raise ValueError("array dimensions must be positive")
         if collapse_depth < 1:
             raise ValueError("collapse depth must be >= 1")
-        if rows % collapse_depth or cols % collapse_depth:
-            raise ValueError(
-                f"collapse depth {collapse_depth} must divide array dimensions "
-                f"{rows}x{cols}"
-            )
         if not configurable and collapse_depth != 1:
             raise ValueError("the conventional array only supports k = 1")
         self.rows = rows

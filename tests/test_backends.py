@@ -32,6 +32,8 @@ from repro.backends import (
     ExecutionBackend,
     create_backend,
 )
+from repro.backends.cycle_accurate import affine_fit
+from repro.backends.decisions import decision_to_row
 from repro.core.arrayflex import ArrayFlexAccelerator
 from repro.core.config import ArrayFlexConfig
 from repro.core.design_space import DesignPoint, DesignSpaceExplorer
@@ -111,10 +113,11 @@ class TestParityHarness:
 
 
 class TestSuiteTotals:
-    """One decision pass over a whole suite equals per-model totals, bit
-    for bit: under every harness configuration, with a store that holds
-    only some of the suite's distinct GEMMs, and with a workload listed
-    twice."""
+    """One column pass over a whole suite equals per-model totals and the
+    reference's suite totals, bit for bit: under every harness
+    configuration, with a store that holds only some of the suite's
+    distinct GEMMs, with a workload listed twice, with shapes shared
+    across models, and on measured cycles."""
 
     @staticmethod
     def suites():
@@ -123,22 +126,39 @@ class TestSuiteTotals:
             "harness": workloads,
             "repeated": [*workloads, workloads[0]],
             "cnn": [mobilenet_v1(), resnet34()],
+            # Two GEMM lists that share shapes, in different layer orders.
+            "shared": [
+                [
+                    GemmShape(m=20, n=33, t=6, name="a"),
+                    GemmShape(m=16, n=16, t=40, name="b"),
+                    GemmShape(m=20, n=33, t=6, name="a-again"),
+                ],
+                [
+                    GemmShape(m=16, n=16, t=40, name="b"),
+                    GemmShape(m=7, n=50, t=3, name="c"),
+                    GemmShape(m=20, n=33, t=6, name="a"),
+                ],
+            ],
         }
 
+    @staticmethod
+    def per_model_totals(backend, suite, config):
+        return [
+            (
+                backend.schedule_model_totals(model, config),
+                backend.schedule_model_totals(model, config, conventional=True),
+            )
+            for model in suite
+        ]
+
     @pytest.mark.parametrize("stored_shapes", [65536, 7])
-    @pytest.mark.parametrize("suite_key", ["harness", "repeated", "cnn"])
+    @pytest.mark.parametrize("suite_key", ["harness", "repeated", "cnn", "shared"])
     @pytest.mark.parametrize("config_key", sorted(parity_configs()))
     def test_matches_per_model_totals(self, config_key, suite_key, stored_shapes, tmp_path):
         config = parity_configs()[config_key]
         suite = self.suites()[suite_key]
-        per_model = BatchedCachedBackend()
-        expected = [
-            (
-                per_model.schedule_model_totals(model, config),
-                per_model.schedule_model_totals(model, config, conventional=True),
-            )
-            for model in suite
-        ]
+        expected = self.per_model_totals(BatchedCachedBackend(), suite, config)
+        assert AnalyticalBackend().schedule_suite_totals(suite, config) == expected
         # Store the suite's first ``stored_shapes`` distinct GEMMs: all of
         # them (65536 exceeds every suite), or seven, so that the pass
         # mixes stored rows with fresh solves.
@@ -153,6 +173,37 @@ class TestSuiteTotals:
         assert backend.schedule_suite_totals(suite, config) == expected
         store.flush()
         assert store.counters()["rows_merged"] == max(len(distinct) - stored_shapes, 0)
+
+    @pytest.mark.parametrize("suite_key", ["harness", "shared"])
+    @pytest.mark.parametrize("config_key", sorted(parity_configs()))
+    def test_cycle_backend_matches_per_model_totals(self, config_key, suite_key):
+        """The measured-cycles engine takes the same column pass (with no
+        store: ``cycle`` refuses one)."""
+        config = parity_configs()[config_key]
+        suite = self.suites()[suite_key]
+        expected = self.per_model_totals(CycleAccurateBackend(), suite, config)
+        assert CycleAccurateBackend().schedule_suite_totals(suite, config) == expected
+        assert AnalyticalBackend().schedule_suite_totals(suite, config) == expected
+
+    @pytest.mark.parametrize("suite_key", ["harness", "cnn", "shared"])
+    @pytest.mark.parametrize("config_key", sorted(parity_configs()))
+    def test_stored_rows_equal_decision_rows(self, config_key, suite_key, tmp_path):
+        """The rows a pass puts in an empty store are the rows a
+        per-layer decision would put there, column for column (the
+        restarted sweep answers from them)."""
+        config = parity_configs()[config_key]
+        suite = self.suites()[suite_key]
+        store = DecisionStore(tmp_path)
+        BatchedCachedBackend(store=store).schedule_suite_totals(suite, config)
+        store.flush()
+        stored = DecisionStore(tmp_path).load(config.cache_key())
+        distinct = {
+            (g.m, g.n, g.t): g for model in suite for g in resolve_workload(model)[0]
+        }
+        assert sorted(stored) == sorted(distinct)
+        for key, gemm in distinct.items():
+            decision = BatchedCachedBackend()._decide_batch([gemm], config)[0]
+            assert stored.get(key) == decision_to_row(decision)
 
 
 class TestBatchedParity:
@@ -334,6 +385,12 @@ class TestCycleAccurateParity:
         with pytest.raises(RuntimeError, match=r"not affine.*rows=16, cols=8, k=2"):
             backend.measure_tile_cycles(ArrayFlexConfig(rows=16, cols=8), 100, 2)
         assert not backend._calibration
+
+    def test_fractional_slope_is_refused(self):
+        """Collinear probes whose slope is 1/2 cycle per streamed row:
+        an integer line cannot extrapolate them."""
+        with pytest.raises(RuntimeError, match=r"not affine.*\(x\)"):
+            affine_fit((4, 6, 8), (10, 11, 12), "x")
 
 
 class TestCycleCalibrationAtServedGeometries:

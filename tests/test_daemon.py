@@ -506,6 +506,21 @@ class TestRateLimit:
         with pytest.raises(RateLimited):
             limiter.admit("client-0")
 
+    def test_retry_after_is_the_exact_refill_time(self):
+        """Retry-After is the time until the bucket holds a whole token,
+        rounded up to the next hundredth of a second (fake clock)."""
+        now = [0.0]
+        limiter = TokenBucket(4.0, 1.0, clock=lambda: now[0])
+        limiter.admit("client")
+        retries = []
+        for now[0] in (0.0, 0.125, 0.1875):
+            with pytest.raises(RateLimited) as refused:
+                limiter.admit("client")
+            retries.append(refused.value.retry_after_s)
+        # 1, 0.5 and 0.25 tokens short at 4 tokens/s: 0.25 s, 0.125 s and
+        # 0.0625 s, the last two rounded up.
+        assert retries == [0.25, 0.13, 0.07]
+
     @pytest.mark.parametrize(
         "rate, burst",
         [(math.nan, None), (5.0, math.nan), (math.inf, None), (5.0, math.inf)],

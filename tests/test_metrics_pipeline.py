@@ -16,6 +16,8 @@ Three contracts:
   serving front-end treats activity models as part of request identity.
 """
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -26,7 +28,12 @@ from repro.backends import (
 )
 from repro.core.activity import ConstantActivity, UtilizationActivity
 from repro.core.config import ArrayFlexConfig
-from repro.core.metrics import InvalidWorkloadError, LayerMetrics, resolve_workload
+from repro.core.metrics import (
+    InvalidWorkloadError,
+    LayerMetrics,
+    ModelSchedule,
+    resolve_workload,
+)
 from repro.nn.gemm_mapping import GemmShape
 from repro.nn.models import convnext_tiny, mobilenet_v1, resnet34
 from repro.timing.power_model import ArrayPowerBreakdown
@@ -227,6 +234,20 @@ class TestLayerMetricsRecord:
             mobilenet_v1(), ArrayFlexConfig.paper_128x128()
         )
         assert constant.average_activity() == 1.0
+
+    def test_totals_add_in_layer_order(self, analytical):
+        """Left to right, as the engine's totals add, on every Python: a
+        compensated sum (the builtin's from 3.12 on) would keep the two
+        1e-16 terms that a sequential sum rounds away."""
+        layer = analytical.schedule_layer(
+            resnet34().gemm(28), ArrayFlexConfig.paper_128x128()
+        )
+        schedule = ModelSchedule("order", "ArrayFlex", 128, 128)
+        schedule.layers = [
+            dataclasses.replace(layer, execution_time_ns=time_ns)
+            for time_ns in (1.0, 1e-16, 1e-16)
+        ]
+        assert schedule.total_time_ns == 1.0
 
     def test_mode_decision_reports_utilization(self):
         from repro.core.optimizer import PipelineOptimizer

@@ -101,6 +101,10 @@ class TestWireCodecs:
         assert decoded.supported_depths == (1, 2)
         assert decoded.activity_model.name == "utilization"
 
+    def test_config_without_depths_gets_the_paper_mode_menu(self):
+        decoded = config_from_wire({"rows": 64, "cols": 32})
+        assert decoded.supported_depths == (1, 2, 4)
+
     def test_workload_object_has_no_wire_identity(self, config):
         with pytest.raises(InvalidRequest):
             request_to_wire(Request(model=resnet34(), config=config))

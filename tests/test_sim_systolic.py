@@ -16,6 +16,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             CycleAccurateSystolicArray(8, 8, collapse_depth=3)
 
+    @pytest.mark.parametrize("rows, cols", [(8, 12), (12, 8)])
+    def test_depth_must_divide_both_dimensions(self, rows, cols):
+        """k = 8 divides one dimension but not the other."""
+        with pytest.raises(ValueError, match="must divide"):
+            CycleAccurateSystolicArray(rows, cols, collapse_depth=8)
+
     def test_conventional_only_k1(self):
         with pytest.raises(ValueError):
             CycleAccurateSystolicArray(8, 8, collapse_depth=2, configurable=False)
